@@ -336,8 +336,18 @@ def _load_report_scores(path: Path) -> list[tuple[Date, str, Metric, float]]:
         raw = t.get("raw", {})
         for metric in Metric:
             value = raw.get(metric.value, t.get(metric.value))
-            if value is not None:
-                points.append((day, t["id"], metric, float(value)))
+            if value is None:
+                continue
+            try:
+                score = float(value)
+            except (TypeError, ValueError):
+                score = math.nan
+            if not math.isfinite(score) or score < 0:
+                raise DataError(
+                    f"{path}: token {t['id']!r} has {metric.value} score {value!r}; "
+                    "scores must be finite numbers >= 0"
+                )
+            points.append((day, t["id"], metric, score))
     return points
 
 
@@ -355,6 +365,10 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
     """Raise rolling-window early-warning flags over score histories."""
 
     def run():
+        if not 0 < threshold < 1:
+            raise ConfigError(f"--threshold {threshold} must be in (0, 1)")
+        if x_days < 0:
+            raise ConfigError(f"--x-days {x_days} must be >= 0")
         if history_path is None and not report_paths:
             raise ConfigError("provide --history and/or --report inputs")
         points: list[tuple[Date, str, Metric, float]] = []

@@ -256,9 +256,19 @@ def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
 
 
 def load_history_csv(path: str | Path) -> list[tuple[Date, str, Metric, float]]:
-    """Load a score-history CSV: one (date, token, metric, value) per row."""
+    """Load a score-history CSV: one (date, token, metric, value) per row.
+
+    Values must be non-negative, and each (token, metric, date) may appear
+    on one row only; a repeat is reported at its second line. Rows may come
+    in any order. A file in which each (token, metric) only meets later
+    dates holds no repeat, so the set of seen rows is built only for other
+    files, keeping a date-sorted history at the memory of its points.
+    """
+    rows = _read_rows(Path(path), HISTORY_HEADER)
     points = []
-    for lineno, cells in _read_rows(Path(path), HISTORY_HEADER):
+    latest: dict[tuple[str, Metric], Date] = {}
+    in_date_order = True
+    for lineno, cells in rows:
         day = _parse_date(lineno, cells[0])
         token = cells[1]
         if not token:
@@ -267,7 +277,22 @@ def load_history_csv(path: str | Path) -> list[tuple[Date, str, Metric, float]]:
             metric = Metric(cells[2])
         except ValueError:
             raise MalformedRow(lineno, "metric", f"unknown metric {cells[2]!r}") from None
-        points.append((day, token, metric, _parse_float(lineno, "value", cells[3])))
+        value = _parse_float(lineno, "value", cells[3])
+        if value < 0:
+            raise MalformedRow(lineno, "value", f"negative score: {cells[3]!r}")
+        if in_date_order and latest.get((token, metric), Date.min) < day:
+            latest[token, metric] = day
+        else:
+            in_date_order = False
+        points.append((day, token, metric, value))
+    if not in_date_order:
+        seen = set()
+        for (lineno, _), (day, token, metric, _) in zip(rows, points):
+            if (day, token, metric) in seen:
+                raise MalformedRow(
+                    lineno, "date", f"duplicate row for token {token!r}, {metric.value}, {day}"
+                )
+            seen.add((day, token, metric))
     return points
 
 

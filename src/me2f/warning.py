@@ -50,7 +50,10 @@ class ScoreSeries:
         object.__setattr__(self, "points", tuple(self.points))
         for prev, cur in pairwise(self.points):
             if cur.date <= prev.date:
-                raise NonMonotonicDates(f"duplicate or out-of-order date {cur.date}")
+                raise NonMonotonicDates(
+                    f"{self.token_id} {self.metric.value}: "
+                    f"duplicate or out-of-order date {cur.date}"
+                )
 
 
 @dataclass(frozen=True)
@@ -111,23 +114,39 @@ def rolling_flags(
     return flags
 
 
+def _flag_days(flags: Sequence[WarningFlag]) -> list[int]:
+    """Sorted distinct flag dates as day ordinals."""
+    return sorted({f.date.toordinal() for f in flags})
+
+
+def _flagged_within(days: list[int], d: int, x_days: int) -> bool:
+    """Whether the sorted ordinals ``days`` hold a day in [d - x_days, d]."""
+    i = bisect_left(days, d - x_days)
+    return i < len(days) and days[i] <= d
+
+
 def joint_spike(
     flags_by_metric: Mapping[Metric, Sequence[WarningFlag]], x_days: int
 ) -> list[JointSpike]:
     """Pair up flags on different metrics whose dates differ by at most x days.
 
     One event is emitted per distinct (metric pair, later flag date);
-    expects flags for a single token.
+    expects flags for a single token. Each metric's flag dates are sorted
+    once; a flag day d of either metric in a pair is an event date exactly
+    when the other metric has a flag in [d - x_days, d], found by one
+    bisection. Cost is O(F log F) in the number of flags F.
     """
     if x_days < 0:
         raise ValueError(f"x_days={x_days} must be >= 0")
-    events: set[JointSpike] = set()
     metrics = [m for m in Metric if flags_by_metric.get(m)]
+    days = {m: _flag_days(flags_by_metric[m]) for m in metrics}
+    events: set[JointSpike] = set()
     for m1, m2 in combinations(metrics, 2):
-        for f1 in flags_by_metric[m1]:
-            for f2 in flags_by_metric[m2]:
-                if abs((f1.date - f2.date).days) <= x_days:
-                    events.add(JointSpike(f1.token_id, max(f1.date, f2.date), (m1, m2)))
+        token_id = flags_by_metric[m1][0].token_id
+        for mine, other in ((days[m1], days[m2]), (days[m2], days[m1])):
+            for d in mine:
+                if _flagged_within(other, d, x_days):
+                    events.add(JointSpike(token_id, Date.fromordinal(d), (m1, m2)))
     return sorted(events, key=lambda e: (e.date, e.metrics[0].value, e.metrics[1].value))
 
 
@@ -154,7 +173,9 @@ def assign_buckets(
     A metric counts as "high" at date d when it has a flag within the
     trailing x-day window [d - x_days, d], so that flags forming a joint
     spike escalate the bucket at the spike date. Expects flags for a
-    single token, like joint_spike.
+    single token, like joint_spike. Like joint_spike, it sorts each
+    metric's flag dates once and answers each (date, metric) test with
+    one bisection: O(F log F) in the number of flags F.
     """
     if x_days < 0:
         raise ValueError(f"x_days={x_days} must be >= 0")
@@ -162,11 +183,11 @@ def assign_buckets(
     if not all_flags:
         return []
     token_id = all_flags[0].token_id
+    days = {m: _flag_days(flags_by_metric.get(m, ())) for m in Metric}
     assignments = []
-    for day in sorted({f.date for f in all_flags}):
-        active = tuple(
-            m for m in Metric
-            if any(0 <= (day - f.date).days <= x_days for f in flags_by_metric.get(m, ()))
+    for d in sorted({f.date.toordinal() for f in all_flags}):
+        active = tuple(m for m in Metric if _flagged_within(days[m], d, x_days))
+        assignments.append(
+            BucketAssignment(token_id, Date.fromordinal(d), action_bucket(active), active)
         )
-        assignments.append(BucketAssignment(token_id, day, action_bucket(active), active))
     return assignments

@@ -260,3 +260,93 @@ class TestFetchCommand:
                      "--start", "2024-01-01", "--end", "2024-01-02",
                      "--cache-dir", tmp_path / "cache")
         assert result.exit_code == 2
+
+
+class TestWarnInputErrors:
+    def assert_one_line_error(self, result, code):
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", 1.5), ("--threshold", 0), ("--x-days", -1),
+    ])
+    def test_bad_params_exit_2_before_loading(self, tmp_path, flag, value):
+        # the history file does not exist: parameters are checked first
+        result = run("warn", "--history", tmp_path / "missing.csv", flag, value,
+                     "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 2)
+        assert flag in result.stderr
+        assert not (tmp_path / "w").exists()
+
+    def test_negative_history_value_exits_3_naming_line(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        write_history(hist, [1.0, 2.0, -0.5, 3.0])
+        result = run("warn", "--history", hist, "--window", 2, "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert "line 4" in result.stderr and "'value'" in result.stderr
+
+    @pytest.mark.parametrize("bad", [-0.25, "abc"])
+    def test_bad_report_score_exits_3_naming_report_and_token(self, tmp_path, bad):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({
+            "window": {"start": "2025-01-01", "end": "2025-01-03"},
+            "tokens": [{"id": "PEPE", "raw": {"vds": bad, "wds": None, "sas": 0.1}}],
+        }))
+        result = run("warn", "--report", report, "--window", 2, "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert str(report) in result.stderr and "'PEPE'" in result.stderr
+
+    def test_duplicate_history_row_exits_3_naming_line(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        hist.write_text(
+            "date,token,metric,value\n"
+            "2025-01-01,X,vds,1.0\n"
+            "2025-01-02,X,vds,2.0\n"
+            "2025-01-01,Y,vds,1.0\n"
+            "2025-01-02,X,vds,3.0\n"
+        )
+        result = run("warn", "--history", hist, "--window", 2, "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert "line 5" in result.stderr and "'X'" in result.stderr
+
+    def test_duplicate_after_out_of_order_rows_names_line(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        hist.write_text(
+            "date,token,metric,value\n"
+            "2025-01-03,X,vds,1.0\n"
+            "2025-01-01,X,vds,2.0\n"
+            "2025-01-02,X,vds,3.0\n"
+            "2025-01-01,X,vds,4.0\n"
+        )
+        result = run("warn", "--history", hist, "--window", 2, "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert "line 5" in result.stderr
+
+    def test_out_of_order_unique_rows_are_accepted(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        hist.write_text(
+            "date,token,metric,value\n"
+            "2025-01-03,X,vds,3.0\n"
+            "2025-01-01,X,vds,1.0\n"
+            "2025-01-02,X,vds,2.0\n"
+        )
+        result = run("warn", "--history", hist, "--window", 2, "--threshold", 0.5,
+                     "--out", tmp_path / "w")
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "w" / "warnings.json").read_text())
+        assert [f["date"] for f in doc["flags"]] == ["2025-01-02", "2025-01-03"]
+
+    def test_history_and_report_on_same_day_names_token_and_metric(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        write_history(hist, [1.0, 2.0, 3.0], token="PEPE")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({
+            "window": {"start": "2025-01-01", "end": "2025-01-03"},
+            "tokens": [{"id": "PEPE", "raw": {"vds": 0.5}}],
+        }))
+        result = run("warn", "--history", hist, "--report", report, "--window", 2,
+                     "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert "PEPE vds" in result.stderr and "2025-01-03" in result.stderr

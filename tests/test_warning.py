@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from me2f.errors import WindowTooShort
 from me2f.warning import (
     ActionBucket,
+    BucketAssignment,
+    JointSpike,
     Metric,
     ScorePoint,
     ScoreSeries,
@@ -176,3 +178,91 @@ class TestAssignBuckets:
         (assignment,) = assign_buckets(flags, 3)
         assert assignment.bucket is ActionBucket.GOVERNANCE_WATCH
         assert assignment.metrics == (Metric.WDS,)
+
+
+# --- brute-force oracles for the sorted-day sweeps -----------------------
+
+def oracle_joint_spike(flags_by_metric, x_days):
+    """Every flag pair of every metric pair, compared directly."""
+    events = set()
+    metrics = [m for m in Metric if flags_by_metric.get(m)]
+    for m1, m2 in combinations(metrics, 2):
+        for f1 in flags_by_metric[m1]:
+            for f2 in flags_by_metric[m2]:
+                if abs((f1.date - f2.date).days) <= x_days:
+                    events.add(JointSpike(f1.token_id, max(f1.date, f2.date), (m1, m2)))
+    return sorted(events, key=lambda e: (e.date, e.metrics[0].value, e.metrics[1].value))
+
+
+def oracle_assign_buckets(flags_by_metric, x_days):
+    """Every flag date against every flag of every metric."""
+    all_flags = [f for flags in flags_by_metric.values() for f in flags]
+    if not all_flags:
+        return []
+    token_id = all_flags[0].token_id
+    assignments = []
+    for day in sorted({f.date for f in all_flags}):
+        active = tuple(
+            m for m in Metric
+            if any(0 <= (day - f.date).days <= x_days for f in flags_by_metric.get(m, ()))
+        )
+        assignments.append(BucketAssignment(token_id, day, action_bucket(active), active))
+    return assignments
+
+
+@st.composite
+def flag_sets(draw, max_day=30):
+    """Flags of one token: any subset of metrics (lists may be empty), days
+    unsorted and possibly repeated, small day range so days collide."""
+    token = draw(st.sampled_from(["X", "PEPE"]))
+    metrics = draw(st.lists(st.sampled_from(list(Metric)), unique=True))
+    return {
+        m: [
+            flag_on_day(d, m, token)
+            for d in draw(st.lists(st.integers(0, max_day), max_size=12))
+        ]
+        for m in metrics
+    }
+
+
+X_DAYS = st.integers(0, 10)
+
+
+class TestSweepMatchesOracle:
+    @given(flag_sets(), X_DAYS)
+    @settings(max_examples=300)
+    def test_joint_spike_equals_oracle(self, flags, x):
+        assert joint_spike(flags, x) == oracle_joint_spike(flags, x)
+
+    @given(flag_sets(), X_DAYS)
+    @settings(max_examples=300)
+    def test_assign_buckets_equals_oracle(self, flags, x):
+        assert assign_buckets(flags, x) == oracle_assign_buckets(flags, x)
+
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=8), X_DAYS)
+    def test_same_day_flags_across_metrics(self, days, x):
+        flags = {m: [flag_on_day(d, m) for d in reversed(days)] for m in Metric}
+        assert joint_spike(flags, x) == oracle_joint_spike(flags, x)
+        assert assign_buckets(flags, x) == oracle_assign_buckets(flags, x)
+
+    def test_out_of_order_flags(self):
+        flags = {
+            Metric.VDS: [flag_on_day(d, Metric.VDS) for d in (9, 1, 5)],
+            Metric.SAS: [flag_on_day(d, Metric.SAS) for d in (7, 3)],
+        }
+        assert joint_spike(flags, 2) == oracle_joint_spike(flags, 2)
+        assert [(e.date - DAY0).days for e in joint_spike(flags, 2)] == [3, 5, 7, 9]
+        assert assign_buckets(flags, 2) == oracle_assign_buckets(flags, 2)
+
+    def test_missing_and_empty_metrics(self):
+        flags = {Metric.VDS: [flag_on_day(2, Metric.VDS)], Metric.SAS: []}
+        assert joint_spike(flags, 3) == oracle_joint_spike(flags, 3) == []
+        assert assign_buckets(flags, 3) == oracle_assign_buckets(flags, 3)
+        assert joint_spike({}, 3) == [] and assign_buckets({}, 3) == []
+
+    def test_negative_x_days_rejected(self):
+        flags = {Metric.VDS: [flag_on_day(0, Metric.VDS)]}
+        with pytest.raises(ValueError):
+            joint_spike(flags, -1)
+        with pytest.raises(ValueError):
+            assign_buckets(flags, -1)
