@@ -139,10 +139,11 @@ def _dumps(doc: dict) -> str:
 
 def bars_to_csv(series: TokenSeries) -> str:
     lines = [",".join(ingest.BARS_HEADER)]
-    for b in series.bars:
-        lines.append(
-            f"{b.date.isoformat()},{b.high},{b.low},{b.close},{b.volume_usd},{b.market_cap_usd}"
-        )
+    for day, high, low, close, volume, mcap in zip(
+        series.dates, series.high, series.low, series.close,
+        series.volume_usd, series.market_cap_usd,
+    ):
+        lines.append(f"{day.isoformat()},{high},{low},{close},{volume},{mcap}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,6 +254,9 @@ def _execute(action) -> None:
     except Me2fError as exc:
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(4)
+    except Exception as exc:  # the exit-code contract holds for defects too
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(4)
 
 
 def _build_params(alpha, beta, gamma, delta, n, scale_unit) -> FrameworkParams:
@@ -323,17 +327,34 @@ def score(universe_path, out_dir, formats, alpha, beta, gamma, delta, n, scale_u
     _execute(run)
 
 
-def _load_report_scores(path: Path) -> list[tuple[Date, str, Metric, float]]:
+def _read_report(path: Path) -> dict:
     if not path.exists():
         raise MissingReport(f"report file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON report: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a report must be a JSON object")
+    return doc
+
+
+def _load_report_scores(path: Path) -> list[tuple[Date, str, Metric, float]]:
+    doc = _read_report(path)
     window = doc.get("window")
-    if not window or not window.get("end"):
+    if not isinstance(window, dict) or not window.get("end"):
         raise DataError(f"{path}: report has no window; cannot date its scores")
-    day = Date.fromisoformat(window["end"])
+    try:
+        day = Date.fromisoformat(window["end"])
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: window end {window['end']!r} is not an ISO date") from None
     points = []
     for t in doc.get("tokens", []):
+        if not isinstance(t, dict) or not isinstance(t.get("id"), str):
+            raise DataError(f"{path}: every report token needs a string 'id'")
         raw = t.get("raw", {})
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: token {t['id']!r} has a 'raw' that is not an object")
         for metric in Metric:
             value = raw.get(metric.value, t.get(metric.value))
             if value is None:
@@ -447,10 +468,7 @@ def plot(report_path, out_dir):
     """Render descending bar charts (SVG + CSV sidecar) from a report."""
 
     def run():
-        path = Path(report_path)
-        if not path.exists():
-            raise MissingReport(f"report file not found: {path}")
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _read_report(Path(report_path))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for notice in write_charts(doc, out):
@@ -482,9 +500,9 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
         series = client.fetch_daily(token_id, start, end)
         if out_path:
             Path(out_path).write_text(bars_to_csv(series), encoding="utf-8")
-            click.echo(f"{len(series.bars)} bar(s) -> {out_path}", err=True)
+            click.echo(f"{len(series.dates)} bar(s) -> {out_path}", err=True)
         else:
-            click.echo(f"{len(series.bars)} bar(s) cached for {token_id}", err=True)
+            click.echo(f"{len(series.dates)} bar(s) cached for {token_id}", err=True)
 
     _execute(run)
 

@@ -3,6 +3,10 @@
 All types are frozen dataclasses that validate their invariants at
 construction time, so a value that exists is a value that is valid. They
 are safe to share across threads.
+
+The two daily series store one tuple per column and check each column
+once, in bulk; only when a bulk check fails are the rows rescanned, so
+that the error names the first offending row as the per-row types do.
 """
 from __future__ import annotations
 
@@ -10,10 +14,12 @@ import math
 from dataclasses import dataclass
 from datetime import date as Date
 from itertools import pairwise
-from typing import Iterable
+from operator import le, lt
+from typing import Iterable, Sequence
 
 from .errors import (
     ConfigError,
+    DataError,
     FgiOutOfRange,
     InvalidBar,
     InvalidShares,
@@ -61,40 +67,100 @@ def _check_dates(dates: Iterable[Date]) -> None:
             raise NonMonotonicDates(f"{what} date {cur}")
 
 
-@dataclass(frozen=True)
+def _check_lengths(token_id: str, columns: Sequence[tuple]) -> None:
+    if len(set(map(len, columns))) > 1:
+        raise DataError(f"{token_id}: columns differ in length")
+
+
+def _ascending(dates: tuple[Date, ...]) -> bool:
+    return all(map(lt, dates, dates[1:]))
+
+
+@dataclass(frozen=True, init=False)
 class TokenSeries:
-    """Date-ascending daily bars for one token."""
+    """Date-ascending daily bars for one token, one tuple per column.
+
+    ``TokenSeries(token_id, bars)`` takes ``DailyBar`` rows;
+    ``from_columns`` takes the columns themselves. Either way every bar
+    invariant and strictly ascending dates are checked at construction.
+    """
 
     token_id: str
-    bars: tuple[DailyBar, ...]
+    dates: tuple[Date, ...]
+    high: tuple[float, ...]
+    low: tuple[float, ...]
+    close: tuple[float, ...]
+    volume_usd: tuple[float, ...]
+    market_cap_usd: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "bars", tuple(self.bars))
-        _check_dates(bar.date for bar in self.bars)
+    def __init__(self, token_id: str, bars: Iterable[DailyBar] = ()):
+        rows = [(b.date, b.high, b.low, b.close, b.volume_usd, b.market_cap_usd) for b in bars]
+        _set_columns(self, token_id, list(zip(*rows)) or [()] * 6)
+        _check_bars(self)
+
+    @classmethod
+    def from_columns(
+        cls,
+        token_id: str,
+        dates: Iterable[Date],
+        high: Iterable[float],
+        low: Iterable[float],
+        close: Iterable[float],
+        volume_usd: Iterable[float],
+        market_cap_usd: Iterable[float],
+    ) -> "TokenSeries":
+        series = object.__new__(cls)
+        _set_columns(series, token_id, (dates, high, low, close, volume_usd, market_cap_usd))
+        _check_bars(series)
+        return series
+
+    @property
+    def bars(self) -> tuple[DailyBar, ...]:
+        """The rows as ``DailyBar`` values, built on each access."""
+        return tuple(map(
+            DailyBar, self.dates, self.high, self.low, self.close,
+            self.volume_usd, self.market_cap_usd,
+        ))
 
     def window(self) -> tuple[Date, Date] | None:
-        if not self.bars:
+        if not self.dates:
             return None
-        return self.bars[0].date, self.bars[-1].date
+        return self.dates[0], self.dates[-1]
+
+
+def _set_columns(series, token_id: str, columns) -> None:
+    object.__setattr__(series, "token_id", token_id)
+    names = [f for f in series.__dataclass_fields__ if f != "token_id"]
+    for name, column in zip(names, columns, strict=True):
+        object.__setattr__(series, name, tuple(column))
+
+
+def _check_bars(s: TokenSeries) -> None:
+    prices = (s.high, s.low, s.close)
+    sizes = (s.volume_usd, s.market_cap_usd)
+    _check_lengths(s.token_id, (s.dates, *prices, *sizes))
+    if not s.dates:
+        return
+    if (
+        all(all(map(math.isfinite, column)) for column in prices + sizes)
+        and min(map(min, prices)) > 0
+        and min(map(min, sizes)) >= 0
+        and all(map(le, s.low, s.high))
+        and _ascending(s.dates)
+    ):
+        return
+    for row in zip(s.dates, *prices, *sizes):
+        DailyBar(*row)
+    _check_dates(s.dates)
 
 
 def validate_series(series: TokenSeries) -> TokenSeries:
     """Re-check every bar and series invariant; return the series unchanged.
 
-    Idempotent by construction. Useful after deserialization paths that
-    bypass ``__post_init__``.
+    Construction already runs the same check, so this only matters for a
+    series whose columns were set some other way.
     """
-    for bar in series.bars:
-        _require_finite_positive("high", bar.high, bar.date)
-        _require_finite_positive("low", bar.low, bar.date)
-        _require_finite_positive("close", bar.close, bar.date)
-        if not math.isfinite(bar.volume_usd) or bar.volume_usd < 0:
-            raise InvalidBar(f"volume_usd={bar.volume_usd!r} on {bar.date}")
-        if not math.isfinite(bar.market_cap_usd) or bar.market_cap_usd < 0:
-            raise InvalidBar(f"market_cap_usd={bar.market_cap_usd!r} on {bar.date}")
-        if bar.low > bar.high:
-            raise LowAboveHigh(f"low {bar.low} > high {bar.high} on {bar.date}")
-    _check_dates(bar.date for bar in series.bars)
+    _check_bars(series)
     return series
 
 
@@ -143,21 +209,66 @@ class SentimentPoint:
                 raise OutOfRange(f"abs_return={self.abs_return!r} on {self.date} must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SentimentSeries:
-    """Date-ascending sentiment observations for one token."""
+    """Date-ascending sentiment observations for one token, one tuple per column.
+
+    ``SentimentSeries(token_id, points)`` takes ``SentimentPoint`` rows;
+    ``from_columns`` takes the columns. Either way the point invariants and
+    strictly ascending dates are checked at construction.
+    """
 
     token_id: str
-    points: tuple[SentimentPoint, ...]
+    dates: tuple[Date, ...]
+    fgi: tuple[float, ...]
+    abs_return: tuple[float | None, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_dates(p.date for p in self.points)
+    def __init__(self, token_id: str, points: Iterable[SentimentPoint] = ()):
+        rows = [(p.date, p.fgi, p.abs_return) for p in points]
+        _set_columns(self, token_id, list(zip(*rows)) or [()] * 3)
+        _check_sentiment(self)
+
+    @classmethod
+    def from_columns(
+        cls,
+        token_id: str,
+        dates: Iterable[Date],
+        fgi: Iterable[float],
+        abs_return: Iterable[float | None],
+    ) -> "SentimentSeries":
+        series = object.__new__(cls)
+        _set_columns(series, token_id, (dates, fgi, abs_return))
+        _check_sentiment(series)
+        return series
+
+    @property
+    def points(self) -> tuple[SentimentPoint, ...]:
+        """The rows as ``SentimentPoint`` values, built on each access."""
+        return tuple(map(SentimentPoint, self.dates, self.fgi, self.abs_return))
 
     def window(self) -> tuple[Date, Date] | None:
-        if not self.points:
+        if not self.dates:
             return None
-        return self.points[0].date, self.points[-1].date
+        return self.dates[0], self.dates[-1]
+
+
+def _check_sentiment(s: SentimentSeries) -> None:
+    _check_lengths(s.token_id, (s.dates, s.fgi, s.abs_return))
+    if not s.dates:
+        return
+    # filter(None, ...) drops absent returns and zeros; zeros are valid.
+    if (
+        all(map(math.isfinite, s.fgi))
+        and 0 <= min(s.fgi)
+        and max(s.fgi) <= 100
+        and all(map(math.isfinite, filter(None, s.abs_return)))
+        and min(filter(None, s.abs_return), default=0.0) >= 0
+        and _ascending(s.dates)
+    ):
+        return
+    for row in zip(s.dates, s.fgi, s.abs_return):
+        SentimentPoint(*row)
+    _check_dates(s.dates)
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,14 @@ class EmptyFile(DataError):
 
 
 class MalformedRow(DataError):
-    """A CSV row failed to parse or violates a row-level invariant."""
+    """A CSV row failed to parse or violates a row-level invariant.
 
-    def __init__(self, line: int, column: str, reason: str):
-        super().__init__(f"line {line}, column {column!r}: {reason}")
+    ``line`` is the physical line number in ``path`` (blank lines count).
+    """
+
+    def __init__(self, path, line: int, column: str, reason: str):
+        super().__init__(f"{path}: line {line}, column {column!r}: {reason}")
+        self.path = path
         self.line = line
         self.column = column
         self.reason = reason

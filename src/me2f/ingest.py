@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter, lt
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
     ChainRole,
@@ -75,47 +76,75 @@ FGI_TABLE_HEADER = [
 
 # --- CSV plumbing --------------------------------------------------------
 
-def _read_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+def _read_rows(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+    """Physical line numbers and cells of a CSV file's data rows.
+
+    Blank lines are skipped but counted, so a number is the line an editor
+    shows. The first non-blank line must equal one of ``headers`` and
+    every data row must have as many cells as it. Cells are not stripped:
+    ``float`` ignores surrounding blanks, and callers strip the text cells
+    they use.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if all(map(str.strip, lines)):
+        numbers: Sequence[int] = range(1, len(lines) + 1)
+    else:
+        numbers = [i for i, line in enumerate(lines, start=1) if line.strip()]
+        lines = [lines[i - 1] for i in numbers]
     if not lines:
         raise EmptyFile(f"{path}: file is empty")
-    got = [cell.strip() for cell in lines[0].split(",")]
-    if got != header:
-        raise SchemaMismatch(f"{path}: header {got!r} != expected {header!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != len(header):
-            raise MalformedRow(lineno, header[0], f"expected {len(header)} cells, got {len(cells)}")
-        rows.append((lineno, cells))
+    header = [cell.strip() for cell in lines[0].split(",")]
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise SchemaMismatch(f"{path}: header {header!r} is not {expected}")
+    rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    return rows
+    width = len(header)
+    if set(map(len, rows)) != {width}:
+        i = next(i for i, cells in enumerate(rows) if len(cells) != width)
+        raise MalformedRow(path, numbers[i + 1], header[0],
+                           f"expected {width} cells, got {len(rows[i])}")
+    return numbers[1:], rows
 
 
-def _parse_float(lineno: int, column: str, raw: str) -> float:
+def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
+    raw = raw.strip()
     try:
         value = float(raw)
     except ValueError:
-        raise MalformedRow(lineno, column, f"not a number: {raw!r}") from None
+        raise MalformedRow(path, lineno, column, f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise MalformedRow(lineno, column, f"not finite: {raw!r}")
+        raise MalformedRow(path, lineno, column, f"not finite: {raw!r}")
     return value
 
 
-def _parse_date(lineno: int, raw: str) -> Date:
+def _parse_date(path: Path, lineno: int, raw: str) -> Date:
+    raw = raw.strip()
     try:
         return Date.fromisoformat(raw)
     except ValueError:
-        raise MalformedRow(lineno, "date", f"not an ISO date: {raw!r}") from None
+        raise MalformedRow(path, lineno, "date", f"not an ISO date: {raw!r}") from None
 
 
 def _token_id_for(path: Path, token_id: str | None) -> str:
     return token_id if token_id else Path(path).stem.upper()
 
 
+def _by_date(dates: list[Date], *columns: tuple) -> list:
+    """``dates`` and ``columns`` reordered by a stable sort on the date."""
+    if all(map(lt, dates, dates[1:])):
+        return [dates, *columns]
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return [[column[i] for i in order] for column in (dates, *columns)]
+
+
 # --- loaders -------------------------------------------------------------
+#
+# The bar and sentiment loaders parse every column in bulk and let the
+# series check it in bulk. Any failure on that path, a padded date cell
+# included, hands the file to the row-by-row parse, which either accepts
+# it or raises the first error in file order with its line and column.
 
 def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
     """Load and validate a daily-bar CSV into a TokenSeries.
@@ -124,16 +153,28 @@ def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
     rejected); duplicate dates and invariant violations are errors.
     """
     path = Path(path)
+    numbers, rows = _read_rows(path, BARS_HEADER)
+    token_id = _token_id_for(path, token_id)
+    try:
+        dates, *values = zip(*rows)
+        values = [tuple(map(float, column)) for column in values]
+        return TokenSeries.from_columns(
+            token_id, *_by_date(list(map(Date.fromisoformat, dates)), *values)
+        )
+    except (ValueError, DataError):
+        pass
     bars = []
-    for lineno, cells in _read_rows(path, BARS_HEADER):
-        day = _parse_date(lineno, cells[0])
-        values = [_parse_float(lineno, col, raw) for col, raw in zip(BARS_HEADER[1:], cells[1:])]
+    for lineno, cells in zip(numbers, rows):
+        day = _parse_date(path, lineno, cells[0])
+        values = [
+            _parse_float(path, lineno, col, raw) for col, raw in zip(BARS_HEADER[1:], cells[1:])
+        ]
         try:
             bars.append(DailyBar(day, *values))
         except DataError as exc:
-            raise MalformedRow(lineno, "date", str(exc)) from None
-    bars.sort(key=lambda b: b.date)
-    return TokenSeries(_token_id_for(path, token_id), tuple(bars))
+            raise MalformedRow(path, lineno, "date", str(exc)) from None
+    bars.sort(key=attrgetter("date"))
+    return TokenSeries(token_id, bars)
 
 
 def load_holders_csv(
@@ -150,22 +191,13 @@ def load_holders_csv(
     default). The share sum is checked before truncation to the top n.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise EmptyFile(f"{path}: file is empty")
-    header = [cell.strip() for cell in lines[0].split(",")]
-    if header not in (["rank", "share"], ["address", "share"]):
-        raise SchemaMismatch(f"{path}: header {header!r} not rank,share or address,share")
+    numbers, rows = _read_rows(path, ["rank", "share"], ["address", "share"])
     excluded = set(exclude)
     shares: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != 2:
-            raise MalformedRow(lineno, header[0], f"expected 2 cells, got {len(cells)}")
-        if cells[0] in excluded:
+    for lineno, (key, raw) in zip(numbers, rows):
+        if key.strip() in excluded:
             continue
-        share = _parse_float(lineno, "share", cells[1])
+        share = _parse_float(path, lineno, "share", raw)
         if share < 0:
             raise NegativeShare(f"{path}: line {lineno}: share {share} < 0")
         shares.append(share)
@@ -181,20 +213,31 @@ def load_holders_csv(
 def load_sentiment_csv(path: str | Path, token_id: str | None = None) -> SentimentSeries:
     """Load a daily FGI CSV; an empty abs_return cell means "no return"."""
     path = Path(path)
+    numbers, rows = _read_rows(path, SENTIMENT_HEADER)
+    token_id = _token_id_for(path, token_id)
+    try:
+        dates, fgi, returns = zip(*rows)
+        fgi = tuple(map(float, fgi))
+        returns = tuple(None if raw == "" else float(raw) for raw in returns)
+        return SentimentSeries.from_columns(
+            token_id, *_by_date(list(map(Date.fromisoformat, dates)), fgi, returns)
+        )
+    except (ValueError, DataError):
+        pass
     points = []
-    for lineno, cells in _read_rows(path, SENTIMENT_HEADER):
-        day = _parse_date(lineno, cells[0])
-        fgi = _parse_float(lineno, "fgi", cells[1])
+    for lineno, (day_raw, fgi_raw, return_raw) in zip(numbers, rows):
+        day = _parse_date(path, lineno, day_raw)
+        fgi = _parse_float(path, lineno, "fgi", fgi_raw)
         if not 0 <= fgi <= 100:
             raise FgiOutOfRange(f"{path}: line {lineno}: fgi={fgi} outside [0, 100]")
         abs_return = None
-        if cells[2] != "":
-            abs_return = _parse_float(lineno, "abs_return", cells[2])
+        if return_raw.strip():
+            abs_return = _parse_float(path, lineno, "abs_return", return_raw)
             if abs_return < 0:
-                raise MalformedRow(lineno, "abs_return", f"negative return {abs_return}")
+                raise MalformedRow(path, lineno, "abs_return", f"negative return {abs_return}")
         points.append(SentimentPoint(day, fgi, abs_return))
-    points.sort(key=lambda p: p.date)
-    return SentimentSeries(_token_id_for(path, token_id), tuple(points))
+    points.sort(key=attrgetter("date"))
+    return SentimentSeries(token_id, points)
 
 
 def load_volatility_table(
@@ -205,53 +248,68 @@ def load_volatility_table(
     Percent columns become fractions; volume/market-cap columns are
     already in scale units (USD billions).
     """
+    path = Path(path)
     out: dict[str, tuple[VolatilityAggregate, ChainRole]] = {}
-    for lineno, cells in _read_rows(Path(path), VOLATILITY_TABLE_HEADER):
-        token = cells[0]
-        if not token:
-            raise MalformedRow(lineno, "token", "empty token id")
+    for lineno, cells in zip(*_read_rows(path, VOLATILITY_TABLE_HEADER)):
+        token = _table_token(path, lineno, cells[0], out)
         avg_pct, max_pct, volume, mcap = (
-            _parse_float(lineno, col, raw)
+            _parse_float(path, lineno, col, raw)
             for col, raw in zip(VOLATILITY_TABLE_HEADER[1:5], cells[1:5])
         )
-        role_raw, base = cells[5], cells[6]
+        role_raw, base = cells[5].strip(), cells[6].strip()
         if role_raw == "standalone":
             if base:
-                raise MalformedRow(lineno, "base", f"standalone token {token} must not name a base")
+                raise MalformedRow(path, lineno, "base",
+                                   f"standalone token {token} must not name a base")
             role = ChainRole.standalone()
         elif role_raw == "hosted":
             if not base:
-                raise MalformedRow(lineno, "base", f"hosted token {token} needs a base")
+                raise MalformedRow(path, lineno, "base", f"hosted token {token} needs a base")
             role = ChainRole.hosted_on(base)
         else:
-            raise MalformedRow(lineno, "chain_role", f"unknown role {role_raw!r}")
-        agg = VolatilityAggregate(token, avg_pct / 100.0, max_pct / 100.0, volume, mcap)
+            raise MalformedRow(path, lineno, "chain_role", f"unknown role {role_raw!r}")
+        try:
+            agg = VolatilityAggregate(token, avg_pct / 100.0, max_pct / 100.0, volume, mcap)
+        except ValueError as exc:
+            raise MalformedRow(path, lineno, "avg_vol_pct", str(exc)) from None
         out[token] = (agg, role)
     return out
 
 
+def _table_token(path: Path, lineno: int, raw: str, seen: Mapping[str, object]) -> str:
+    token = raw.strip()
+    if not token:
+        raise MalformedRow(path, lineno, "token", "empty token id")
+    if token in seen:
+        raise MalformedRow(path, lineno, "token", f"duplicate row for token {token!r}")
+    return token
+
+
 def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
     """Load a pre-aggregated FGI indicator table (percent columns -> fractions)."""
+    path = Path(path)
     out: dict[str, FgiIndicators] = {}
-    for lineno, cells in _read_rows(Path(path), FGI_TABLE_HEADER):
-        token = cells[0]
-        if not token:
-            raise MalformedRow(lineno, "token", "empty token id")
+    for lineno, cells in zip(*_read_rows(path, FGI_TABLE_HEADER)):
+        token = _table_token(path, lineno, cells[0], out)
         f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct = (
-            _parse_float(lineno, col, raw)
+            _parse_float(path, lineno, col, raw)
             for col, raw in zip(FGI_TABLE_HEADER[1:], cells[1:])
         )
-        out[token] = FgiIndicators(
-            token_id=token,
-            f_bar=f_bar,
-            f_max=f_max,
-            f_min=f_min,
-            r_f=f_max - f_min,
-            q_g=q_g_pct / 100.0,
-            q_f=q_f_pct / 100.0,
-            delta_f_max=delta_f,
-            delta_p_max=delta_p_pct / 100.0,
-        )
+        try:
+            out[token] = FgiIndicators(
+                token_id=token,
+                f_bar=f_bar,
+                f_max=f_max,
+                f_min=f_min,
+                r_f=f_max - f_min,
+                q_g=q_g_pct / 100.0,
+                q_f=q_f_pct / 100.0,
+                delta_f_max=delta_f,
+                delta_p_max=delta_p_pct / 100.0,
+            )
+        except ValueError as exc:
+            column = "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct"
+            raise MalformedRow(path, lineno, column, str(exc)) from None
     return out
 
 
@@ -264,22 +322,24 @@ def load_history_csv(path: str | Path) -> list[tuple[Date, str, Metric, float]]:
     dates holds no repeat, so the set of seen rows is built only for other
     files, keeping a date-sorted history at the memory of its points.
     """
-    rows = _read_rows(Path(path), HISTORY_HEADER)
+    path = Path(path)
+    numbers, rows = _read_rows(path, HISTORY_HEADER)
     points = []
     latest: dict[tuple[str, Metric], Date] = {}
     in_date_order = True
-    for lineno, cells in rows:
-        day = _parse_date(lineno, cells[0])
-        token = cells[1]
+    for lineno, cells in zip(numbers, rows):
+        day = _parse_date(path, lineno, cells[0])
+        token = cells[1].strip()
         if not token:
-            raise MalformedRow(lineno, "token", "empty token id")
+            raise MalformedRow(path, lineno, "token", "empty token id")
         try:
-            metric = Metric(cells[2])
+            metric = Metric(cells[2].strip())
         except ValueError:
-            raise MalformedRow(lineno, "metric", f"unknown metric {cells[2]!r}") from None
-        value = _parse_float(lineno, "value", cells[3])
+            raise MalformedRow(path, lineno, "metric",
+                               f"unknown metric {cells[2].strip()!r}") from None
+        value = _parse_float(path, lineno, "value", cells[3])
         if value < 0:
-            raise MalformedRow(lineno, "value", f"negative score: {cells[3]!r}")
+            raise MalformedRow(path, lineno, "value", f"negative score: {cells[3].strip()!r}")
         if in_date_order and latest.get((token, metric), Date.min) < day:
             latest[token, metric] = day
         else:
@@ -287,10 +347,11 @@ def load_history_csv(path: str | Path) -> list[tuple[Date, str, Metric, float]]:
         points.append((day, token, metric, value))
     if not in_date_order:
         seen = set()
-        for (lineno, _), (day, token, metric, _) in zip(rows, points):
+        for lineno, (day, token, metric, _) in zip(numbers, points):
             if (day, token, metric) in seen:
                 raise MalformedRow(
-                    lineno, "date", f"duplicate row for token {token!r}, {metric.value}, {day}"
+                    path, lineno, "date",
+                    f"duplicate row for token {token!r}, {metric.value}, {day}",
                 )
             seen.add((day, token, metric))
     return points

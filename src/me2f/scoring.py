@@ -20,7 +20,6 @@ from .domain import (
     HolderSnapshot,
     SentimentSeries,
     TokenSeries,
-    validate_series,
 )
 from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 
@@ -118,7 +117,6 @@ def build_context(
         aggregate = ti.volatility
         window = None
         if ti.series is not None:
-            validate_series(ti.series)
             window = ti.series.window()
             if aggregate is None:
                 aggregate = vol.aggregate(ti.series, params.scale_unit)

@@ -10,11 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
+from operator import sub
 from typing import Iterable
 
 from .domain import SentimentSeries
 from .errors import DegenerateMaxima, InsufficientHistory, OutOfRange
+
+
+_EXTREME_FEAR_BELOW = 20.0
+_EXTREME_GREED_FROM = 80.0
 
 
 class FgiBand(Enum):
@@ -33,13 +37,13 @@ def classify_fgi(value: float) -> FgiBand:
     """
     if not math.isfinite(value) or not 0 <= value <= 100:
         raise OutOfRange(f"fgi={value!r} outside [0, 100]")
-    if value < 20:
+    if value < _EXTREME_FEAR_BELOW:
         return FgiBand.EXTREME_FEAR
     if value < 40:
         return FgiBand.FEAR
     if value < 60:
         return FgiBand.NEUTRAL
-    if value < 80:
+    if value < _EXTREME_GREED_FROM:
         return FgiBand.GREED
     return FgiBand.EXTREME_GREED
 
@@ -73,27 +77,29 @@ class FgiIndicators:
 
 
 def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
-    """Compute all FGI indicators for one token in a single pass."""
-    points = series.points
-    if len(points) < 2:
+    """Compute all FGI indicators for one token from its columns.
+
+    The series was range-checked at construction, so the two extreme bands
+    of ``classify_fgi`` reduce to one comparison per value each.
+    """
+    values = series.fgi
+    n = len(values)
+    if n < 2:
         raise InsufficientHistory(
-            f"{series.token_id}: need >= 2 sentiment points, got {len(points)}"
+            f"{series.token_id}: need >= 2 sentiment points, got {n}"
         )
-    values = [p.fgi for p in points]
-    bands = [classify_fgi(v) for v in values]
-    returns = [p.abs_return for p in points if p.abs_return is not None]
     f_max = max(values)
     f_min = min(values)
     return FgiIndicators(
         token_id=series.token_id,
-        f_bar=math.fsum(values) / len(values),
+        f_bar=math.fsum(values) / n,
         f_max=f_max,
         f_min=f_min,
         r_f=f_max - f_min,
-        q_g=bands.count(FgiBand.EXTREME_GREED) / len(values),
-        q_f=bands.count(FgiBand.EXTREME_FEAR) / len(values),
-        delta_f_max=max(abs(b - a) for a, b in pairwise(values)),
-        delta_p_max=max(returns, default=0.0),
+        q_g=sum(map(_EXTREME_GREED_FROM.__le__, values)) / n,
+        q_f=sum(map(_EXTREME_FEAR_BELOW.__gt__, values)) / n,
+        delta_f_max=max(map(abs, map(sub, values[1:], values[:-1]))),
+        delta_p_max=max((r for r in series.abs_return if r is not None), default=0.0),
     )
 
 

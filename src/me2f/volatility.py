@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from operator import sub, truediv
 from typing import Iterable, Mapping
 
 from .domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
@@ -70,20 +70,19 @@ def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggrega
     Gaps in the calendar are fine: each day is measured against the most
     recent prior close present.
     """
-    if len(series.bars) < 2:
+    high, low, close = series.high, series.low, series.close
+    if len(close) < 2:
         raise InsufficientHistory(
-            f"{series.token_id}: need >= 2 bars, got {len(series.bars)}"
+            f"{series.token_id}: need >= 2 bars, got {len(close)}"
         )
-    vols = [
-        daily_range_volatility(bar, prev.close)
-        for prev, bar in pairwise(series.bars)
-    ]
+    # Construction checked every close > 0, so no day can divide by zero.
+    vols = list(map(truediv, map(sub, high[1:], low[1:]), close[:-1]))
     return VolatilityAggregate(
         token_id=series.token_id,
         avg_vol=math.fsum(vols) / len(vols),
         max_vol=max(vols),
-        max_volume=max(b.volume_usd for b in series.bars) / scale_unit,
-        max_mcap=max(b.market_cap_usd for b in series.bars) / scale_unit,
+        max_volume=max(series.volume_usd) / scale_unit,
+        max_mcap=max(series.market_cap_usd) / scale_unit,
     )
 
 

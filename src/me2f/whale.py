@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .domain import HolderSnapshot
 from .errors import HOutOfRange, ZeroCumulativeShare
@@ -62,23 +61,26 @@ def internal_concentration(c: float, h: float, n: int) -> float:
 def concentration(snapshot: HolderSnapshot, n: int) -> ConcentrationResult:
     """Full concentration profile over the top-n shares of a snapshot.
 
-    The [0, 1] rescaling runs in exact rational arithmetic so that an
-    equal distribution yields exactly 0 and a single holder exactly 1;
-    float rounding of the intermediate sums would otherwise leak into the
-    score. Snapshots longer than n are truncated to their top n entries.
+    h / c^2 is summed as the squares of the shares divided by c, so tiny
+    shares cannot underflow c^2 to zero, and with ``math.fsum`` it stays
+    within a few ulp of the exact rational value. Equal shares take the
+    exact ratio 1/k, so an equal distribution over all n slots yields
+    exactly 0 and a single holder exactly 1. Snapshots longer than n are
+    truncated to their top n entries.
     """
     if n < 2:
         raise ValueError(f"n={n} must be >= 2")
     shares = snapshot.shares[:n]
     total = math.fsum(shares)
+    if total == 0:  # exact: shares are >= 0 and fsum rounds correctly
+        return ConcentrationResult(snapshot.token_id, 0.0, 0.0, 0.0, 0.0)
     c = 1.0 if total > 1.0 else total
     h = math.fsum(s * s for s in shares)
-    c_exact = sum((Fraction(s) for s in shares), Fraction(0))
-    if c_exact == 0:
-        return ConcentrationResult(snapshot.token_id, 0.0, 0.0, 0.0, 0.0)
-    h_exact = sum((Fraction(s) ** 2 for s in shares), Fraction(0))
-    ratio = h_exact / (c_exact * c_exact)
-    n_internal = float((ratio - Fraction(1, n)) / (1 - Fraction(1, n)))
+    if shares[0] == shares[-1]:  # descending, so all equal
+        ratio = 1.0 / len(shares)
+    else:
+        ratio = math.fsum((s / total) ** 2 for s in shares)
+    n_internal = min(1.0, max(0.0, (ratio - 1.0 / n) / (1.0 - 1.0 / n)))
     return ConcentrationResult(snapshot.token_id, c, h, n_internal, c * n_internal)
 
 

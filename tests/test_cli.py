@@ -350,3 +350,92 @@ class TestWarnInputErrors:
                      "--out", tmp_path / "w")
         self.assert_one_line_error(result, 3)
         assert "PEPE vds" in result.stderr and "2025-01-03" in result.stderr
+
+
+def assert_clean_exit(result, code):
+    """Exit ``code`` with a one-line diagnostic on stderr and no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
+VOL_HEADER = "token,avg_vol_pct,max_vol_pct,max_volume_busd,max_mcap_busd,chain_role,base\n"
+FGI_HEADER = "token,f_bar,f_max,f_min,q_g_pct,q_f_pct,delta_f_max,delta_p_max_pct\n"
+VOL_ROW = "A,5,40,10,20,standalone,\n"
+FGI_ROW = "A,50,90,10,1,1,50,10\n"
+
+
+def score_tables(tmp_path, vol_rows, fgi_rows=FGI_ROW):
+    (tmp_path / "v.csv").write_text(VOL_HEADER + vol_rows)
+    (tmp_path / "f.csv").write_text(FGI_HEADER + fgi_rows)
+    universe = tmp_path / "u.json"
+    universe.write_text(json.dumps({"volatility_table": "v.csv", "fgi_table": "f.csv"}))
+    return run("score", "--universe", universe, "--out", tmp_path / "o")
+
+
+class TestSummaryTableRowErrors:
+    def test_average_above_maximum_volatility_exits_3(self, tmp_path):
+        result = score_tables(tmp_path, VOL_ROW + "B,50,40,10,20,standalone,\n")
+        assert_clean_exit(result, 3)
+        assert "v.csv: line 3, column 'avg_vol_pct'" in result.stderr
+
+    def test_fgi_mean_outside_its_range_exits_3(self, tmp_path):
+        result = score_tables(tmp_path, VOL_ROW, FGI_ROW.replace("A,50,", "A,95,"))
+        assert_clean_exit(result, 3)
+        assert "f.csv: line 2, column 'f_bar'" in result.stderr
+
+    def test_fgi_extreme_shares_above_one_exits_3(self, tmp_path):
+        result = score_tables(tmp_path, VOL_ROW, "A,50,90,10,60,50,50,10\n")
+        assert_clean_exit(result, 3)
+        assert "f.csv: line 2, column 'q_g_pct'" in result.stderr
+
+    def test_repeated_volatility_row_exits_3(self, tmp_path):
+        # the first row would score with zero volume; a later row must not hide it
+        result = score_tables(tmp_path, "A,5,40,0,20,standalone,\n" + VOL_ROW)
+        assert_clean_exit(result, 3)
+        assert "v.csv: line 3, column 'token'" in result.stderr and "'A'" in result.stderr
+
+    def test_repeated_fgi_row_exits_3(self, tmp_path):
+        result = score_tables(tmp_path, VOL_ROW, FGI_ROW + "\n" + FGI_ROW)
+        assert_clean_exit(result, 3)
+        assert "f.csv: line 4, column 'token'" in result.stderr
+
+
+GOOD_REPORT = {
+    "window": {"start": "2025-01-01", "end": "2025-01-03"},
+    "tokens": [{"id": "PEPE", "raw": {"vds": 0.5}}],
+}
+
+
+class TestReportReadingErrors:
+    @pytest.mark.parametrize("name,text", [
+        ("not_json", "{not json"),
+        ("bad_end", json.dumps({**GOOD_REPORT, "window": {"end": "2025-13-01"}})),
+        ("no_id", json.dumps({**GOOD_REPORT, "tokens": [{"raw": {"vds": 0.5}}]})),
+    ])
+    def test_warn_on_a_bad_report_exits_3_naming_it(self, tmp_path, name, text):
+        report = tmp_path / f"{name}.json"
+        report.write_text(text)
+        result = run("warn", "--report", report, "--window", 2, "--out", tmp_path / "w")
+        assert_clean_exit(result, 3)
+        assert str(report) in result.stderr
+
+    def test_plot_on_a_non_json_report_exits_3_naming_it(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text("{not json")
+        result = run("plot", "--report", report, "--out", tmp_path / "c")
+        assert_clean_exit(result, 3)
+        assert str(report) in result.stderr
+
+    def test_unexpected_exception_exits_4_without_traceback(self, tmp_path, monkeypatch):
+        from me2f import ingest
+
+        def explode(path, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ingest, "load_universe", explode)
+        result = run("score", "--universe", REFERENCE_DIR / "universe.json",
+                     "--out", tmp_path / "o")
+        assert_clean_exit(result, 4)
+        assert result.stderr == "internal error: RuntimeError: boom\n"

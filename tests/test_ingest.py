@@ -2,13 +2,23 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from me2f.domain import DailyBar, FrameworkParams, TokenSeries, validate_series
+from me2f.domain import (
+    DailyBar,
+    FrameworkParams,
+    SentimentPoint,
+    SentimentSeries,
+    TokenSeries,
+    validate_series,
+)
 from me2f.errors import (
     ConfigError,
     DataError,
@@ -27,6 +37,7 @@ from me2f.errors import (
 )
 from me2f.ingest import (
     BARS_HEADER,
+    SENTIMENT_HEADER,
     MarketDataClient,
     ProviderEndpointSpec,
     RateLimiter,
@@ -484,3 +495,205 @@ def make_bar_rows(rng: random.Random):
         rows.append(f"{day},{high},{low},{close},{volume},{mcap}\n")
         bars.append((day, high, low, close, volume, mcap))
     return rows, bars
+
+
+# --- row-by-row oracles for the columnar loaders ---------------------------
+#
+# The bar and sentiment loaders as they were before they parsed columns in
+# bulk: every cell stripped and parsed on its own, one validated DailyBar or
+# SentimentPoint per row. Line numbers count physical lines.
+
+def oracle_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip()
+    ]
+    if not numbered:
+        raise EmptyFile(f"{path}: file is empty")
+    got = [cell.strip() for cell in numbered[0][1].split(",")]
+    if got != header:
+        raise SchemaMismatch(f"{path}: header {got!r}")
+    rows = []
+    for lineno, line in numbered[1:]:
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != len(header):
+            raise MalformedRow(path, lineno, header[0],
+                               f"expected {len(header)} cells, got {len(cells)}")
+        rows.append((lineno, cells))
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return rows
+
+
+def oracle_float(path, lineno, column, raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MalformedRow(path, lineno, column, f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(path, lineno, column, f"not finite: {raw!r}")
+    return value
+
+
+def oracle_date(path, lineno, raw):
+    try:
+        return date.fromisoformat(raw)
+    except ValueError:
+        raise MalformedRow(path, lineno, "date", f"not an ISO date: {raw!r}") from None
+
+
+def oracle_load_bars(path: Path, token_id: str) -> TokenSeries:
+    bars = []
+    for lineno, cells in oracle_rows(path, BARS_HEADER):
+        day = oracle_date(path, lineno, cells[0])
+        values = [oracle_float(path, lineno, col, raw)
+                  for col, raw in zip(BARS_HEADER[1:], cells[1:])]
+        try:
+            bars.append(DailyBar(day, *values))
+        except DataError as exc:
+            raise MalformedRow(path, lineno, "date", str(exc)) from None
+    bars.sort(key=lambda b: b.date)
+    return TokenSeries(token_id, tuple(bars))
+
+
+def oracle_load_sentiment(path: Path, token_id: str) -> SentimentSeries:
+    points = []
+    for lineno, cells in oracle_rows(path, SENTIMENT_HEADER):
+        day = oracle_date(path, lineno, cells[0])
+        fgi = oracle_float(path, lineno, "fgi", cells[1])
+        if not 0 <= fgi <= 100:
+            raise FgiOutOfRange(f"{path}: line {lineno}: fgi={fgi} outside [0, 100]")
+        abs_return = None
+        if cells[2] != "":
+            abs_return = oracle_float(path, lineno, "abs_return", cells[2])
+            if abs_return < 0:
+                raise MalformedRow(path, lineno, "abs_return", f"negative return {abs_return}")
+        points.append(SentimentPoint(day, fgi, abs_return))
+    points.sort(key=lambda p: p.date)
+    return SentimentSeries(token_id, tuple(points))
+
+
+def outcome(load, path: Path):
+    """The loaded series, or the error's class and message (file, line, column)."""
+    try:
+        return load(path, "X")
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "oops", "", "1e400", "-1", "0", "-0", "1_0", " 7.5 "]
+BAD_DATES = ["2024-13-01", "03/01/2024", "", " 2024-02-03 ", "2024-02-30"]
+BLANKS = ["", "   ", "\t"]
+
+
+@st.composite
+def mutated_csv(draw, header, row, mutations):
+    """A CSV of ``row``-drawn lines in shuffled date order, then up to three
+    mutations, sometimes a row with a cell too many or too few, then blank
+    lines anywhere (before the header too)."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    days = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    rows = [[str(date(2024, 1, 1) + timedelta(days=d)), *draw(row(i))] for i, d in enumerate(days)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        kind = draw(st.sampled_from(["date", "duplicate", "pad", *mutations]))
+        if kind == "date":
+            rows[i][0] = draw(st.sampled_from(BAD_DATES))
+        elif kind == "duplicate":
+            rows[i][0] = rows[draw(st.integers(min_value=0, max_value=n - 1))][0]
+        elif kind == "pad":
+            col = draw(st.integers(min_value=0, max_value=len(header) - 1))
+            rows[i][col] = f"  {rows[i][col]}\t"
+        else:
+            mutations[kind](draw, rows[i])
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(BLANKS)))
+    return "\n".join(lines) + "\n"
+
+
+def bar_cells(i):
+    low = st.floats(min_value=1e-3, max_value=1e3)
+    return st.tuples(low, st.floats(1.0, 2.0), st.floats(0.0, 1.0),
+                     st.floats(0.0, 1e12), st.floats(0.0, 1e12)).map(
+        lambda t: [repr(t[0] * t[1]), repr(t[0]), repr(t[0] * (1 + (t[1] - 1) * t[2])),
+                   repr(t[3]), repr(t[4])]
+    )
+
+
+def _set_number(draw, cells):
+    cells[draw(st.integers(min_value=1, max_value=len(cells) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+
+
+def _swap_low_high(draw, cells):
+    cells[1], cells[2] = cells[2], cells[1]
+
+
+def _negative_size(draw, cells):
+    col = draw(st.sampled_from([4, 5]))
+    cells[col] = "-" + cells[col]
+
+
+BAR_MUTATIONS = {"number": _set_number, "low_high": _swap_low_high, "size": _negative_size}
+
+
+def sentiment_cells(i):
+    fgi = st.integers(0, 100).map(str) | st.floats(0.0, 100.0).map(repr)
+    ret = st.just("") if i == 0 else (st.just("") | st.floats(0.0, 2.0).map(repr))
+    return st.tuples(fgi, ret).map(list)
+
+
+def _fgi_out_of_range(draw, cells):
+    cells[1] = draw(st.sampled_from(["101", "-1", "100.5", "-0.0", "100"]))
+
+
+def _bad_return(draw, cells):
+    cells[2] = draw(st.sampled_from(["-0.1", "-2", "-1e-9", "-0", "nan", "inf", "oops", "  "]))
+
+
+SENTIMENT_MUTATIONS = {"number": _set_number, "fgi": _fgi_out_of_range, "ret": _bad_return}
+FILE_SETTINGS = settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestColumnarLoadersMatchRowOracle:
+    """Same series, or the same error class and message (file, line, column)."""
+
+    @given(text=mutated_csv(BARS_HEADER, bar_cells, BAR_MUTATIONS))
+    @FILE_SETTINGS
+    def test_bars(self, tmp_path, text):
+        path = write(tmp_path, "bars.csv", text)
+        assert outcome(load_bars_csv, path) == outcome(oracle_load_bars, path)
+
+    @given(text=mutated_csv(SENTIMENT_HEADER, sentiment_cells, SENTIMENT_MUTATIONS))
+    @FILE_SETTINGS
+    def test_sentiment(self, tmp_path, text):
+        path = write(tmp_path, "fgi.csv", text)
+        assert outcome(load_sentiment_csv, path) == outcome(oracle_load_sentiment, path)
+
+    def test_padded_date_cell_is_accepted(self, tmp_path):
+        text = BARS_OK.replace("2024-01-02,", " 2024-01-02 ,")
+        assert load_bars_csv(write(tmp_path, "a.csv", text), token_id="X") == load_bars_csv(
+            write(tmp_path, "b.csv", BARS_OK), token_id="X"
+        )
+
+
+class TestPhysicalLineNumbers:
+    def test_blank_lines_count_and_the_file_is_named(self, tmp_path):
+        lines = BARS_OK.splitlines()
+        text = "\n".join([lines[0], "", "   ", lines[1].replace(",90,", ",oops,")]) + "\n"
+        path = write(tmp_path, "x.csv", text)
+        with pytest.raises(MalformedRow) as err:
+            load_bars_csv(path)
+        assert (err.value.line, err.value.column) == (4, "low")
+        assert str(path) in str(err.value)
+
+    def test_holders_rows_are_numbered_by_the_shared_reader(self, tmp_path):
+        path = write(tmp_path, "h.csv", "\nrank,share\n1,0.2\n\n2,0.1,9\n")
+        with pytest.raises(MalformedRow) as err:
+            load_holders_csv(path)
+        assert (err.value.line, err.value.column) == (5, "rank")
+        assert str(path) in str(err.value)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +176,65 @@ class TestProperties:
         before = wds(snapshot(*ordered), 100)
         after = wds(snapshot(*transferred), 100)
         assert after > before
+
+
+# --- the exact rational formula the float one replaced --------------------
+
+def fraction_concentration(shares, n):
+    """(c, n_internal, wds) with h / c^2 rescaled in exact rational arithmetic."""
+    shares = shares[:n]
+    c_exact = sum((Fraction(s) for s in shares), Fraction(0))
+    total = math.fsum(shares)
+    c = 1.0 if total > 1.0 else total
+    if c_exact == 0:
+        return 0.0, 0.0, 0.0
+    h_exact = sum((Fraction(s) ** 2 for s in shares), Fraction(0))
+    ratio = h_exact / (c_exact * c_exact)
+    n_internal = float((ratio - Fraction(1, n)) / (1 - Fraction(1, n)))
+    return c, n_internal, c * n_internal
+
+
+@st.composite
+def sized_snapshots(draw):
+    """(shares, n) with k = len(shares) below, at or above n, zero tails,
+    runs of equal shares and shares small enough to underflow when squared."""
+    n = draw(st.sampled_from([2, 3, 10, 100]) | st.integers(min_value=2, max_value=150))
+    k = draw(st.sampled_from([1, n - 1, n, n + 5]) | st.integers(min_value=1, max_value=n + 10))
+    k = max(1, k)
+    value = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1e-200, 0.25])
+    if draw(st.booleans()):
+        raw = [draw(value)] * k
+    else:
+        raw = draw(st.lists(value, min_size=k, max_size=k))
+    raw += [0.0] * draw(st.integers(min_value=0, max_value=3))
+    total = math.fsum(raw)
+    budget = draw(st.floats(min_value=1e-6, max_value=1.0))
+    if total > budget:
+        raw = [x / total * budget for x in raw]
+    return tuple(sorted(raw, reverse=True)), n
+
+
+class TestFloatMatchesFractionOracle:
+    @given(sized_snapshots())
+    @settings(max_examples=200)
+    def test_within_1e12_of_fraction_oracle(self, case):
+        shares, n = case
+        result = concentration(HolderSnapshot("X", shares), n)
+        c, n_internal, expected = fraction_concentration(shares, n)
+        assert result.c == c
+        assert abs(result.n_internal - n_internal) <= 1e-12
+        assert abs(result.wds - expected) <= 1e-12
+
+    @given(st.floats(min_value=1e-300, max_value=1.0 / 150),
+           st.integers(min_value=2, max_value=150))
+    def test_equal_shares_over_all_n_slots_are_exactly_zero(self, share, n):
+        assert wds(HolderSnapshot("EQ", (share,) * n), n) == 0.0
+
+    @given(st.floats(min_value=5e-324, max_value=1.0), st.integers(min_value=2, max_value=150))
+    def test_single_holder_is_exactly_its_share(self, share, n):
+        assert wds(HolderSnapshot("ONE", (share,)), n) == share
+
+    def test_tiny_shares_do_not_underflow(self):
+        shares = (3e-170, 1e-170, 1e-170)
+        result = concentration(HolderSnapshot("X", shares), 3)
+        assert result.n_internal == pytest.approx(fraction_concentration(shares, 3)[1], abs=1e-12)
