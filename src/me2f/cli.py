@@ -3,11 +3,14 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 error. Diagnostics go to stderr; data goes to files.
 
-Report schema (report.json): top-level keys params, window, tokens,
-warnings, flags, joint_events, buckets. Scores are rounded to 3 decimals
-for display with full precision preserved under each token's "raw"
-sub-field; absent scores serialize as null and render as an em dash in
-tabular output.
+Report schemas, by top-level key:
+
+- ``score`` writes report.json with params, window, tokens, warnings.
+  Scores are rounded to 3 decimals for display with full precision
+  preserved under each token's "raw" sub-field; absent scores serialize
+  as null and render as an em dash in tabular output.
+- ``warn`` writes warnings.json with params, warnings, flags,
+  joint_events, buckets.
 """
 from __future__ import annotations
 
@@ -106,9 +109,6 @@ def report_to_dict(report: FragilityReport) -> dict:
         "window": _window_dict(report.window),
         "tokens": [_token_entry(t) for t in report.tokens],
         "warnings": list(report.warnings),
-        "flags": [],
-        "joint_events": [],
-        "buckets": [],
     }
 
 
@@ -259,18 +259,6 @@ def _execute(action) -> None:
         sys.exit(4)
 
 
-def _build_params(alpha, beta, gamma, delta, n, scale_unit) -> FrameworkParams:
-    defaults = FrameworkParams()
-    return FrameworkParams(
-        alpha=defaults.alpha if alpha is None else alpha,
-        beta=defaults.beta if beta is None else beta,
-        gamma=defaults.gamma if gamma is None else gamma,
-        delta=defaults.delta if delta is None else delta,
-        n=defaults.n if n is None else n,
-        scale_unit=defaults.scale_unit if scale_unit is None else scale_unit,
-    )
-
-
 def _param_options(fn):
     for deco in reversed([
         click.option("--alpha", type=float, default=None, help="volatility blend weight"),
@@ -297,7 +285,7 @@ def main():
 @click.option("--format", "formats", default="json,table", show_default=True,
               help="comma-separated subset of json,table,chart")
 @_param_options
-def score(universe_path, out_dir, formats, alpha, beta, gamma, delta, n, scale_unit):
+def score(universe_path, out_dir, formats, **overrides):
     """Score a universe and write the fragility report."""
 
     def run():
@@ -305,7 +293,7 @@ def score(universe_path, out_dir, formats, alpha, beta, gamma, delta, n, scale_u
         unknown = wanted - {"json", "table", "chart"}
         if unknown:
             raise ConfigError(f"unknown output format(s): {', '.join(sorted(unknown))}")
-        params = _build_params(alpha, beta, gamma, delta, n, scale_unit)
+        params = FrameworkParams(**{name: v for name, v in overrides.items() if v is not None})
         inputs = ingest.load_universe(universe_path, params)
         report = scoring.score_universe(scoring.build_context(inputs, params))
         doc = report_to_dict(report)
@@ -418,8 +406,6 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
 
         doc = {
             "params": {"window_days": window_days, "threshold": threshold, "x_days": x_days},
-            "window": None,
-            "tokens": [],
             "warnings": [],
             "flags": [
                 {

@@ -48,7 +48,7 @@ class DailyBar:
     volume_usd: float
     market_cap_usd: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # each message opens with the failing "field="
         _require_finite_positive("high", self.high, self.date)
         _require_finite_positive("low", self.low, self.date)
         _require_finite_positive("close", self.close, self.date)
@@ -57,7 +57,7 @@ class DailyBar:
             if not math.isfinite(value) or value < 0:
                 raise InvalidBar(f"{name}={value!r} on {self.date}")
         if self.low > self.high:
-            raise LowAboveHigh(f"low {self.low} > high {self.high} on {self.date}")
+            raise LowAboveHigh(f"low={self.low!r} > high={self.high!r} on {self.date}")
 
 
 def _check_dates(dates: Iterable[Date]) -> None:

@@ -75,16 +75,6 @@ class EmptyUniverse(ConfigError):
     """The scoring universe contains no tokens."""
 
 
-# --- whale pipeline ----------------------------------------------------
-
-class ZeroCumulativeShare(DataError):
-    """Internal concentration is undefined when the top-n share is zero."""
-
-
-class HOutOfRange(DataError):
-    """HHI is outside the feasible [c^2/n, c^2] band for the given top share."""
-
-
 # --- sentiment pipeline ------------------------------------------------
 
 class DegenerateMaxima(DataError):
@@ -119,14 +109,6 @@ class MalformedRow(DataError):
         self.line = line
         self.column = column
         self.reason = reason
-
-
-class NegativeShare(DataError):
-    """A holder share is negative."""
-
-
-class SumExceedsOne(DataError):
-    """Holder shares sum to more than the total supply."""
 
 
 class HttpError(DataError):

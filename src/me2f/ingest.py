@@ -27,7 +27,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from datetime import date as Date
-from datetime import timedelta
+from datetime import timedelta, timezone
 from pathlib import Path
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Mapping, Sequence
@@ -48,13 +48,12 @@ from .errors import (
     EmptyUniverse,
     FgiOutOfRange,
     HttpError,
+    InvalidShares,
     MalformedRow,
-    NegativeShare,
     ParseError,
     PartialRange,
     RateLimited,
     SchemaMismatch,
-    SumExceedsOne,
 )
 from .scoring import TokenInputs
 from .sentiment import FgiIndicators
@@ -171,8 +170,8 @@ def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
         ]
         try:
             bars.append(DailyBar(day, *values))
-        except DataError as exc:
-            raise MalformedRow(path, lineno, "date", str(exc)) from None
+        except DataError as exc:  # the message opens with the failing field
+            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
     bars.sort(key=attrgetter("date"))
     return TokenSeries(token_id, bars)
 
@@ -199,13 +198,13 @@ def load_holders_csv(
             continue
         share = _parse_float(path, lineno, "share", raw)
         if share < 0:
-            raise NegativeShare(f"{path}: line {lineno}: share {share} < 0")
+            raise MalformedRow(path, lineno, "share", f"negative share {share}")
         shares.append(share)
     if not shares:
         raise EmptyFile(f"{path}: no data rows")
     total = math.fsum(shares)
     if total > 1 + 1e-9:
-        raise SumExceedsOne(f"{path}: shares sum to {total}")
+        raise InvalidShares(f"{path}: shares sum to {total}, exceeding total supply")
     shares.sort(reverse=True)
     return HolderSnapshot(_token_id_for(path, token_id), tuple(shares[:n]), as_of=as_of)
 
@@ -602,7 +601,7 @@ class MarketDataClient:
         self.limiter.acquire()
         resp = self.session.get(url, params=params, headers=headers, timeout=self.provider.timeout)
         if resp.status_code == 429:
-            self._sleep(float(resp.headers.get("Retry-After", 1.0)))
+            self._sleep(self._retry_after(resp.headers.get("Retry-After", "")))
             self.limiter.acquire()
             resp = self.session.get(url, params=params, headers=headers, timeout=self.provider.timeout)
             if resp.status_code == 429:
@@ -610,6 +609,22 @@ class MarketDataClient:
         if resp.status_code >= 400:
             raise HttpError(resp.status_code, resp.text)
         return resp
+
+    def _retry_after(self, header: str) -> float:
+        """Seconds to wait before the retry: ``Retry-After`` as delta-seconds
+        or as an HTTP date (GMT where it names no zone), else 1."""
+        try:
+            seconds = float(header)
+        except ValueError:
+            from email.utils import parsedate_to_datetime  # here: it slows CLI start-up
+            try:
+                when = parsedate_to_datetime(header)
+            except ValueError:
+                return 1.0
+            if when.tzinfo is None:
+                when = when.replace(tzinfo=timezone.utc)
+            return max(0.0, when.timestamp() - self._clock())
+        return seconds if 0 <= seconds < math.inf else 1.0
 
     def _fetch_pages(self, token_id: str, start: Date, end: Date) -> list:
         spec = self.provider

@@ -53,7 +53,6 @@ class TokenMember:
 class ScoringContext:
     params: FrameworkParams
     members: dict[str, TokenMember]
-    vol_maxima: tuple[float, float] | None
     sent_maxima: sent.SentimentMaxima | None
 
 
@@ -79,23 +78,10 @@ class FragilityReport:
     warnings: tuple[str, ...] = ()
 
 
-def cross_section_maxima(
-    members: Mapping[str, TokenMember],
-) -> tuple[tuple[float, float] | None, sent.SentimentMaxima | None]:
-    """(volatility maxima, sentiment maxima) over the present members."""
-    vol_aggs = [m.volatility for m in members.values() if m.volatility is not None]
-    vol_maxima = None
-    if vol_aggs:
-        vol_maxima = (max(a.avg_vol for a in vol_aggs), max(a.max_vol for a in vol_aggs))
-    fgis = [m.fgi for m in members.values() if m.fgi is not None]
-    sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
-    return vol_maxima, sent_maxima
-
-
 def build_context(
     inputs: Mapping[str, TokenInputs], params: FrameworkParams
 ) -> ScoringContext:
-    """Validate a universe and compute its cross-sectional maxima.
+    """Validate a universe and compute its cross-sectional sentiment maxima.
 
     Raw series are aggregated here (volatility via ``params.scale_unit``,
     sentiment into FGI indicators); hosted tokens must name a standalone
@@ -134,8 +120,9 @@ def build_context(
             fgi=fgi,
             window=window,
         )
-    vol_maxima, sent_maxima = cross_section_maxima(members)
-    return ScoringContext(params, members, vol_maxima, sent_maxima)
+    fgis = [m.fgi for m in members.values() if m.fgi is not None]
+    sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
+    return ScoringContext(params, members, sent_maxima)
 
 
 def score_universe(ctx: ScoringContext) -> FragilityReport:

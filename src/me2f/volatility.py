@@ -159,17 +159,6 @@ def vds_from_normalized(
     return math.sqrt(phi)
 
 
-def vds(
-    token_id: str,
-    aggregates: Mapping[str, VolatilityAggregate],
-    roles: Mapping[str, ChainRole],
-    params: FrameworkParams,
-) -> float:
-    """VDS for one token within a universe of volatility aggregates."""
-    normalized = normalize_cross_section(aggregates.values())
-    return vds_from_normalized(token_id, aggregates, roles, normalized, params)
-
-
 def vds_scores(
     aggregates: Mapping[str, VolatilityAggregate],
     roles: Mapping[str, ChainRole],

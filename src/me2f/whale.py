@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .domain import HolderSnapshot
-from .errors import HOutOfRange, ZeroCumulativeShare
-
-_H_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,36 +27,11 @@ class ConcentrationResult:
             raise ValueError(f"{self.token_id}: n_internal={self.n_internal} outside [0, 1]")
 
 
-def cumulative_share(snapshot: HolderSnapshot) -> float:
-    """Sum of shares; float dust above 1 (<= 1e-9) is clamped to 1."""
-    total = math.fsum(snapshot.shares)
-    return 1.0 if total > 1.0 else total
-
-
-def hhi(snapshot: HolderSnapshot) -> float:
-    """Sum of squared shares."""
-    return math.fsum(s * s for s in snapshot.shares)
-
-
-def internal_concentration(c: float, h: float, n: int) -> float:
-    """Rescale HHI onto [0, 1] given the cumulative share c and slot count n.
-
-    ((h / c^2) - 1/n) / (1 - 1/n): 0 when the top-n shares are equal,
-    1 when a single address holds everything.
-    """
-    if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
-    if c <= 0:
-        raise ZeroCumulativeShare("internal concentration undefined at c = 0")
-    c2 = c * c
-    if h < c2 / n - _H_TOLERANCE or h > c2 + _H_TOLERANCE:
-        raise HOutOfRange(f"h={h} outside [{c2 / n}, {c2}]")
-    value = ((h / c2) - 1.0 / n) / (1.0 - 1.0 / n)
-    return min(1.0, max(0.0, value))
-
-
 def concentration(snapshot: HolderSnapshot, n: int) -> ConcentrationResult:
     """Full concentration profile over the top-n shares of a snapshot.
+
+    c is their sum (dust above 1 clamped), h the sum of their squares and
+    n_internal = ((h / c^2) - 1/n) / (1 - 1/n); an all-zero snapshot is 0.
 
     h / c^2 is summed as the squares of the shares divided by c, so tiny
     shares cannot underflow c^2 to zero, and with ``math.fsum`` it stays

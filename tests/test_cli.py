@@ -37,6 +37,10 @@ class TestScore:
         assert by_id["LIBRA"]["sas"] is None
         assert by_id["LIBRA"]["raw"]["vds"] == pytest.approx(0.7349, abs=1e-4)
 
+    def test_report_json_carries_only_its_own_keys(self, tmp_path):
+        doc = json.loads((score_reference(tmp_path) / "report.json").read_text())
+        assert list(doc) == ["params", "window", "tokens", "warnings"]
+
     def test_table_mirrors_summary_layout(self, tmp_path):
         out = score_reference(tmp_path)
         table = (out / "report.txt").read_text()
@@ -147,6 +151,14 @@ class TestWarn:
         assert result.exit_code == 0
         doc = json.loads((out / "warnings.json").read_text())
         assert doc["flags"] == [] and doc["joint_events"] == [] and doc["buckets"] == []
+
+    def test_warnings_json_carries_only_its_own_keys(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        write_history(hist, [float(i) for i in range(1, 121)])
+        result = run("warn", "--history", hist, "--out", tmp_path / "w")
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "w" / "warnings.json").read_text())
+        assert list(doc) == ["params", "warnings", "flags", "joint_events", "buckets"]
 
     def test_joint_spike_and_tighten_risk_bucket(self, tmp_path):
         hist = tmp_path / "h.csv"

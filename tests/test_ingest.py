@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -26,14 +26,13 @@ from me2f.errors import (
     EmptyUniverse,
     FgiOutOfRange,
     HttpError,
+    InvalidShares,
     MalformedRow,
     NonMonotonicDates,
     ParseError,
     PartialRange,
     RateLimited,
     SchemaMismatch,
-    SumExceedsOne,
-    NegativeShare,
 )
 from me2f.ingest import (
     BARS_HEADER,
@@ -82,7 +81,20 @@ class TestLoadBarsCsv:
         text = BARS_OK.replace("2024-01-02,120,100", "2024-01-02,100,120")
         with pytest.raises(MalformedRow) as err:
             load_bars_csv(write(tmp_path, "x.csv", text))
-        assert err.value.line == 3
+        assert (err.value.line, err.value.column) == (3, "low")
+
+    @pytest.mark.parametrize("old,new,column", [
+        ("2024-01-02,120", "2024-01-02,0", "high"),
+        (",108,", ",0,", "close"),
+        (",1500000,", ",-1500000,", "volume_usd"),
+        (",2500000", ",-2500000", "market_cap_usd"),
+    ])
+    def test_failing_bar_field_is_named_as_the_column(self, tmp_path, old, new, column):
+        path = write(tmp_path, "x.csv", BARS_OK.replace(old, new))
+        with pytest.raises(MalformedRow) as err:
+            load_bars_csv(path)
+        assert (err.value.path, err.value.column) == (path, column)
+        assert f"column {column!r}" in str(err.value)
 
     def test_shuffled_dates_are_sorted(self, tmp_path):
         lines = BARS_OK.strip().splitlines()
@@ -132,12 +144,16 @@ class TestLoadHoldersCsv:
 
     def test_sum_exceeds_one(self, tmp_path):
         text = "rank,share\n" + "".join(f"{i},0.012\n" for i in range(1, 101))
-        with pytest.raises(SumExceedsOne):
-            load_holders_csv(write(tmp_path, "h.csv", text))
+        path = write(tmp_path, "h.csv", text)
+        with pytest.raises(InvalidShares) as err:
+            load_holders_csv(path)
+        assert str(path) in str(err.value)
 
     def test_negative_share(self, tmp_path):
-        with pytest.raises(NegativeShare):
-            load_holders_csv(write(tmp_path, "h.csv", "rank,share\n1,-0.2\n"))
+        path = write(tmp_path, "h.csv", "rank,share\n1,-0.2\n")
+        with pytest.raises(MalformedRow) as err:
+            load_holders_csv(path)
+        assert (err.value.path, err.value.line, err.value.column) == (path, 2, "share")
 
     def test_sorts_descending(self, tmp_path):
         snap = load_holders_csv(write(tmp_path, "h.csv", "rank,share\n1,0.1\n2,0.4\n3,0.2\n"))
@@ -380,6 +396,22 @@ class TestMarketDataClient:
         with pytest.raises(RateLimited):
             client2.fetch_daily("SHIB", self.START, self.START)  # fresh token: no cache hit
 
+    def test_429_retry_after_http_date(self, tmp_path):
+        retry = FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"})
+        session = FakeSession(day_records(self.START, 1), page_size=10, fail_first=[retry])
+        client, clock = make_client(tmp_path, session, make_provider(page_size=10))
+        clock.now = start = datetime(2026, 10, 21, 7, 27, 30, tzinfo=timezone.utc).timestamp()
+        assert len(client.fetch_daily("DOGE", self.START, self.START).dates) == 1
+        assert clock.now - start >= 30.0
+
+    @pytest.mark.parametrize("header", ["soon", "-5", "nan", "inf"])
+    def test_429_unusable_retry_after_waits_one_second(self, tmp_path, header):
+        retry = FakeResponse(429, headers={"Retry-After": header})
+        session = FakeSession(day_records(self.START, 1), page_size=10, fail_first=[retry])
+        client, clock = make_client(tmp_path, session, make_provider(page_size=10))
+        assert len(client.fetch_daily("DOGE", self.START, self.START).dates) == 1
+        assert clock.now == 1.0
+
     def test_http_error(self, tmp_path):
         session = FakeSession([], page_size=10,
                               fail_first=[FakeResponse(500, text="boom")])
@@ -552,7 +584,7 @@ def oracle_load_bars(path: Path, token_id: str) -> TokenSeries:
         try:
             bars.append(DailyBar(day, *values))
         except DataError as exc:
-            raise MalformedRow(path, lineno, "date", str(exc)) from None
+            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
     bars.sort(key=lambda b: b.date)
     return TokenSeries(token_id, tuple(bars))
 

@@ -9,13 +9,9 @@ import pytest
 from conftest import EXPECTED_SAS, EXPECTED_VDS, make_series
 from me2f.domain import ChainRole, FrameworkParams, HolderSnapshot
 from me2f.errors import EmptyUniverse, MissingBaseChain
-from me2f.scoring import (
-    TokenInputs,
-    build_context,
-    cross_section_maxima,
-    score_universe,
-)
-from me2f.volatility import VolatilityAggregate
+from me2f.scoring import TokenInputs, build_context, score_universe
+from me2f.sentiment import sentiment_maxima
+from me2f.volatility import VolatilityAggregate, normalize_cross_section
 
 PARAMS = FrameworkParams()
 
@@ -24,20 +20,31 @@ def _agg(token, avg, vmax, z, c):
     return VolatilityAggregate(token, avg, vmax, z, c)
 
 
+def _normalized(ctx):
+    """The context's volatility cross-section, normalized as scoring does."""
+    return normalize_cross_section(
+        m.volatility for m in ctx.members.values() if m.volatility is not None
+    )
+
+
 class TestBuildContext:
     def test_reference_universe_maxima(self, reference_inputs):
         ctx = build_context(reference_inputs, PARAMS)
-        assert ctx.vol_maxima == pytest.approx((0.1526, 3.0177))
+        for token_id, nv in _normalized(ctx).items():
+            agg = ctx.members[token_id].volatility
+            assert nv.v_a * 0.1526 == pytest.approx(agg.avg_vol), token_id
+            assert nv.v_m * 3.0177 == pytest.approx(agg.max_vol), token_id
         assert ctx.sent_maxima.r_f == pytest.approx(87.0)
 
     def test_maxima_recomputable(self, reference_inputs):
         ctx = build_context(reference_inputs, PARAMS)
-        assert cross_section_maxima(ctx.members) == (ctx.vol_maxima, ctx.sent_maxima)
+        fgis = [m.fgi for m in ctx.members.values() if m.fgi is not None]
+        assert sentiment_maxima(fgis) == ctx.sent_maxima
 
     def test_single_token_is_its_own_maximum(self):
         inputs = {"X": TokenInputs(ChainRole.standalone(), volatility=_agg("X", 0.1, 0.2, 1.0, 1.0))}
-        ctx = build_context(inputs, PARAMS)
-        assert ctx.vol_maxima == (0.1, 0.2)
+        nv = _normalized(build_context(inputs, PARAMS))["X"]
+        assert (nv.v_a, nv.v_m) == (1.0, 1.0)
 
     def test_hosted_without_base(self):
         inputs = {"X": TokenInputs(ChainRole.hosted_on("ETH"), volatility=_agg("X", 0.1, 0.2, 1, 1))}

@@ -26,7 +26,6 @@ from me2f.volatility import (
     resilience,
     scale_factor,
     spillover_factor,
-    vds,
     vds_scores,
 )
 
@@ -188,18 +187,11 @@ class TestVds:
         for token, expected in EXPECTED_VDS.items():
             assert scores[token] == pytest.approx(expected, abs=0.002), token
 
-    def test_single_token_matches_batch(self, reference_inputs):
-        aggs, roles = reference_maps(reference_inputs)
-        params = FrameworkParams()
-        batch = vds_scores(aggs, roles, params)
-        for token in aggs:
-            assert vds(token, aggs, roles, params) == batch[token]
-
     def test_missing_base_chain(self):
         aggs = {"X": VolatilityAggregate("X", 0.1, 0.2, 1.0, 1.0)}
         roles = {"X": ChainRole.hosted_on("ETH")}
         with pytest.raises(MissingBaseChain):
-            vds("X", aggs, roles, FrameworkParams())
+            vds_scores(aggs, roles, FrameworkParams())
 
     def test_hosted_base_itself_hosted(self):
         aggs = {
@@ -208,7 +200,7 @@ class TestVds:
         }
         roles = {"X": ChainRole.hosted_on("Y"), "Y": ChainRole.hosted_on("X")}
         with pytest.raises(MissingBaseChain):
-            vds("X", aggs, roles, FrameworkParams())
+            vds_scores(aggs, roles, FrameworkParams())
 
 
 # --- properties ----------------------------------------------------------

@@ -10,14 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import HolderSnapshot
-from me2f.errors import HOutOfRange, ZeroCumulativeShare
-from me2f.whale import (
-    concentration,
-    cumulative_share,
-    hhi,
-    internal_concentration,
-    wds,
-)
+from me2f.whale import concentration, wds
 
 
 def snapshot(*shares: float) -> HolderSnapshot:
@@ -45,54 +38,46 @@ def random_snapshot(rng: random.Random, max_holders: int = 100) -> HolderSnapsho
 
 class TestCumulativeShare:
     def test_empty(self):
-        assert cumulative_share(HolderSnapshot("X", ())) == 0.0
+        assert concentration(HolderSnapshot("X", ()), 100).c == 0.0
 
     def test_hundred_equal(self):
-        assert cumulative_share(snapshot(*[0.005] * 100)) == pytest.approx(0.5)
+        assert concentration(snapshot(*[0.005] * 100), 100).c == pytest.approx(0.5)
 
     def test_single(self):
-        assert cumulative_share(snapshot(0.6)) == 0.6
+        assert concentration(snapshot(0.6), 100).c == 0.6
 
 
 class TestHhi:
     def test_hundred_equal(self):
-        assert hhi(snapshot(*[0.005] * 100)) == pytest.approx(0.0025)
+        assert concentration(snapshot(*[0.005] * 100), 100).h == pytest.approx(0.0025)
 
     def test_single(self):
-        assert hhi(snapshot(0.6)) == pytest.approx(0.36)
+        assert concentration(snapshot(0.6), 100).h == pytest.approx(0.36)
 
     def test_matches_brute_force_on_random_vector(self):
         rng = random.Random(7)
         snap = random_snapshot(rng, 100)
-        assert hhi(snap) == pytest.approx(sum(s * s for s in snap.shares), abs=1e-15)
+        assert concentration(snap, 100).h == pytest.approx(
+            sum(s * s for s in snap.shares), abs=1e-15
+        )
 
 
 class TestInternalConcentration:
     def test_equal_distribution_is_zero(self):
-        c = 0.5
-        assert internal_concentration(c, c * c / 100, 100) == pytest.approx(0.0, abs=1e-12)
+        assert concentration(snapshot(*[0.005] * 100), 100).n_internal == 0.0
 
     def test_single_holder_is_one(self):
-        assert internal_concentration(0.6, 0.36, 100) == pytest.approx(1.0, abs=1e-12)
+        assert concentration(snapshot(0.6), 100).n_internal == 1.0
 
     def test_two_equal_holders_hand_oracle(self):
-        # two holders of 0.25: c=0.5, h=0.125 -> wait, h = 2 * 0.0625 = 0.125? no:
-        # h = 0.25^2 * 2 = 0.125; the example uses h=0.0625 for h/c^2 = 0.25
-        assert internal_concentration(0.5, 0.0625, 100) == pytest.approx(
+        # four holders of 0.125: c = 0.5, h = 0.0625, h / c^2 = 0.25
+        assert concentration(snapshot(*[0.125] * 4), 100).n_internal == pytest.approx(
             (0.25 - 0.01) / 0.99, abs=1e-12
         )
 
-    def test_zero_share(self):
-        with pytest.raises(ZeroCumulativeShare):
-            internal_concentration(0.0, 0.0, 100)
-
-    def test_h_out_of_range(self):
-        with pytest.raises(HOutOfRange):
-            internal_concentration(0.5, 0.3, 100)  # h > c^2
-
     def test_n_below_two(self):
         with pytest.raises(ValueError):
-            internal_concentration(0.5, 0.1, 1)
+            concentration(snapshot(0.5, 0.1), 1)
 
 
 class TestWds:
@@ -142,8 +127,9 @@ class TestProperties:
     def test_permutation_invariance(self, shares):
         snap = snapshot(*shares)
         # C and H are order-free sums; the snapshot itself canonicalizes order
-        assert cumulative_share(snap) == pytest.approx(math.fsum(shares), abs=1e-15)
-        assert hhi(snap) == pytest.approx(math.fsum(s * s for s in shares), abs=1e-15)
+        result = concentration(snap, len(shares) + 1)
+        assert result.c == pytest.approx(math.fsum(shares), abs=1e-15)
+        assert result.h == pytest.approx(math.fsum(s * s for s in shares), abs=1e-15)
 
     @given(share_lists, st.integers(min_value=2, max_value=150))
     @settings(max_examples=100)
