@@ -390,6 +390,8 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
         for day, token, metric, value in points:
             grouped[(token, metric)].append(ScorePoint(day, value))
 
+        # Groups run in (token, metric) order and each stage returns date-ordered
+        # lists per token, so every output list below is already in its order.
         flags_by_token: dict[str, dict[Metric, list]] = defaultdict(dict)
         all_flags = []
         for (token, metric), pts in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
@@ -400,9 +402,9 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
 
         events = []
         buckets = []
-        for token in sorted(flags_by_token):
-            events.extend(joint_spike(flags_by_token[token], x_days))
-            buckets.extend(assign_buckets(flags_by_token[token], x_days))
+        for token_flags in flags_by_token.values():
+            events.extend(joint_spike(token_flags, x_days))
+            buckets.extend(assign_buckets(token_flags, x_days))
 
         doc = {
             "params": {"window_days": window_days, "threshold": threshold, "x_days": x_days},
@@ -415,7 +417,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                     "value": f.value,
                     "window_percentile": f.window_percentile,
                 }
-                for f in sorted(all_flags, key=lambda f: (f.token_id, f.metric.value, f.date))
+                for f in all_flags
             ],
             "joint_events": [
                 {
@@ -423,7 +425,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                     "date": e.date.isoformat(),
                     "metrics": [m.value for m in e.metrics],
                 }
-                for e in sorted(events, key=lambda e: (e.token_id, e.date, e.metrics[0].value))
+                for e in events
             ],
             "buckets": [
                 {
@@ -432,7 +434,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                     "bucket": b.bucket.value,
                     "metrics": [m.value for m in b.metrics],
                 }
-                for b in sorted(buckets, key=lambda b: (b.token_id, b.date))
+                for b in buckets
             ],
         }
         out = Path(out_dir)

@@ -4,18 +4,19 @@ All types are frozen dataclasses that validate their invariants at
 construction time, so a value that exists is a value that is valid. They
 are safe to share across threads.
 
-The two daily series store one tuple per column and check each column
-once, in bulk; only when a bulk check fails are the rows rescanned, so
-that the error names the first offending row as the per-row types do.
+The two daily series share one implementation: they store one tuple per
+column and check each column once, in bulk; only when a bulk check fails
+are the rows rescanned through the row type, so that the error names the
+first offending row as the per-row types do.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as Date
 from itertools import pairwise
-from operator import le, lt
-from typing import Iterable, Sequence
+from operator import attrgetter, le, lt
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
@@ -60,67 +61,61 @@ class DailyBar:
             raise LowAboveHigh(f"low={self.low!r} > high={self.high!r} on {self.date}")
 
 
-def _check_dates(dates: Iterable[Date]) -> None:
-    for prev, cur in pairwise(dates):
-        if cur <= prev:
-            what = "duplicate" if cur == prev else "out-of-order"
-            raise NonMonotonicDates(f"{what} date {cur}")
-
-
-def _check_lengths(token_id: str, columns: Sequence[tuple]) -> None:
-    if len(set(map(len, columns))) > 1:
-        raise DataError(f"{token_id}: columns differ in length")
-
-
-def _ascending(dates: tuple[Date, ...]) -> bool:
-    return all(map(lt, dates, dates[1:]))
+_Series = TypeVar("_Series", bound="_DailySeries")
 
 
 @dataclass(frozen=True, init=False)
-class TokenSeries:
-    """Date-ascending daily bars for one token, one tuple per column.
+class _DailySeries:
+    """Date-ascending daily rows for one token, one tuple per column.
 
-    ``TokenSeries(token_id, bars)`` takes ``DailyBar`` rows;
-    ``from_columns`` takes the columns themselves. Either way every bar
+    ``Series(token_id, rows)`` takes values of the subclass's ``row_type``,
+    whose fields name the columns in order; ``from_columns`` takes the
+    columns themselves, positionally in that order. Either way every row
     invariant and strictly ascending dates are checked at construction.
+    A subclass declares its columns, its ``row_type`` and ``_columns_ok``,
+    the bulk form of the row checks.
     """
 
     token_id: str
     dates: tuple[Date, ...]
-    high: tuple[float, ...]
-    low: tuple[float, ...]
-    close: tuple[float, ...]
-    volume_usd: tuple[float, ...]
-    market_cap_usd: tuple[float, ...]
 
-    def __init__(self, token_id: str, bars: Iterable[DailyBar] = ()):
-        rows = [(b.date, b.high, b.low, b.close, b.volume_usd, b.market_cap_usd) for b in bars]
-        _set_columns(self, token_id, list(zip(*rows)) or [()] * 6)
-        _check_bars(self)
+    def __init__(self, token_id: str, rows: Iterable = ()):
+        names = [f.name for f in fields(self.row_type)]
+        columns = list(zip(*map(attrgetter(*names), rows))) or [()] * len(names)
+        self._set_columns(token_id, columns)
 
     @classmethod
-    def from_columns(
-        cls,
-        token_id: str,
-        dates: Iterable[Date],
-        high: Iterable[float],
-        low: Iterable[float],
-        close: Iterable[float],
-        volume_usd: Iterable[float],
-        market_cap_usd: Iterable[float],
-    ) -> "TokenSeries":
+    def from_columns(cls: type[_Series], token_id: str, *columns: Iterable) -> _Series:
+        """A series from its columns, given in field order after ``token_id``."""
         series = object.__new__(cls)
-        _set_columns(series, token_id, (dates, high, low, close, volume_usd, market_cap_usd))
-        _check_bars(series)
+        series._set_columns(token_id, columns)
         return series
 
-    @property
-    def bars(self) -> tuple[DailyBar, ...]:
-        """The rows as ``DailyBar`` values, built on each access."""
-        return tuple(map(
-            DailyBar, self.dates, self.high, self.low, self.close,
-            self.volume_usd, self.market_cap_usd,
-        ))
+    def _set_columns(self, token_id: str, columns: Sequence[Iterable]) -> None:
+        object.__setattr__(self, "token_id", token_id)
+        for field, column in zip(fields(self)[1:], columns, strict=True):
+            object.__setattr__(self, field.name, tuple(column))
+        self._check()
+
+    def _columns(self) -> list[tuple]:
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+    def _check(self) -> None:
+        """Check every column in bulk; on failure raise the first bad row's error."""
+        columns = self._columns()
+        if len(set(map(len, columns))) > 1:
+            raise DataError(f"{self.token_id}: columns differ in length")
+        if not self.dates or (self._columns_ok() and all(map(lt, self.dates, self.dates[1:]))):
+            return
+        for row in zip(*columns):
+            self.row_type(*row)
+        for prev, cur in pairwise(self.dates):
+            if cur <= prev:
+                what = "duplicate" if cur == prev else "out-of-order"
+                raise NonMonotonicDates(f"{what} date {cur}")
+
+    def _rows(self) -> tuple:
+        return tuple(map(self.row_type, *self._columns()))
 
     def window(self) -> tuple[Date, Date] | None:
         if not self.dates:
@@ -128,39 +123,39 @@ class TokenSeries:
         return self.dates[0], self.dates[-1]
 
 
-def _set_columns(series, token_id: str, columns) -> None:
-    object.__setattr__(series, "token_id", token_id)
-    names = [f for f in series.__dataclass_fields__ if f != "token_id"]
-    for name, column in zip(names, columns, strict=True):
-        object.__setattr__(series, name, tuple(column))
+@dataclass(frozen=True, init=False)
+class TokenSeries(_DailySeries):
+    """Date-ascending daily bars for one token: ``TokenSeries(token_id, bars)``."""
+
+    high: tuple[float, ...]
+    low: tuple[float, ...]
+    close: tuple[float, ...]
+    volume_usd: tuple[float, ...]
+    market_cap_usd: tuple[float, ...]
+
+    row_type = DailyBar
+    bars = property(
+        _DailySeries._rows, doc="The rows as ``DailyBar`` values, built on each access."
+    )
+
+    def _columns_ok(self) -> bool:
+        prices = (self.high, self.low, self.close)
+        sizes = (self.volume_usd, self.market_cap_usd)
+        return (
+            all(all(map(math.isfinite, column)) for column in prices + sizes)
+            and min(map(min, prices)) > 0
+            and min(map(min, sizes)) >= 0
+            and all(map(le, self.low, self.high))
+        )
 
 
-def _check_bars(s: TokenSeries) -> None:
-    prices = (s.high, s.low, s.close)
-    sizes = (s.volume_usd, s.market_cap_usd)
-    _check_lengths(s.token_id, (s.dates, *prices, *sizes))
-    if not s.dates:
-        return
-    if (
-        all(all(map(math.isfinite, column)) for column in prices + sizes)
-        and min(map(min, prices)) > 0
-        and min(map(min, sizes)) >= 0
-        and all(map(le, s.low, s.high))
-        and _ascending(s.dates)
-    ):
-        return
-    for row in zip(s.dates, *prices, *sizes):
-        DailyBar(*row)
-    _check_dates(s.dates)
-
-
-def validate_series(series: TokenSeries) -> TokenSeries:
-    """Re-check every bar and series invariant; return the series unchanged.
+def validate_series(series: _Series) -> _Series:
+    """Re-check every row and series invariant; return the series unchanged.
 
     Construction already runs the same check, so this only matters for a
     series whose columns were set some other way.
     """
-    _check_bars(series)
+    series._check()
     return series
 
 
@@ -174,7 +169,6 @@ class HolderSnapshot:
 
     token_id: str
     shares: tuple[float, ...]
-    as_of: Date | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "shares", tuple(self.shares))
@@ -184,9 +178,14 @@ class HolderSnapshot:
         for k, (bigger, smaller) in enumerate(pairwise(self.shares)):
             if smaller > bigger:
                 raise InvalidShares(f"shares not descending at position {k + 2}")
-        total = math.fsum(self.shares)
-        if total > 1 + _SHARE_SUM_TOLERANCE:
-            raise InvalidShares(f"shares sum to {total}, exceeding total supply")
+        check_share_sum(self.shares)
+
+
+def check_share_sum(shares: Iterable[float]) -> None:
+    """Raise ``InvalidShares`` if holder shares sum past 1 beyond the tolerance."""
+    total = math.fsum(shares)
+    if total > 1 + _SHARE_SUM_TOLERANCE:
+        raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
 @dataclass(frozen=True)
@@ -210,65 +209,26 @@ class SentimentPoint:
 
 
 @dataclass(frozen=True, init=False)
-class SentimentSeries:
-    """Date-ascending sentiment observations for one token, one tuple per column.
+class SentimentSeries(_DailySeries):
+    """Date-ascending FGI observations for one token: ``SentimentSeries(token_id, points)``."""
 
-    ``SentimentSeries(token_id, points)`` takes ``SentimentPoint`` rows;
-    ``from_columns`` takes the columns. Either way the point invariants and
-    strictly ascending dates are checked at construction.
-    """
-
-    token_id: str
-    dates: tuple[Date, ...]
     fgi: tuple[float, ...]
     abs_return: tuple[float | None, ...]
 
-    def __init__(self, token_id: str, points: Iterable[SentimentPoint] = ()):
-        rows = [(p.date, p.fgi, p.abs_return) for p in points]
-        _set_columns(self, token_id, list(zip(*rows)) or [()] * 3)
-        _check_sentiment(self)
+    row_type = SentimentPoint
+    points = property(
+        _DailySeries._rows, doc="The rows as ``SentimentPoint`` values, built on each access."
+    )
 
-    @classmethod
-    def from_columns(
-        cls,
-        token_id: str,
-        dates: Iterable[Date],
-        fgi: Iterable[float],
-        abs_return: Iterable[float | None],
-    ) -> "SentimentSeries":
-        series = object.__new__(cls)
-        _set_columns(series, token_id, (dates, fgi, abs_return))
-        _check_sentiment(series)
-        return series
-
-    @property
-    def points(self) -> tuple[SentimentPoint, ...]:
-        """The rows as ``SentimentPoint`` values, built on each access."""
-        return tuple(map(SentimentPoint, self.dates, self.fgi, self.abs_return))
-
-    def window(self) -> tuple[Date, Date] | None:
-        if not self.dates:
-            return None
-        return self.dates[0], self.dates[-1]
-
-
-def _check_sentiment(s: SentimentSeries) -> None:
-    _check_lengths(s.token_id, (s.dates, s.fgi, s.abs_return))
-    if not s.dates:
-        return
-    # filter(None, ...) drops absent returns and zeros; zeros are valid.
-    if (
-        all(map(math.isfinite, s.fgi))
-        and 0 <= min(s.fgi)
-        and max(s.fgi) <= 100
-        and all(map(math.isfinite, filter(None, s.abs_return)))
-        and min(filter(None, s.abs_return), default=0.0) >= 0
-        and _ascending(s.dates)
-    ):
-        return
-    for row in zip(s.dates, s.fgi, s.abs_return):
-        SentimentPoint(*row)
-    _check_dates(s.dates)
+    def _columns_ok(self) -> bool:
+        # filter(None, ...) drops absent returns and zeros; zeros are valid.
+        return (
+            all(map(math.isfinite, self.fgi))
+            and 0 <= min(self.fgi)
+            and max(self.fgi) <= 100
+            and all(map(math.isfinite, filter(None, self.abs_return)))
+            and min(filter(None, self.abs_return), default=0.0) >= 0
+        )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Pre-aggregated summary tables (the alternative entry point to raw series):
     volatility token,avg_vol_pct,max_vol_pct,max_volume_busd,max_mcap_busd,chain_role,base
     fgi        token,f_bar,f_max,f_min,q_g_pct,q_f_pct,delta_f_max,delta_p_max_pct
 
-Dates are ISO-8601 (YYYY-MM-DD); decimal point, no thousands separators.
+Dates are ISO-8601 in the YYYY-MM-DD form only; decimal point, no thousands separators.
 
 Remote fetching is provider-neutral: a JSON config declares the URL
 template, pagination query, field paths and rate limit. Responses are
@@ -34,19 +34,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
     ChainRole,
-    DailyBar,
     FrameworkParams,
     HolderSnapshot,
-    SentimentPoint,
     SentimentSeries,
     TokenSeries,
+    check_share_sum,
 )
 from .errors import (
     ConfigError,
     DataError,
     EmptyFile,
     EmptyUniverse,
-    FgiOutOfRange,
     HttpError,
     InvalidShares,
     MalformedRow,
@@ -120,10 +118,29 @@ def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
 
 def _parse_date(path: Path, lineno: int, raw: str) -> Date:
     raw = raw.strip()
-    try:
-        return Date.fromisoformat(raw)
-    except ValueError:
-        raise MalformedRow(path, lineno, "date", f"not an ISO date: {raw!r}") from None
+    if len(raw) == 10 and raw[4] == raw[7] == "-":  # the rule of _iso_days
+        try:
+            return Date.fromisoformat(raw)
+        except ValueError:
+            pass
+    raise MalformedRow(path, lineno, "date", f"not a YYYY-MM-DD date: {raw!r}")
+
+
+def _iso_days(cells: Sequence[str]) -> list[Date]:
+    """``YYYY-MM-DD`` CSV cells as dates; ``ValueError`` for any other form.
+
+    Python 3.11's ``date.fromisoformat`` also takes ``20240102``,
+    ``2024-W01-2`` and even ``2024010299``, but on every version it takes
+    only ``YYYY-MM-DD`` from ten characters with "-" at offsets 4 and 7.
+    Cells hold no comma, so joined by commas they all have ten characters
+    exactly when every eleventh character is a comma.
+    """
+    n = len(cells)
+    joined = ",".join(cells)
+    aligned = len(joined) == 11 * n - 1 and joined[10::11] == "," * (n - 1)
+    if not aligned or joined[4::11] != "-" * n or joined[7::11] != "-" * n:
+        raise ValueError("not YYYY-MM-DD dates")
+    return list(map(Date.fromisoformat, cells))
 
 
 def _token_id_for(path: Path, token_id: str | None) -> str:
@@ -140,54 +157,76 @@ def _by_date(dates: list[Date], *columns: tuple) -> list:
 
 # --- loaders -------------------------------------------------------------
 #
-# The bar and sentiment loaders parse every column in bulk and let the
-# series check it in bulk. Any failure on that path, a padded date cell
-# included, hands the file to the row-by-row parse, which either accepts
-# it or raises the first error in file order with its line and column.
+# Bars and FGI series share one loader: it parses every column in bulk and
+# lets the series check it in bulk. Any failure on that path, a padded date
+# cell included, hands the file to the row-by-row parse, which accepts it or
+# raises the first error in file order with its line and column.
+
+_OPTIONAL_COLUMNS = {"abs_return"}  # an empty cell there means "no value"
+
+
+def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header: list[str]):
+    path = Path(path)
+    numbers, rows = _read_rows(path, header)
+    token_id = _token_id_for(path, token_id)
+    names = header[1:]
+    try:
+        dates, *cells = zip(*rows)
+        values = [
+            tuple(None if raw == "" else float(raw) for raw in column)
+            if name in _OPTIONAL_COLUMNS else tuple(map(float, column))
+            for name, column in zip(names, cells)
+        ]
+        return series_type.from_columns(token_id, *_by_date(_iso_days(dates), *values))
+    except (ValueError, DataError):
+        pass
+    parsed = []
+    seen: set[Date] = set()
+    for lineno, (day_raw, *cells) in zip(numbers, rows):
+        day = _parse_date(path, lineno, day_raw)
+        if day in seen:
+            raise MalformedRow(path, lineno, "date", f"duplicate date {day}")
+        seen.add(day)
+        values = [
+            None if name in _OPTIONAL_COLUMNS and not raw.strip()
+            else _parse_float(path, lineno, name, raw)
+            for name, raw in zip(names, cells)
+        ]
+        try:
+            parsed.append(series_type.row_type(day, *values))
+        except DataError as exc:  # the message opens with the failing field
+            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
+    parsed.sort(key=attrgetter("date"))
+    return series_type(token_id, parsed)
+
 
 def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
     """Load and validate a daily-bar CSV into a TokenSeries.
 
     Rows are sorted by date (shuffled input is canonicalized, not
-    rejected); duplicate dates and invariant violations are errors.
+    rejected); a repeated date and invariant violations are errors that
+    name the file, the line and the column.
     """
-    path = Path(path)
-    numbers, rows = _read_rows(path, BARS_HEADER)
-    token_id = _token_id_for(path, token_id)
-    try:
-        dates, *values = zip(*rows)
-        values = [tuple(map(float, column)) for column in values]
-        return TokenSeries.from_columns(
-            token_id, *_by_date(list(map(Date.fromisoformat, dates)), *values)
-        )
-    except (ValueError, DataError):
-        pass
-    bars = []
-    for lineno, cells in zip(numbers, rows):
-        day = _parse_date(path, lineno, cells[0])
-        values = [
-            _parse_float(path, lineno, col, raw) for col, raw in zip(BARS_HEADER[1:], cells[1:])
-        ]
-        try:
-            bars.append(DailyBar(day, *values))
-        except DataError as exc:  # the message opens with the failing field
-            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
-    bars.sort(key=attrgetter("date"))
-    return TokenSeries(token_id, bars)
+    return _load_daily_csv(path, token_id, TokenSeries, BARS_HEADER)
+
+
+def load_sentiment_csv(path: str | Path, token_id: str | None = None) -> SentimentSeries:
+    """Load a daily FGI CSV like ``load_bars_csv``; an empty abs_return means "no return"."""
+    return _load_daily_csv(path, token_id, SentimentSeries, SENTIMENT_HEADER)
 
 
 def load_holders_csv(
     path: str | Path,
     token_id: str | None = None,
     n: int = 100,
-    as_of: Date | None = None,
     exclude: Iterable[str] = (),
 ) -> HolderSnapshot:
     """Load a holder-share CSV into a descending top-n snapshot.
 
     The first column is either a numeric rank or an address; an optional
     ``exclude`` set drops address rows (custodial filtering, off by
-    default). The share sum is checked before truncation to the top n.
+    default). The share sum is checked over the whole file, before
+    truncation to the top n.
     """
     path = Path(path)
     numbers, rows = _read_rows(path, ["rank", "share"], ["address", "share"])
@@ -202,41 +241,12 @@ def load_holders_csv(
         shares.append(share)
     if not shares:
         raise EmptyFile(f"{path}: no data rows")
-    total = math.fsum(shares)
-    if total > 1 + 1e-9:
-        raise InvalidShares(f"{path}: shares sum to {total}, exceeding total supply")
-    shares.sort(reverse=True)
-    return HolderSnapshot(_token_id_for(path, token_id), tuple(shares[:n]), as_of=as_of)
-
-
-def load_sentiment_csv(path: str | Path, token_id: str | None = None) -> SentimentSeries:
-    """Load a daily FGI CSV; an empty abs_return cell means "no return"."""
-    path = Path(path)
-    numbers, rows = _read_rows(path, SENTIMENT_HEADER)
-    token_id = _token_id_for(path, token_id)
     try:
-        dates, fgi, returns = zip(*rows)
-        fgi = tuple(map(float, fgi))
-        returns = tuple(None if raw == "" else float(raw) for raw in returns)
-        return SentimentSeries.from_columns(
-            token_id, *_by_date(list(map(Date.fromisoformat, dates)), fgi, returns)
-        )
-    except (ValueError, DataError):
-        pass
-    points = []
-    for lineno, (day_raw, fgi_raw, return_raw) in zip(numbers, rows):
-        day = _parse_date(path, lineno, day_raw)
-        fgi = _parse_float(path, lineno, "fgi", fgi_raw)
-        if not 0 <= fgi <= 100:
-            raise FgiOutOfRange(f"{path}: line {lineno}: fgi={fgi} outside [0, 100]")
-        abs_return = None
-        if return_raw.strip():
-            abs_return = _parse_float(path, lineno, "abs_return", return_raw)
-            if abs_return < 0:
-                raise MalformedRow(path, lineno, "abs_return", f"negative return {abs_return}")
-        points.append(SentimentPoint(day, fgi, abs_return))
-    points.sort(key=attrgetter("date"))
-    return SentimentSeries(token_id, points)
+        check_share_sum(shares)
+    except InvalidShares as exc:
+        raise InvalidShares(f"{path}: {exc}") from None
+    shares.sort(reverse=True)
+    return HolderSnapshot(_token_id_for(path, token_id), shares[:n])
 
 
 def load_volatility_table(
@@ -670,16 +680,9 @@ class MarketDataClient:
             for item in self._fetch_pages(token_id, start, end):
                 try:
                     day = Date.fromisoformat(str(_dig(item, fields["date"])))
-                    records.append(
-                        {
-                            "date": day.isoformat(),
-                            "high": float(_dig(item, fields["high"])),
-                            "low": float(_dig(item, fields["low"])),
-                            "close": float(_dig(item, fields["close"])),
-                            "volume_usd": float(_dig(item, fields["volume_usd"])),
-                            "market_cap_usd": float(_dig(item, fields["market_cap_usd"])),
-                        }
-                    )
+                    records.append({"date": day.isoformat()} | {
+                        name: float(_dig(item, fields[name])) for name in BARS_HEADER[1:]
+                    })
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{self.provider.name}: bad record: {exc}") from None
             records = [r for r in records if start.isoformat() <= r["date"] <= end.isoformat()]
@@ -695,15 +698,10 @@ class MarketDataClient:
         if missing:
             raise PartialRange(token_id, missing)
 
-        series = TokenSeries(
+        series = TokenSeries.from_columns(
             token_id,
-            tuple(
-                DailyBar(
-                    Date.fromisoformat(r["date"]),
-                    r["high"], r["low"], r["close"], r["volume_usd"], r["market_cap_usd"],
-                )
-                for r in records
-            ),
+            [Date.fromisoformat(r["date"]) for r in records],
+            *([r[name] for r in records] for name in BARS_HEADER[1:]),
         )
         if not from_cache:
             self._cache_write(cache_path, records)

@@ -76,6 +76,18 @@ class TestScore:
         result = run("score", "--universe", universe, "--out", tmp_path / "o")
         assert result.exit_code == 3
 
+    def test_repeated_bar_date_exits_3_naming_file_and_line(self, tmp_path):
+        bars = tmp_path / "x.csv"
+        bars.write_text("date,high,low,close,volume_usd,market_cap_usd\n"
+                        "2024-01-01,110,90,100,1,1\n2024-01-02,110,90,100,1,1\n"
+                        "2024-01-01,110,90,100,1,1\n")
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "X", "role": "standalone", "bars": "x.csv"}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert f"{bars}: line 4, column 'date'" in result.stderr
+        assert "duplicate date 2024-01-01" in result.stderr
+
     def test_param_overrides_change_scores(self, tmp_path):
         out_default = score_reference(tmp_path, "a")
         out_alpha = tmp_path / "b"

@@ -86,6 +86,39 @@ class TestTokenSeries:
         assert TokenSeries("X", ()).window() is None
 
 
+def days(n):
+    return tuple(date(2024, 1, d) for d in range(1, n + 1))
+
+
+class TestColumnRoundTrip:
+    """from_columns, the row view and the rows constructor agree, and
+    validate_series on a replaced column raises the first bad row's error."""
+
+    def test_token_series(self):
+        columns = (days(3), (110.0, 120.0, 130.0), (90.0, 100.0, 110.0),
+                   (100.0, 110.0, 120.0), (1e9, 0.0, 2e9), (2e9, 3e9, 4e9))
+        series = TokenSeries.from_columns("X", *columns)
+        assert TokenSeries("X", series.bars) == series
+        assert TokenSeries.from_columns("X", *zip(*(
+            (b.date, b.high, b.low, b.close, b.volume_usd, b.market_cap_usd) for b in series.bars
+        ))) == series
+        object.__setattr__(series, "low", (90.0, 121.0, 131.0))
+        with pytest.raises(LowAboveHigh) as err:
+            validate_series(series)
+        assert str(err.value) == "low=121.0 > high=120.0 on 2024-01-02"
+
+    def test_sentiment_series(self):
+        series = SentimentSeries.from_columns("X", days(3), (50.0, 0.0, 100.0), (None, 0.05, 0.0))
+        assert SentimentSeries("X", series.points) == series
+        assert SentimentSeries.from_columns("X", *zip(*(
+            (p.date, p.fgi, p.abs_return) for p in series.points
+        ))) == series
+        object.__setattr__(series, "fgi", (50.0, 101.0, -1.0))
+        with pytest.raises(FgiOutOfRange) as err:
+            validate_series(series)
+        assert str(err.value) == "fgi=101.0 on 2024-01-02 outside [0, 100]"
+
+
 class TestHolderSnapshot:
     def test_descending_ok(self):
         snap = HolderSnapshot("X", (0.3, 0.2, 0.2, 0.1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import (
+    _SHARE_SUM_TOLERANCE,
     DailyBar,
     FrameworkParams,
     SentimentPoint,
@@ -24,11 +26,9 @@ from me2f.errors import (
     DataError,
     EmptyFile,
     EmptyUniverse,
-    FgiOutOfRange,
     HttpError,
     InvalidShares,
     MalformedRow,
-    NonMonotonicDates,
     ParseError,
     PartialRange,
     RateLimited,
@@ -105,8 +105,11 @@ class TestLoadBarsCsv:
 
     def test_duplicate_dates_rejected(self, tmp_path):
         text = BARS_OK + "2024-01-03,111,101,105,1000,2000\n"
-        with pytest.raises(NonMonotonicDates):
-            load_bars_csv(write(tmp_path, "x.csv", text))
+        path = write(tmp_path, "x.csv", text)
+        with pytest.raises(MalformedRow) as err:
+            load_bars_csv(path)
+        assert (err.value.path, err.value.line, err.value.column) == (path, 5, "date")
+        assert "duplicate date 2024-01-03" in str(err.value)
 
     def test_schema_mismatch(self, tmp_path):
         with pytest.raises(SchemaMismatch):
@@ -149,6 +152,18 @@ class TestLoadHoldersCsv:
             load_holders_csv(path)
         assert str(path) in str(err.value)
 
+    def test_sum_tolerance_is_the_domain_one(self, tmp_path):
+        # the third share lies past the top n = 2 but still counts toward the sum
+        def holders(excess):
+            text = f"rank,share\n1,0.5\n2,0.5\n3,{_SHARE_SUM_TOLERANCE * excess!r}\n"
+            return write(tmp_path, f"h{excess}.csv", text)
+
+        assert load_holders_csv(holders(0.5), n=2).shares == (0.5, 0.5)
+        path = holders(2)
+        with pytest.raises(InvalidShares) as err:
+            load_holders_csv(path, n=2)
+        assert str(path) in str(err.value)
+
     def test_negative_share(self, tmp_path):
         path = write(tmp_path, "h.csv", "rank,share\n1,-0.2\n")
         with pytest.raises(MalformedRow) as err:
@@ -186,8 +201,10 @@ class TestLoadSentimentCsv:
 
     def test_fgi_out_of_range(self, tmp_path):
         text = "date,fgi,abs_return\n2024-01-01,101,\n"
-        with pytest.raises(FgiOutOfRange):
-            load_sentiment_csv(write(tmp_path, "s.csv", text))
+        path = write(tmp_path, "s.csv", text)
+        with pytest.raises(MalformedRow) as err:
+            load_sentiment_csv(path)
+        assert (err.value.path, err.value.line, err.value.column) == (path, 2, "fgi")
 
 
 class TestSummaryTables:
@@ -531,9 +548,10 @@ def make_bar_rows(rng: random.Random):
 
 # --- row-by-row oracles for the columnar loaders ---------------------------
 #
-# The bar and sentiment loaders as they were before they parsed columns in
-# bulk: every cell stripped and parsed on its own, one validated DailyBar or
-# SentimentPoint per row. Line numbers count physical lines.
+# The bar and sentiment loaders written row by row: every cell stripped and
+# parsed on its own, a repeated date rejected at its later line, one
+# validated DailyBar or SentimentPoint per row whose error becomes a
+# MalformedRow naming the failing field. Line numbers count physical lines.
 
 def oracle_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
     numbered = [
@@ -569,39 +587,47 @@ def oracle_float(path, lineno, column, raw):
 
 
 def oracle_date(path, lineno, raw):
+    if re.fullmatch(r"\d{4}-\d{2}-\d{2}", raw, re.ASCII):
+        try:
+            return date.fromisoformat(raw)
+        except ValueError:
+            pass
+    raise MalformedRow(path, lineno, "date", f"not a YYYY-MM-DD date: {raw!r}")
+
+
+def oracle_day(path, lineno, raw, seen):
+    day = oracle_date(path, lineno, raw)
+    if day in seen:
+        raise MalformedRow(path, lineno, "date", f"duplicate date {day}")
+    seen.add(day)
+    return day
+
+
+def oracle_row(path, lineno, row_type, day, values):
     try:
-        return date.fromisoformat(raw)
-    except ValueError:
-        raise MalformedRow(path, lineno, "date", f"not an ISO date: {raw!r}") from None
+        return row_type(day, *values)
+    except DataError as exc:
+        raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
 
 
 def oracle_load_bars(path: Path, token_id: str) -> TokenSeries:
-    bars = []
+    bars, seen = [], set()
     for lineno, cells in oracle_rows(path, BARS_HEADER):
-        day = oracle_date(path, lineno, cells[0])
+        day = oracle_day(path, lineno, cells[0], seen)
         values = [oracle_float(path, lineno, col, raw)
                   for col, raw in zip(BARS_HEADER[1:], cells[1:])]
-        try:
-            bars.append(DailyBar(day, *values))
-        except DataError as exc:
-            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
+        bars.append(oracle_row(path, lineno, DailyBar, day, values))
     bars.sort(key=lambda b: b.date)
     return TokenSeries(token_id, tuple(bars))
 
 
 def oracle_load_sentiment(path: Path, token_id: str) -> SentimentSeries:
-    points = []
+    points, seen = [], set()
     for lineno, cells in oracle_rows(path, SENTIMENT_HEADER):
-        day = oracle_date(path, lineno, cells[0])
+        day = oracle_day(path, lineno, cells[0], seen)
         fgi = oracle_float(path, lineno, "fgi", cells[1])
-        if not 0 <= fgi <= 100:
-            raise FgiOutOfRange(f"{path}: line {lineno}: fgi={fgi} outside [0, 100]")
-        abs_return = None
-        if cells[2] != "":
-            abs_return = oracle_float(path, lineno, "abs_return", cells[2])
-            if abs_return < 0:
-                raise MalformedRow(path, lineno, "abs_return", f"negative return {abs_return}")
-        points.append(SentimentPoint(day, fgi, abs_return))
+        abs_return = None if cells[2] == "" else oracle_float(path, lineno, "abs_return", cells[2])
+        points.append(oracle_row(path, lineno, SentimentPoint, day, (fgi, abs_return)))
     points.sort(key=lambda p: p.date)
     return SentimentSeries(token_id, tuple(points))
 
@@ -615,7 +641,10 @@ def outcome(load, path: Path):
 
 
 BAD_NUMBERS = ["nan", "inf", "-inf", "oops", "", "1e400", "-1", "0", "-0", "1_0", " 7.5 "]
-BAD_DATES = ["2024-13-01", "03/01/2024", "", " 2024-02-03 ", "2024-02-30"]
+BAD_DATES = [
+    "2024-13-01", "03/01/2024", "", " 2024-02-03 ", "2024-02-30",
+    "20240102", "2024-W01-2", "2024010299",
+]
 BLANKS = ["", "   ", "\t"]
 
 
