@@ -19,18 +19,19 @@ import math
 import sys
 from collections import defaultdict
 from datetime import date as Date
+from itertools import groupby
 from pathlib import Path
+from typing import Iterator
 
 import click
 
 from . import ingest, scoring
 from .domain import FrameworkParams, TokenSeries
-from .errors import ConfigError, DataError, Me2fError, MissingReport
+from .errors import ConfigError, DataError, Me2fError, MissingReport, NonMonotonicDates
 from .ingest import HISTORY_HEADER, MarketDataClient
 from .scoring import FragilityReport, TokenReport
 from .warning import (
     Metric,
-    ScorePoint,
     ScoreSeries,
     assign_buckets,
     joint_spike,
@@ -327,16 +328,15 @@ def _read_report(path: Path) -> dict:
     return doc
 
 
-def _load_report_scores(path: Path) -> list[tuple[Date, str, Metric, float]]:
+def _load_report_scores(path: Path) -> Iterator[tuple[tuple[str, Metric], tuple[Date, float]]]:
     doc = _read_report(path)
     window = doc.get("window")
     if not isinstance(window, dict) or not window.get("end"):
         raise DataError(f"{path}: report has no window; cannot date its scores")
     try:
-        day = Date.fromisoformat(window["end"])
+        (day,) = ingest.iso_days([window["end"]])
     except (TypeError, ValueError):
-        raise DataError(f"{path}: window end {window['end']!r} is not an ISO date") from None
-    points = []
+        raise DataError(f"{path}: window end {window['end']!r} is not a YYYY-MM-DD date") from None
     for t in doc.get("tokens", []):
         if not isinstance(t, dict) or not isinstance(t.get("id"), str):
             raise DataError(f"{path}: every report token needs a string 'id'")
@@ -356,8 +356,7 @@ def _load_report_scores(path: Path) -> list[tuple[Date, str, Metric, float]]:
                     f"{path}: token {t['id']!r} has {metric.value} score {value!r}; "
                     "scores must be finite numbers >= 0"
                 )
-            points.append((day, t["id"], metric, score))
-    return points
+            yield (t["id"], metric), (day, score)
 
 
 @main.command()
@@ -380,29 +379,28 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
             raise ConfigError(f"--x-days {x_days} must be >= 0")
         if history_path is None and not report_paths:
             raise ConfigError("provide --history and/or --report inputs")
-        points: list[tuple[Date, str, Metric, float]] = []
+        series = {}
         if history_path is not None:
-            points.extend(ingest.load_history_csv(history_path))
+            series = {(s.token_id, s.metric): s for s in ingest.load_history_csv(history_path)}
+        added = defaultdict(list)
         for rp in report_paths:
-            points.extend(_load_report_scores(Path(rp)))
+            for key, point in _load_report_scores(Path(rp)):
+                added[key].append(point)
+        for key, points in added.items():
+            if key in series:
+                points += zip(series[key].dates, series[key].value)
+            try:
+                series[key] = ScoreSeries.from_columns(*key, *zip(*sorted(points)))
+            except NonMonotonicDates as exc:
+                raise NonMonotonicDates(f"{key[0]} {key[1].value}: {exc}") from None
 
-        grouped: dict[tuple[str, Metric], list[ScorePoint]] = defaultdict(list)
-        for day, token, metric, value in points:
-            grouped[(token, metric)].append(ScorePoint(day, value))
-
-        # Groups run in (token, metric) order and each stage returns date-ordered
+        # Series run in (token, metric) order and each stage returns date-ordered
         # lists per token, so every output list below is already in its order.
-        flags_by_token: dict[str, dict[Metric, list]] = defaultdict(dict)
-        all_flags = []
-        for (token, metric), pts in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            series = ScoreSeries(token, metric, tuple(sorted(pts, key=lambda p: p.date)))
-            flags = rolling_flags(series, window_days, threshold)
-            flags_by_token[token][metric] = flags
-            all_flags.extend(flags)
-
-        events = []
-        buckets = []
-        for token_flags in flags_by_token.values():
+        all_flags, events, buckets = [], [], []
+        for _, group in groupby(sorted(series.items()), key=lambda item: item[0][0]):
+            token_flags = {metric: rolling_flags(history, window_days, threshold)
+                           for (_, metric), history in group}
+            all_flags.extend(f for flags in token_flags.values() for f in flags)
             events.extend(joint_spike(token_flags, x_days))
             buckets.extend(assign_buckets(token_flags, x_days))
 
@@ -479,10 +477,9 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
 
     def run():
         try:
-            start = Date.fromisoformat(start_raw)
-            end = Date.fromisoformat(end_raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad date: {exc}") from None
+            start, end = ingest.iso_days([start_raw, end_raw])
+        except ValueError:
+            raise ConfigError(f"--start {start_raw!r} and --end {end_raw!r} must be YYYY-MM-DD") from None
         provider = ingest.load_provider_config(provider_path)
         client = MarketDataClient(provider, cache_dir)
         series = client.fetch_daily(token_id, start, end)

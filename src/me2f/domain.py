@@ -4,10 +4,11 @@ All types are frozen dataclasses that validate their invariants at
 construction time, so a value that exists is a value that is valid. They
 are safe to share across threads.
 
-The two daily series share one implementation: they store one tuple per
-column and check each column once, in bulk; only when a bulk check fails
-are the rows rescanned through the row type, so that the error names the
-first offending row as the per-row types do.
+The daily series (bars, FGI, and score histories in ``warning``) share one
+implementation: they store one tuple per column and check each column once,
+in bulk; only when a bulk check fails are the rows rescanned through the
+row type, so that the error names the first offending row as the per-row
+types do. Holder snapshots are checked the same way.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass, fields
 from datetime import date as Date
 from itertools import pairwise
-from operator import attrgetter, le, lt
-from typing import Iterable, Sequence, TypeVar
+from operator import attrgetter, ge, le, lt
+from typing import Iterable, TypeVar
 
 from .errors import (
     ConfigError,
@@ -66,39 +67,40 @@ _Series = TypeVar("_Series", bound="_DailySeries")
 
 @dataclass(frozen=True, init=False)
 class _DailySeries:
-    """Date-ascending daily rows for one token, one tuple per column.
+    """Date-ascending daily rows under key fields, one tuple per column.
 
-    ``Series(token_id, rows)`` takes values of the subclass's ``row_type``,
-    whose fields name the columns in order; ``from_columns`` takes the
-    columns themselves, positionally in that order. Either way every row
-    invariant and strictly ascending dates are checked at construction.
-    A subclass declares its columns, its ``row_type`` and ``_columns_ok``,
-    the bulk form of the row checks.
+    A subclass declares any key fields after ``token_id``, then one column
+    per field of its ``row_type``, ``dates`` first, and ``_columns_ok``, the
+    bulk form of the row checks. ``Series(*keys, rows)`` takes row values;
+    ``from_columns(*keys, *columns)`` takes the columns, in field order.
+    Either way every row invariant and strictly ascending dates are checked
+    at construction.
     """
 
     token_id: str
-    dates: tuple[Date, ...]
 
-    def __init__(self, token_id: str, rows: Iterable = ()):
+    def __init__(self, *keys_and_rows):
+        *keys, rows = keys_and_rows
         names = [f.name for f in fields(self.row_type)]
         columns = list(zip(*map(attrgetter(*names), rows))) or [()] * len(names)
-        self._set_columns(token_id, columns)
+        self._set(*keys, *columns)
 
     @classmethod
-    def from_columns(cls: type[_Series], token_id: str, *columns: Iterable) -> _Series:
-        """A series from its columns, given in field order after ``token_id``."""
+    def from_columns(cls: type[_Series], *keys_and_columns) -> _Series:
+        """A series from its key fields, then its columns, in field order."""
         series = object.__new__(cls)
-        series._set_columns(token_id, columns)
+        series._set(*keys_and_columns)
         return series
 
-    def _set_columns(self, token_id: str, columns: Sequence[Iterable]) -> None:
-        object.__setattr__(self, "token_id", token_id)
-        for field, column in zip(fields(self)[1:], columns, strict=True):
-            object.__setattr__(self, field.name, tuple(column))
+    def _set(self, *values) -> None:
+        names = [f.name for f in fields(self)]
+        n_keys = len(names) - len(fields(self.row_type))
+        for i, (name, value) in enumerate(zip(names, values, strict=True)):
+            object.__setattr__(self, name, value if i < n_keys else tuple(value))
         self._check()
 
     def _columns(self) -> list[tuple]:
-        return [getattr(self, f.name) for f in fields(self)[1:]]
+        return [getattr(self, f.name) for f in fields(self)[-len(fields(self.row_type)):]]
 
     def _check(self) -> None:
         """Check every column in bulk; on failure raise the first bad row's error."""
@@ -127,6 +129,7 @@ class _DailySeries:
 class TokenSeries(_DailySeries):
     """Date-ascending daily bars for one token: ``TokenSeries(token_id, bars)``."""
 
+    dates: tuple[Date, ...]
     high: tuple[float, ...]
     low: tuple[float, ...]
     close: tuple[float, ...]
@@ -170,15 +173,22 @@ class HolderSnapshot:
     token_id: str
     shares: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "shares", tuple(self.shares))
-        for k, share in enumerate(self.shares):
-            if not math.isfinite(share) or share < 0 or share > 1:
-                raise InvalidShares(f"share #{k + 1} = {share!r} outside [0, 1]")
-        for k, (bigger, smaller) in enumerate(pairwise(self.shares)):
-            if smaller > bigger:
-                raise InvalidShares(f"shares not descending at position {k + 2}")
-        check_share_sum(self.shares)
+    def __post_init__(self):  # checked in bulk; only a failure rescans, to name the share
+        shares = tuple(self.shares)
+        object.__setattr__(self, "shares", shares)
+        if not (
+            all(map(math.isfinite, shares))
+            and min(shares, default=0.0) >= 0
+            and max(shares, default=0.0) <= 1
+            and all(map(ge, shares, shares[1:]))
+        ):
+            for k, share in enumerate(shares):
+                if not math.isfinite(share) or share < 0 or share > 1:
+                    raise InvalidShares(f"share #{k + 1} = {share!r} outside [0, 1]")
+            for k, (bigger, smaller) in enumerate(pairwise(shares)):
+                if smaller > bigger:
+                    raise InvalidShares(f"shares not descending at position {k + 2}")
+        check_share_sum(shares)
 
 
 def check_share_sum(shares: Iterable[float]) -> None:
@@ -212,6 +222,7 @@ class SentimentPoint:
 class SentimentSeries(_DailySeries):
     """Date-ascending FGI observations for one token: ``SentimentSeries(token_id, points)``."""
 
+    dates: tuple[Date, ...]
     fgi: tuple[float, ...]
     abs_return: tuple[float | None, ...]
 
@@ -239,7 +250,7 @@ class FrameworkParams:
     beta       base-chain spillover gain, > 0
     gamma      scale down-weighting strength, > 0
     delta      sentiment shock exponent, > 0
-    n          number of top holders considered
+    n          number of top holders considered, >= 2
     scale_unit USD divisor applied to volume/market cap before scale math
     """
 
@@ -257,8 +268,8 @@ class FrameworkParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ConfigError(f"{name}={value!r} must be > 0")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n={self.n!r} must be a positive integer")
+        if not isinstance(self.n, int) or self.n < 2:  # the HHI rescaling divides by 1 - 1/n
+            raise ConfigError(f"n={self.n!r} must be an integer >= 2")
 
 
 @dataclass(frozen=True)

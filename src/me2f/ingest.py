@@ -24,7 +24,7 @@ import math
 import os
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta, timezone
@@ -56,7 +56,7 @@ from .errors import (
 from .scoring import TokenInputs
 from .sentiment import FgiIndicators
 from .volatility import VolatilityAggregate
-from .warning import Metric
+from .warning import Metric, ScorePoint, ScoreSeries
 
 BARS_HEADER = ["date", "high", "low", "close", "volume_usd", "market_cap_usd"]
 SENTIMENT_HEADER = ["date", "fgi", "abs_return"]
@@ -118,29 +118,37 @@ def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
 
 def _parse_date(path: Path, lineno: int, raw: str) -> Date:
     raw = raw.strip()
-    if len(raw) == 10 and raw[4] == raw[7] == "-":  # the rule of _iso_days
-        try:
-            return Date.fromisoformat(raw)
-        except ValueError:
-            pass
-    raise MalformedRow(path, lineno, "date", f"not a YYYY-MM-DD date: {raw!r}")
+    try:
+        return iso_days([raw])[0]
+    except ValueError:
+        raise MalformedRow(path, lineno, "date", f"not a YYYY-MM-DD date: {raw!r}") from None
 
 
-def _iso_days(cells: Sequence[str]) -> list[Date]:
-    """``YYYY-MM-DD`` CSV cells as dates; ``ValueError`` for any other form.
+def iso_days(cells: Sequence[str]) -> list[Date]:
+    """``YYYY-MM-DD`` cells as dates; ``ValueError`` for any other form.
 
+    This is the one date rule of every input, files and command lines.
     Python 3.11's ``date.fromisoformat`` also takes ``20240102``,
     ``2024-W01-2`` and even ``2024010299``, but on every version it takes
     only ``YYYY-MM-DD`` from ten characters with "-" at offsets 4 and 7.
-    Cells hold no comma, so joined by commas they all have ten characters
-    exactly when every eleventh character is a comma.
+    Joined by commas, the cells all have ten characters exactly when the
+    text holds n - 1 commas, at offsets 10, 21, 32 and so on.
     """
     n = len(cells)
     joined = ",".join(cells)
-    aligned = len(joined) == 11 * n - 1 and joined[10::11] == "," * (n - 1)
+    aligned = (len(joined) == 11 * n - 1 and joined[10::11] == "," * (n - 1)
+               and joined.count(",") == n - 1)
     if not aligned or joined[4::11] != "-" * n or joined[7::11] != "-" * n:
         raise ValueError("not YYYY-MM-DD dates")
     return list(map(Date.fromisoformat, cells))
+
+
+def _checked_row(path: Path, lineno: int, row_type, *values):
+    """``row_type(*values)``, its ``DataError`` located at the line and the field."""
+    try:
+        return row_type(*values)
+    except DataError as exc:  # the message opens with the failing "field="
+        raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
 
 
 def _token_id_for(path: Path, token_id: str | None) -> str:
@@ -177,7 +185,7 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
             if name in _OPTIONAL_COLUMNS else tuple(map(float, column))
             for name, column in zip(names, cells)
         ]
-        return series_type.from_columns(token_id, *_by_date(_iso_days(dates), *values))
+        return series_type.from_columns(token_id, *_by_date(iso_days(dates), *values))
     except (ValueError, DataError):
         pass
     parsed = []
@@ -192,10 +200,7 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
             else _parse_float(path, lineno, name, raw)
             for name, raw in zip(names, cells)
         ]
-        try:
-            parsed.append(series_type.row_type(day, *values))
-        except DataError as exc:  # the message opens with the failing field
-            raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
+        parsed.append(_checked_row(path, lineno, series_type.row_type, day, *values))
     parsed.sort(key=attrgetter("date"))
     return series_type(token_id, parsed)
 
@@ -322,48 +327,56 @@ def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
     return out
 
 
-def load_history_csv(path: str | Path) -> list[tuple[Date, str, Metric, float]]:
-    """Load a score-history CSV: one (date, token, metric, value) per row.
+def load_history_csv(path: str | Path) -> list[ScoreSeries]:
+    """Load a score-history CSV (one date, token, metric, value per row).
 
-    Values must be non-negative, and each (token, metric, date) may appear
-    on one row only; a repeat is reported at its second line. Rows may come
-    in any order. A file in which each (token, metric) only meets later
-    dates holds no repeat, so the set of seen rows is built only for other
-    files, keeping a date-sorted history at the memory of its points.
+    Returns one ``ScoreSeries`` per (token, metric), in that order. Rows
+    may come in any order; a value must be finite and >= 0, and each
+    (token, metric, date) may appear on one row only. Like the daily
+    loaders, the file is parsed by column and checked in bulk; any failure
+    hands it to the row-by-row parse, which names the first bad line in
+    file order, a repeat at its later line.
     """
     path = Path(path)
     numbers, rows = _read_rows(path, HISTORY_HEADER)
-    points = []
-    latest: dict[tuple[str, Metric], Date] = {}
-    in_date_order = True
-    for lineno, cells in zip(numbers, rows):
-        day = _parse_date(path, lineno, cells[0])
-        token = cells[1].strip()
+    metrics = {m.value: m for m in Metric}
+    try:
+        days, tokens, names, values = zip(*rows)
+        keys = zip(tokens, map(metrics.__getitem__, names))
+        series = _score_series(iso_days(days), keys, tuple(map(float, values)))
+        if all(s.token_id and s.token_id == s.token_id.strip() for s in series):
+            return series  # else an empty or padded token, for the row parse
+    except (KeyError, ValueError, DataError):
+        pass
+    parsed, seen = [], set()
+    for lineno, (day_raw, token, name, raw) in zip(numbers, rows):
+        day = _parse_date(path, lineno, day_raw)
+        token, metric = token.strip(), metrics.get(name.strip())
         if not token:
             raise MalformedRow(path, lineno, "token", "empty token id")
-        try:
-            metric = Metric(cells[2].strip())
-        except ValueError:
-            raise MalformedRow(path, lineno, "metric",
-                               f"unknown metric {cells[2].strip()!r}") from None
-        value = _parse_float(path, lineno, "value", cells[3])
-        if value < 0:
-            raise MalformedRow(path, lineno, "value", f"negative score: {cells[3].strip()!r}")
-        if in_date_order and latest.get((token, metric), Date.min) < day:
-            latest[token, metric] = day
-        else:
-            in_date_order = False
-        points.append((day, token, metric, value))
-    if not in_date_order:
-        seen = set()
-        for lineno, (day, token, metric, _) in zip(numbers, points):
-            if (day, token, metric) in seen:
-                raise MalformedRow(
-                    path, lineno, "date",
-                    f"duplicate row for token {token!r}, {metric.value}, {day}",
-                )
-            seen.add((day, token, metric))
-    return points
+        if metric is None:
+            raise MalformedRow(path, lineno, "metric", f"unknown metric {name.strip()!r}")
+        point = _checked_row(path, lineno, ScorePoint, day, _parse_float(path, lineno, "value", raw))
+        if (token, metric, day) in seen:
+            raise MalformedRow(path, lineno, "date",
+                               f"duplicate row for token {token!r}, {metric.value}, {day}")
+        seen.add((token, metric, day))
+        parsed.append((day, (token, metric), point.value))
+    return _score_series(*zip(*parsed))
+
+
+def _score_series(days: Sequence[Date], keys: Iterable[tuple[str, Metric]],
+                  values: Sequence[float]) -> list[ScoreSeries]:
+    """One series per (token, metric) key, in key order, from parallel rows."""
+    groups: dict[tuple[str, Metric], list[int]] = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return [
+        ScoreSeries.from_columns(token, metric, *_by_date(
+            list(map(days.__getitem__, indices)), tuple(map(values.__getitem__, indices))
+        ))
+        for (token, metric), indices in sorted(groups.items())
+    ]
 
 
 # --- universe files ------------------------------------------------------
@@ -440,16 +453,12 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
         universe[tid] = TokenInputs(
             role=roles[tid],
             series=series,
-            volatility=None if series is not None else _first(vol_table.get(tid)),
+            volatility=vol_table[tid][0] if series is None and tid in vol_table else None,
             holders=holders,
             sentiment=sentiment,
             fgi=None if sentiment is not None else fgi_table.get(tid),
         )
     return universe
-
-
-def _first(pair):
-    return pair[0] if pair is not None else None
 
 
 # --- remote market data ----------------------------------------------------
@@ -679,7 +688,7 @@ class MarketDataClient:
             records = []
             for item in self._fetch_pages(token_id, start, end):
                 try:
-                    day = Date.fromisoformat(str(_dig(item, fields["date"])))
+                    (day,) = iso_days([str(_dig(item, fields["date"]))])
                     records.append({"date": day.isoformat()} | {
                         name: float(_dig(item, fields[name])) for name in BARS_HEADER[1:]
                     })

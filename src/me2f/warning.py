@@ -12,10 +12,11 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
-from itertools import combinations, pairwise
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NonMonotonicDates, WindowTooShort
+from .domain import _DailySeries
+from .errors import OutOfRange, WindowTooShort
 
 
 class Metric(str, Enum):
@@ -35,25 +36,23 @@ class ScorePoint:
     date: Date
     value: float
 
-    def __post_init__(self):
+    def __post_init__(self):  # the message opens with the failing "field="
         if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"score value {self.value!r} on {self.date} must be >= 0")
+            raise OutOfRange(f"value={self.value!r} on {self.date} must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
-    token_id: str
+@dataclass(frozen=True, init=False)
+class ScoreSeries(_DailySeries):
+    """Date-ascending history of one score: ``ScoreSeries(token_id, metric, points)``."""
+
     metric: Metric
-    points: tuple[ScorePoint, ...]
+    dates: tuple[Date, ...]
+    value: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        for prev, cur in pairwise(self.points):
-            if cur.date <= prev.date:
-                raise NonMonotonicDates(
-                    f"{self.token_id} {self.metric.value}: "
-                    f"duplicate or out-of-order date {cur.date}"
-                )
+    row_type = ScorePoint
+
+    def _columns_ok(self) -> bool:
+        return all(map(math.isfinite, self.value)) and min(self.value) >= 0
 
 
 @dataclass(frozen=True)
@@ -99,17 +98,17 @@ def rolling_flags(
         raise ValueError(f"threshold={threshold} must be in (0, 1)")
     flags: list[WarningFlag] = []
     window: list[float] = []
-    points = series.points
-    for i, point in enumerate(points):
+    values = series.value
+    for i, value in enumerate(values):
         if i >= window_days:
-            window.pop(bisect_left(window, points[i - window_days].value))
-        insort(window, point.value)
+            window.pop(bisect_left(window, values[i - window_days]))
+        insort(window, value)
         if i < window_days - 1:
             continue
-        percentile = bisect_left(window, point.value) / window_days
+        percentile = bisect_left(window, value) / window_days
         if percentile >= threshold:
             flags.append(
-                WarningFlag(series.token_id, series.metric, point.date, point.value, percentile)
+                WarningFlag(series.token_id, series.metric, series.dates[i], value, percentile)
             )
     return flags
 

@@ -63,6 +63,12 @@ class TestScore:
         assert result.exit_code == 2
         assert "empty.json" in result.output
 
+    def test_fewer_than_two_holders_exits_2(self, tmp_path):
+        result = run("score", "--universe", REFERENCE_DIR / "universe.json",
+                     "--out", tmp_path / "o", "--n", 1)
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith("error: n=1")
+
     def test_unknown_format_exits_2(self, tmp_path):
         result = run("score", "--universe", REFERENCE_DIR / "universe.json",
                      "--out", tmp_path / "o", "--format", "pdf")
@@ -268,16 +274,14 @@ class TestBarsCsvRoundTrip:
 
 class TestFetchCommand:
     def test_bad_date_exits_2(self, tmp_path):
-        provider = tmp_path / "p.json"
-        provider.write_text(json.dumps({
-            "name": "p", "base_url": "https://x",
-            "fields": {"date": "d", "high": "h", "low": "l", "close": "c",
-                       "volume_usd": "v", "market_cap_usd": "m"},
-        }))
-        result = run("fetch", "--provider-config", provider, "--token", "X",
-                     "--start", "not-a-date", "--end", "2024-01-02",
-                     "--cache-dir", tmp_path / "cache")
-        assert result.exit_code == 2
+        # Python 3.11's date.fromisoformat takes the last two; the loaders' rule does not.
+        # The provider config does not exist: the dates are checked first.
+        for bad in ["not-a-date", "2024W012", "20240103"]:
+            for start, end in [(bad, "2024-01-02"), ("2024-01-01", bad)]:
+                result = run("fetch", "--provider-config", tmp_path / "nope.json", "--token", "X",
+                             "--start", start, "--end", end, "--cache-dir", tmp_path / "cache")
+                assert_clean_exit(result, 2)
+                assert repr(bad) in result.stderr
 
     def test_missing_provider_config_exits_2(self, tmp_path):
         result = run("fetch", "--provider-config", tmp_path / "nope.json", "--token", "X",
@@ -436,6 +440,9 @@ class TestReportReadingErrors:
     @pytest.mark.parametrize("name,text", [
         ("not_json", "{not json"),
         ("bad_end", json.dumps({**GOOD_REPORT, "window": {"end": "2025-13-01"}})),
+        # Python 3.11's date.fromisoformat takes these; the loaders' rule does not
+        ("week_end", json.dumps({**GOOD_REPORT, "window": {"end": "2024W012"}})),
+        ("basic_end", json.dumps({**GOOD_REPORT, "window": {"end": "20240103"}})),
         ("no_id", json.dumps({**GOOD_REPORT, "tokens": [{"raw": {"vds": 0.5}}]})),
     ])
     def test_warn_on_a_bad_report_exits_3_naming_it(self, tmp_path, name, text):

@@ -1,9 +1,13 @@
 """Domain type invariants and validation."""
 from __future__ import annotations
 
+import math
 from datetime import date
+from itertools import pairwise
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from me2f.domain import (
     ChainRole,
@@ -13,6 +17,7 @@ from me2f.domain import (
     SentimentPoint,
     SentimentSeries,
     TokenSeries,
+    check_share_sum,
     validate_series,
 )
 from me2f.errors import (
@@ -146,6 +151,42 @@ class TestHolderSnapshot:
     def test_fewer_than_n_holders_valid(self):
         assert HolderSnapshot("X", (0.4,)).shares == (0.4,)
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_bulk_check_matches_per_share_oracle(self, data):
+        shares = sorted(data.draw(st.lists(st.floats(0.0, 0.3), max_size=8)), reverse=True)
+        for _ in range(data.draw(st.integers(0, 2)) if shares else 0):
+            i = data.draw(st.integers(0, len(shares) - 1))
+            if data.draw(st.booleans()):
+                shares[i] = data.draw(st.sampled_from(SHARE_EDGES))
+            else:
+                j = data.draw(st.integers(0, len(shares) - 1))
+                shares[i], shares[j] = shares[j], shares[i]
+        assert holder_outcome(HolderSnapshot, shares) == holder_outcome(oracle_snapshot, shares)
+
+
+SHARE_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-12, -0.5, 1.0, 1.0 + 1e-12, 1.5]
+
+
+def oracle_snapshot(token_id, shares):
+    """The per-share checks of ``HolderSnapshot``, one share and one pair at a time."""
+    for k, share in enumerate(shares):
+        if not math.isfinite(share) or share < 0 or share > 1:
+            raise InvalidShares(f"share #{k + 1} = {share!r} outside [0, 1]")
+    for k, (bigger, smaller) in enumerate(pairwise(shares)):
+        if smaller > bigger:
+            raise InvalidShares(f"shares not descending at position {k + 2}")
+    check_share_sum(shares)
+
+
+def holder_outcome(check, shares):
+    """None when ``shares`` pass, else the error's class and message."""
+    try:
+        check("X", tuple(shares))
+    except InvalidShares as exc:
+        return type(exc), str(exc)
+    return None
+
 
 class TestSentimentSeries:
     def test_fgi_bounds(self):
@@ -177,6 +218,7 @@ class TestFrameworkParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 1.5}, {"alpha": -0.1}, {"beta": 0.0}, {"gamma": -1.0},
         {"delta": 0.0}, {"n": 0}, {"n": 2.5}, {"scale_unit": 0.0},
+        {"n": 1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

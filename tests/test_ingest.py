@@ -6,6 +6,7 @@ import math
 import random
 import re
 from datetime import date, datetime, timedelta, timezone
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -36,18 +37,21 @@ from me2f.errors import (
 )
 from me2f.ingest import (
     BARS_HEADER,
+    HISTORY_HEADER,
     SENTIMENT_HEADER,
     MarketDataClient,
     ProviderEndpointSpec,
     RateLimiter,
     load_bars_csv,
     load_fgi_table,
+    load_history_csv,
     load_holders_csv,
     load_provider_config,
     load_sentiment_csv,
     load_universe,
     load_volatility_table,
 )
+from me2f.warning import Metric, ScorePoint, ScoreSeries
 from conftest import REFERENCE_DIR
 
 PARAMS = FrameworkParams()
@@ -444,6 +448,13 @@ class TestMarketDataClient:
         with pytest.raises(ParseError):
             client.fetch_daily("DOGE", self.START, self.START)
 
+    def test_record_date_follows_the_loaders_rule(self, tmp_path):
+        records = day_records(self.START, 1)
+        records[0]["d"] = self.START.strftime("%Y%m%d")  # Python 3.11's fromisoformat takes it
+        client, _ = make_client(tmp_path, FakeSession(records, page_size=10), make_provider(page_size=10))
+        with pytest.raises(ParseError, match="YYYY-MM-DD"):
+            client.fetch_daily("DOGE", self.START, self.START)
+
     def test_api_key_from_environment(self, tmp_path, monkeypatch):
         provider = make_provider(page_size=10, api_key_header="x-api-key")
         assert provider.api_key_env() == "ME2F_API_KEY_FAKEPROV"
@@ -740,6 +751,91 @@ class TestColumnarLoadersMatchRowOracle:
         assert load_bars_csv(write(tmp_path, "a.csv", text), token_id="X") == load_bars_csv(
             write(tmp_path, "b.csv", BARS_OK), token_id="X"
         )
+
+
+# --- row-by-row oracle for the history loader ------------------------------
+#
+# Every cell stripped and parsed on its own, in file order: date, token,
+# metric, value (through ScorePoint), then a repeated (token, metric, date)
+# at its later line. The rows are grouped into one ScoreSeries per (token,
+# metric), each sorted by date, in (token, metric) order.
+
+def oracle_load_history(path: Path, token_id=None) -> list[ScoreSeries]:
+    grouped, seen = defaultdict(list), set()
+    for lineno, (day_raw, token, metric_raw, value_raw) in oracle_rows(path, HISTORY_HEADER):
+        day = oracle_date(path, lineno, day_raw)
+        if not token:
+            raise MalformedRow(path, lineno, "token", "empty token id")
+        try:
+            metric = Metric(metric_raw)
+        except ValueError:
+            raise MalformedRow(path, lineno, "metric", f"unknown metric {metric_raw!r}") from None
+        value = oracle_float(path, lineno, "value", value_raw)
+        point = oracle_row(path, lineno, ScorePoint, day, (value,))
+        if (token, metric, day) in seen:
+            raise MalformedRow(path, lineno, "date",
+                               f"duplicate row for token {token!r}, {metric.value}, {day}")
+        seen.add((token, metric, day))
+        grouped[token, metric].append(point)
+    return [
+        ScoreSeries(token, metric, sorted(points, key=lambda p: p.date))
+        for (token, metric), points in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
+    ]
+
+
+@st.composite
+def history_csv(draw):
+    """Unique (day, token, metric) rows in any order (often date order), then
+    up to three mutations, sometimes a row with a cell too many or too few,
+    then blank lines anywhere."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["X", "PEPE"]),
+                                   st.sampled_from([m.value for m in Metric])),
+                         min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        keys.sort()
+    rows = [[str(date(2024, 1, 1) + timedelta(days=d)), token, metric,
+             repr(draw(st.floats(0.0, 10.0)))] for d, token, metric in keys]
+    n = len(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["value", "repeat", "date", "token", "metric", "pad"]))
+        if kind == "value":
+            rows[i][3] = draw(st.sampled_from(["-0.5", "-1e-9", "1e-320", *BAD_NUMBERS]))
+        elif kind == "repeat":  # row j's key again, before or after it
+            rows[i][:3] = rows[j][:3]
+        elif kind == "date":
+            rows[i][0] = draw(st.sampled_from(BAD_DATES))
+        elif kind == "token":
+            rows[i][1] = draw(st.sampled_from(["", "  ", " X", "PEPE\t"]))
+        elif kind == "metric":
+            rows[i][2] = draw(st.sampled_from(["VDS", "risk", "", " vds", "sas "]))
+        else:
+            col = draw(st.integers(0, 3))
+            rows[i][col] = f"  {rows[i][col]}\t"
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    lines = [",".join(HISTORY_HEADER)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(BLANKS)))
+    return "\n".join(lines) + "\n"
+
+
+class TestHistoryLoaderMatchesRowOracle:
+    """Same series, or the same error class and message (file, line, column)."""
+
+    @given(text=history_csv())
+    @FILE_SETTINGS
+    def test_history(self, tmp_path, text):
+        path = write(tmp_path, "history.csv", text)
+        assert outcome(lambda p, _: load_history_csv(p), path) == outcome(oracle_load_history, path)
+
+    def test_repeat_is_named_before_a_later_bad_cell(self, tmp_path):
+        text = ("date,token,metric,value\n2024-01-02,X,vds,1\n2024-01-01,X,vds,2\n"
+                "2024-01-02,X,vds,3\n2024-01-03,X,vds,oops\n")
+        with pytest.raises(MalformedRow) as err:
+            load_history_csv(write(tmp_path, "h.csv", text))
+        assert (err.value.line, err.value.column) == (4, "date")
 
 
 class TestPhysicalLineNumbers:

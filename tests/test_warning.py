@@ -1,6 +1,7 @@
 """Rolling-window flags, joint spikes, and action buckets."""
 from __future__ import annotations
 
+import math
 import random
 from datetime import date, timedelta
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from me2f.errors import WindowTooShort
+from me2f.errors import NonMonotonicDates, OutOfRange, WindowTooShort
 from me2f.warning import (
     ActionBucket,
     BucketAssignment,
@@ -45,6 +46,24 @@ def brute_force_flag_days(values, window, threshold):
         if percentile >= threshold:
             out.append(t)
     return out
+
+
+class TestScoreSeries:
+    def test_rows_and_columns_build_the_same_series(self):
+        s = series([1.0, 0.0, 2.5], metric=Metric.SAS)
+        dates = [DAY0 + timedelta(days=i) for i in range(3)]
+        assert s == ScoreSeries.from_columns("X", Metric.SAS, dates, [1.0, 0.0, 2.5])
+        assert (s.token_id, s.metric, s.dates, s.value) == ("X", Metric.SAS, tuple(dates), (1.0, 0.0, 2.5))
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_value_raises_out_of_range_naming_the_field(self, bad):
+        dates = [DAY0 + timedelta(days=i) for i in range(3)]
+        with pytest.raises(OutOfRange, match=r"^value="):
+            ScoreSeries.from_columns("X", Metric.VDS, dates, [1.0, bad, 2.0])
+
+    def test_repeated_date_rejected(self):
+        with pytest.raises(NonMonotonicDates):
+            ScoreSeries.from_columns("X", Metric.VDS, [DAY0, DAY0], [1.0, 2.0])
 
 
 class TestRollingFlags:
