@@ -56,17 +56,18 @@ def _window_dict(window: tuple[Date, Date] | None) -> dict | None:
 
 
 def _token_entry(t: TokenReport) -> dict:
-    if t.role.is_standalone:
+    inputs = t.inputs
+    if inputs.role.is_standalone:
         role = {"kind": "standalone"}
     else:
-        role = {"kind": "hosted", "base": t.role.base}
+        role = {"kind": "hosted", "base": inputs.role.base}
     volatility = None
-    if t.volatility is not None:
+    if inputs.volatility is not None:
         volatility = {
-            "avg_vol_pct": round(t.volatility.avg_vol * 100, 2),
-            "max_vol_pct": round(t.volatility.max_vol * 100, 2),
-            "max_volume": t.volatility.max_volume,
-            "max_mcap": t.volatility.max_mcap,
+            "avg_vol_pct": round(inputs.volatility.avg_vol * 100, 2),
+            "max_vol_pct": round(inputs.volatility.max_vol * 100, 2),
+            "max_volume": inputs.volatility.max_volume,
+            "max_mcap": inputs.volatility.max_mcap,
         }
     concentration = None
     if t.concentration is not None:
@@ -76,16 +77,16 @@ def _token_entry(t: TokenReport) -> dict:
             "internal": t.concentration.n_internal,
         }
     fgi = None
-    if t.fgi is not None:
+    if inputs.fgi is not None:
         fgi = {
-            "f_bar": t.fgi.f_bar,
-            "f_max": t.fgi.f_max,
-            "f_min": t.fgi.f_min,
-            "r_f": t.fgi.r_f,
-            "q_g_pct": round(t.fgi.q_g * 100, 2),
-            "q_f_pct": round(t.fgi.q_f * 100, 2),
-            "delta_f_max": t.fgi.delta_f_max,
-            "delta_p_max_pct": round(t.fgi.delta_p_max * 100, 2),
+            "f_bar": inputs.fgi.f_bar,
+            "f_max": inputs.fgi.f_max,
+            "f_min": inputs.fgi.f_min,
+            "r_f": inputs.fgi.r_f,
+            "q_g_pct": round(inputs.fgi.q_g * 100, 2),
+            "q_f_pct": round(inputs.fgi.q_f * 100, 2),
+            "delta_f_max": inputs.fgi.delta_f_max,
+            "delta_p_max_pct": round(inputs.fgi.delta_p_max * 100, 2),
         }
     return {
         "id": t.token_id,
@@ -95,7 +96,7 @@ def _token_entry(t: TokenReport) -> dict:
         "sas": _round_or_none(t.sas, 3),
         "raw": {"vds": t.vds, "wds": t.wds, "sas": t.sas},
         "inputs": {"volatility": volatility, "concentration": concentration, "fgi": fgi},
-        "window": _window_dict(t.window),
+        "window": _window_dict(inputs.window),
         "warnings": list(t.warnings),
     }
 
@@ -373,6 +374,8 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
     """Raise rolling-window early-warning flags over score histories."""
 
     def run():
+        if window_days < 2:
+            raise ConfigError(f"--window {window_days} must be >= 2")
         if not 0 < threshold < 1:
             raise ConfigError(f"--threshold {threshold} must be in (0, 1)")
         if x_days < 0:

@@ -53,6 +53,11 @@ class FgiOutOfRange(OutOfRange):
     """A fear-and-greed index value is outside [0, 100]."""
 
 
+class InvalidSummary(DataError):
+    """A per-token summary (volatility aggregate, FGI indicators,
+    concentration) breaks its invariants."""
+
+
 # --- volatility pipeline -----------------------------------------------
 
 class ZeroPrevClose(DataError):
@@ -83,7 +88,7 @@ class DegenerateMaxima(DataError):
 
 # --- early warning -----------------------------------------------------
 
-class WindowTooShort(DataError):
+class WindowTooShort(ConfigError):
     """Rolling window must span at least 2 observations."""
 
 

@@ -80,9 +80,12 @@ def _read_rows(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[lis
     shows. The first non-blank line must equal one of ``headers`` and
     every data row must have as many cells as it. Cells are not stripped:
     ``float`` ignores surrounding blanks, and callers strip the text cells
-    they use.
+    they use. A file that cannot be read as UTF-8 text is a ``DataError``.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeError) as exc:  # missing, a directory, not UTF-8
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
     if all(map(str.strip, lines)):
         numbers: Sequence[int] = range(1, len(lines) + 1)
     else:
@@ -284,7 +287,7 @@ def load_volatility_table(
             raise MalformedRow(path, lineno, "chain_role", f"unknown role {role_raw!r}")
         try:
             agg = VolatilityAggregate(token, avg_pct / 100.0, max_pct / 100.0, volume, mcap)
-        except ValueError as exc:
+        except DataError as exc:
             raise MalformedRow(path, lineno, "avg_vol_pct", str(exc)) from None
         out[token] = (agg, role)
     return out
@@ -315,13 +318,12 @@ def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
                 f_bar=f_bar,
                 f_max=f_max,
                 f_min=f_min,
-                r_f=f_max - f_min,
                 q_g=q_g_pct / 100.0,
                 q_f=q_f_pct / 100.0,
                 delta_f_max=delta_f,
                 delta_p_max=delta_p_pct / 100.0,
             )
-        except ValueError as exc:
+        except DataError as exc:
             column = "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct"
             raise MalformedRow(path, lineno, column, str(exc)) from None
     return out
@@ -386,7 +388,9 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
     The file lists per-token raw data files and/or pre-aggregated summary
     tables; relative paths resolve against the universe file's directory.
-    Explicit per-token files take precedence over table rows.
+    A token's table rows pass through beside its files: ``build_context``
+    lets a raw series replace its summary. Every entry is checked before
+    any data file is read; a bad or repeated entry is a ``ConfigError``.
     """
     path = Path(path)
     try:
@@ -397,66 +401,66 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
         raise ConfigError(f"universe file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"universe file {path} must contain a JSON object")
-    base_dir = path.parent
+    where = f"universe file {path}"
 
-    vol_table: dict[str, tuple[VolatilityAggregate, ChainRole]] = {}
-    if doc.get("volatility_table"):
-        vol_table = load_volatility_table(base_dir / doc["volatility_table"])
-    fgi_table: dict[str, FgiIndicators] = {}
-    if doc.get("fgi_table"):
-        fgi_table = load_fgi_table(base_dir / doc["fgi_table"])
+    def file_at(obj: dict, key: str, owner: str = "") -> Path | None:
+        value = obj.get(key)
+        if value is None:
+            return None
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{where}: {owner}{key!r} must be a file name, not {value!r}")
+        return path.parent / value
 
+    vol_path, fgi_path = file_at(doc, "volatility_table"), file_at(doc, "fgi_table")
     entries = doc.get("tokens", [])
     if not isinstance(entries, list):
-        raise ConfigError(f"universe file {path}: 'tokens' must be a list")
+        raise ConfigError(f"{where}: 'tokens' must be a list")
 
-    roles: dict[str, ChainRole] = {tid: role for tid, (_, role) in vol_table.items()}
-    inputs_cfg: dict[str, dict] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ConfigError(f"universe file {path}: each token entry needs an 'id'")
-        tid = entry["id"]
-        inputs_cfg[tid] = entry
+    roles: dict[str, ChainRole] = {}
+    files: dict[str, tuple] = {}
+    for number, entry in enumerate(entries, start=1):
+        tid = entry.get("id") if isinstance(entry, dict) else None
+        if not isinstance(tid, str) or not tid:
+            raise ConfigError(f"{where}: token entry {number} needs a non-empty string 'id'")
+        if tid in files:
+            raise ConfigError(f"{where}: token entry {number} repeats the id {tid!r}")
+        owner = f"token {tid!r}: "
+        exclude = entry.get("exclude_addresses", [])
+        if not isinstance(exclude, list) or not all(isinstance(a, str) for a in exclude):
+            raise ConfigError(f"{where}: {owner}'exclude_addresses' must be a list of strings")
+        files[tid] = (*(file_at(entry, key, owner) for key in ("bars", "holders", "sentiment")),
+                      exclude)
         role_raw = entry.get("role")
         if role_raw == "standalone":
             roles[tid] = ChainRole.standalone()
         elif role_raw == "hosted":
-            if not entry.get("base"):
-                raise ConfigError(f"universe file {path}: hosted token {tid} needs a 'base'")
-            roles[tid] = ChainRole.hosted_on(entry["base"])
+            base = entry.get("base")
+            if not isinstance(base, str) or not base:
+                raise ConfigError(f"{where}: hosted token {tid} needs a 'base'")
+            roles[tid] = ChainRole.hosted_on(base)
         elif role_raw is not None:
-            raise ConfigError(f"universe file {path}: unknown role {role_raw!r} for {tid}")
+            raise ConfigError(f"{where}: unknown role {role_raw!r} for {tid}")
 
-    token_ids = sorted(set(vol_table) | set(fgi_table) | set(inputs_cfg))
+    vol_table = {} if vol_path is None else load_volatility_table(vol_path)
+    fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
+    roles = {tid: role for tid, (_, role) in vol_table.items()} | roles
+    token_ids = sorted(set(vol_table) | set(fgi_table) | set(files))
     if not token_ids:
-        raise EmptyUniverse(f"universe file {path} names no tokens")
+        raise EmptyUniverse(f"{where} names no tokens")
 
     universe: dict[str, TokenInputs] = {}
     for tid in token_ids:
         if tid not in roles:
-            raise ConfigError(f"universe file {path}: no chain role known for {tid}")
-        entry = inputs_cfg.get(tid, {})
-        series = None
-        if entry.get("bars"):
-            series = load_bars_csv(base_dir / entry["bars"], token_id=tid)
-        holders = None
-        if entry.get("holders"):
-            holders = load_holders_csv(
-                base_dir / entry["holders"],
-                token_id=tid,
-                n=params.n,
-                exclude=entry.get("exclude_addresses", ()),
-            )
-        sentiment = None
-        if entry.get("sentiment"):
-            sentiment = load_sentiment_csv(base_dir / entry["sentiment"], token_id=tid)
+            raise ConfigError(f"{where}: no chain role known for {tid}")
+        bars, holders, sentiment, exclude = files.get(tid, (None, None, None, ()))
         universe[tid] = TokenInputs(
             role=roles[tid],
-            series=series,
-            volatility=vol_table[tid][0] if series is None and tid in vol_table else None,
-            holders=holders,
-            sentiment=sentiment,
-            fgi=None if sentiment is not None else fgi_table.get(tid),
+            series=None if bars is None else load_bars_csv(bars, token_id=tid),
+            volatility=vol_table[tid][0] if tid in vol_table else None,
+            holders=None if holders is None else load_holders_csv(
+                holders, token_id=tid, n=params.n, exclude=exclude),
+            sentiment=None if sentiment is None else load_sentiment_csv(sentiment, token_id=tid),
+            fgi=fgi_table.get(tid),
         )
     return universe
 

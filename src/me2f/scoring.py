@@ -7,7 +7,7 @@ of aborting the universe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from typing import Mapping
 
@@ -27,7 +27,8 @@ from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 @dataclass(frozen=True)
 class TokenInputs:
     """Everything supplied for one token; unset inputs disable the
-    corresponding score."""
+    corresponding score. In a ``ScoringContext`` ``volatility`` and ``fgi``
+    are resolved: a raw series, when given, replaces its summary."""
 
     role: ChainRole
     series: TokenSeries | None = None
@@ -36,37 +37,30 @@ class TokenInputs:
     sentiment: SentimentSeries | None = None
     fgi: sent.FgiIndicators | None = None
 
-
-@dataclass(frozen=True)
-class TokenMember:
-    """Resolved per-token inputs after aggregation and validation."""
-
-    token_id: str
-    role: ChainRole
-    volatility: vol.VolatilityAggregate | None
-    holders: HolderSnapshot | None
-    fgi: sent.FgiIndicators | None
-    window: tuple[Date, Date] | None
+    @property
+    def window(self) -> tuple[Date, Date] | None:
+        """The bars' date span, else the sentiment span; None without either."""
+        for series in (self.series, self.sentiment):
+            if series is not None and series.dates:
+                return series.window()
+        return None
 
 
 @dataclass(frozen=True)
 class ScoringContext:
     params: FrameworkParams
-    members: dict[str, TokenMember]
+    members: dict[str, TokenInputs]
     sent_maxima: sent.SentimentMaxima | None
 
 
 @dataclass(frozen=True)
 class TokenReport:
     token_id: str
-    role: ChainRole
+    inputs: TokenInputs
     vds: float | None
     wds: float | None
     sas: float | None
-    volatility: vol.VolatilityAggregate | None
     concentration: whale.ConcentrationResult | None
-    fgi: sent.FgiIndicators | None
-    window: tuple[Date, Date] | None
     warnings: tuple[str, ...] = ()
 
 
@@ -84,8 +78,9 @@ def build_context(
     """Validate a universe and compute its cross-sectional sentiment maxima.
 
     Raw series are aggregated here (volatility via ``params.scale_unit``,
-    sentiment into FGI indicators); hosted tokens must name a standalone
-    base that is present in the universe.
+    sentiment into FGI indicators) and replace any summary given beside
+    them; a token without series is stored as given. Hosted tokens must
+    name a standalone base that is present in the universe.
     """
     if not inputs:
         raise EmptyUniverse("scoring universe contains no tokens")
@@ -98,28 +93,13 @@ def build_context(
         if not inputs[base].role.is_standalone:
             raise MissingBaseChain(f"{token_id}: base chain {base!r} is itself hosted")
 
-    members: dict[str, TokenMember] = {}
+    members: dict[str, TokenInputs] = {}
     for token_id, ti in sorted(inputs.items()):
-        aggregate = ti.volatility
-        window = None
         if ti.series is not None:
-            window = ti.series.window()
-            if aggregate is None:
-                aggregate = vol.aggregate(ti.series, params.scale_unit)
-        fgi = ti.fgi
+            ti = replace(ti, volatility=vol.aggregate(ti.series, params.scale_unit))
         if ti.sentiment is not None:
-            if window is None:
-                window = ti.sentiment.window()
-            if fgi is None:
-                fgi = sent.fgi_indicators(ti.sentiment)
-        members[token_id] = TokenMember(
-            token_id=token_id,
-            role=ti.role,
-            volatility=aggregate,
-            holders=ti.holders,
-            fgi=fgi,
-            window=window,
-        )
+            ti = replace(ti, fgi=sent.fgi_indicators(ti.sentiment))
+        members[token_id] = ti
     fgis = [m.fgi for m in members.values() if m.fgi is not None]
     sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
     return ScoringContext(params, members, sent_maxima)
@@ -185,25 +165,13 @@ def score_universe(ctx: ScoringContext) -> FragilityReport:
             except Me2fError as exc:
                 notes.append(f"sas failed: {exc}")
 
-        reports.append(
-            TokenReport(
-                token_id=token_id,
-                role=member.role,
-                vds=vds_value,
-                wds=wds_value,
-                sas=sas_value,
-                volatility=member.volatility,
-                concentration=conc,
-                fgi=member.fgi,
-                window=member.window,
-                warnings=tuple(notes),
-            )
-        )
+        reports.append(TokenReport(token_id, member, vds_value, wds_value, sas_value,
+                                   conc, tuple(notes)))
 
     # Display order: ascending VDS (the classic summary-table layout),
     # score-less tokens last, ties broken by id for determinism.
     reports.sort(key=lambda r: (r.vds is None, r.vds if r.vds is not None else 0.0, r.token_id))
-    windows = [r.window for r in reports if r.window is not None]
+    windows = [w for w in (r.inputs.window for r in reports) if w is not None]
     universe_window = None
     if windows:
         universe_window = (min(w[0] for w in windows), max(w[1] for w in windows))

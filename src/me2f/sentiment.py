@@ -14,7 +14,7 @@ from operator import sub
 from typing import Iterable
 
 from .domain import SentimentSeries
-from .errors import DegenerateMaxima, InsufficientHistory, OutOfRange
+from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
 _EXTREME_FEAR_BELOW = 20.0
@@ -61,7 +61,6 @@ class FgiIndicators:
     f_bar: float
     f_max: float
     f_min: float
-    r_f: float
     q_g: float
     q_f: float
     delta_f_max: float
@@ -69,11 +68,14 @@ class FgiIndicators:
 
     def __post_init__(self):
         if not self.f_min <= self.f_bar <= self.f_max:
-            raise ValueError(f"{self.token_id}: f_min <= f_bar <= f_max violated")
-        if abs(self.r_f - (self.f_max - self.f_min)) > 1e-9:
-            raise ValueError(f"{self.token_id}: r_f != f_max - f_min")
+            raise InvalidSummary(f"{self.token_id}: f_min <= f_bar <= f_max violated")
         if self.q_g < 0 or self.q_f < 0 or self.q_g + self.q_f > 1 + 1e-9:
-            raise ValueError(f"{self.token_id}: q_g + q_f outside [0, 1]")
+            raise InvalidSummary(f"{self.token_id}: q_g + q_f outside [0, 1]")
+
+    @property
+    def r_f(self) -> float:
+        """The FGI range, f_max - f_min."""
+        return self.f_max - self.f_min
 
 
 def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
@@ -88,14 +90,11 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
         raise InsufficientHistory(
             f"{series.token_id}: need >= 2 sentiment points, got {n}"
         )
-    f_max = max(values)
-    f_min = min(values)
     return FgiIndicators(
         token_id=series.token_id,
         f_bar=math.fsum(values) / n,
-        f_max=f_max,
-        f_min=f_min,
-        r_f=f_max - f_min,
+        f_max=max(values),
+        f_min=min(values),
         q_g=sum(map(_EXTREME_GREED_FROM.__le__, values)) / n,
         q_f=sum(map(_EXTREME_FEAR_BELOW.__gt__, values)) / n,
         delta_f_max=max(map(abs, map(sub, values[1:], values[:-1]))),

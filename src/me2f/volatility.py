@@ -15,6 +15,7 @@ from .domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
 from .errors import (
     DegenerateUniverse,
     InsufficientHistory,
+    InvalidSummary,
     MissingBaseChain,
     NonPositiveScale,
     ZeroPrevClose,
@@ -40,7 +41,7 @@ class VolatilityAggregate:
 
     def __post_init__(self):
         if not 0 <= self.avg_vol <= self.max_vol:
-            raise ValueError(
+            raise InvalidSummary(
                 f"{self.token_id}: need 0 <= avg_vol <= max_vol, "
                 f"got ({self.avg_vol}, {self.max_vol})"
             )

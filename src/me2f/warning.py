@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .domain import _DailySeries
-from .errors import OutOfRange, WindowTooShort
+from .errors import ConfigError, OutOfRange, WindowTooShort
 
 
 class Metric(str, Enum):
@@ -95,7 +95,7 @@ def rolling_flags(
     if window_days < 2:
         raise WindowTooShort(f"window_days={window_days} must be >= 2")
     if not 0 < threshold < 1:
-        raise ValueError(f"threshold={threshold} must be in (0, 1)")
+        raise ConfigError(f"threshold={threshold} must be in (0, 1)")
     flags: list[WarningFlag] = []
     window: list[float] = []
     values = series.value
@@ -136,7 +136,7 @@ def joint_spike(
     bisection. Cost is O(F log F) in the number of flags F.
     """
     if x_days < 0:
-        raise ValueError(f"x_days={x_days} must be >= 0")
+        raise ConfigError(f"x_days={x_days} must be >= 0")
     metrics = [m for m in Metric if flags_by_metric.get(m)]
     days = {m: _flag_days(flags_by_metric[m]) for m in metrics}
     events: set[JointSpike] = set()
@@ -177,7 +177,7 @@ def assign_buckets(
     one bisection: O(F log F) in the number of flags F.
     """
     if x_days < 0:
-        raise ValueError(f"x_days={x_days} must be >= 0")
+        raise ConfigError(f"x_days={x_days} must be >= 0")
     all_flags = [f for flags in flags_by_metric.values() for f in flags]
     if not all_flags:
         return []

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import HolderSnapshot
+from .errors import ConfigError, InvalidSummary
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,9 @@ class ConcentrationResult:
 
     def __post_init__(self):
         if not 0 <= self.c <= 1:
-            raise ValueError(f"{self.token_id}: c={self.c} outside [0, 1]")
+            raise InvalidSummary(f"{self.token_id}: c={self.c} outside [0, 1]")
         if not 0 <= self.n_internal <= 1:
-            raise ValueError(f"{self.token_id}: n_internal={self.n_internal} outside [0, 1]")
+            raise InvalidSummary(f"{self.token_id}: n_internal={self.n_internal} outside [0, 1]")
 
 
 def concentration(snapshot: HolderSnapshot, n: int) -> ConcentrationResult:
@@ -41,7 +42,7 @@ def concentration(snapshot: HolderSnapshot, n: int) -> ConcentrationResult:
     truncated to their top n entries.
     """
     if n < 2:
-        raise ValueError(f"n={n} must be >= 2")
+        raise ConfigError(f"n={n} must be >= 2")
     shares = snapshot.shares[:n]
     total = math.fsum(shares)
     if total == 0:  # exact: shares are >= 0 and fsum rounds correctly

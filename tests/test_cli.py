@@ -200,12 +200,6 @@ class TestWarn:
         buckets = {b["date"]: b["bucket"] for b in doc["buckets"]}
         assert buckets[event["date"]] == "tighten_risk"
 
-    def test_window_too_short_exits_3(self, tmp_path):
-        hist = tmp_path / "h.csv"
-        write_history(hist, [1.0, 2.0, 3.0])
-        result = run("warn", "--history", hist, "--window", 1, "--out", tmp_path / "w")
-        assert result.exit_code == 3
-
     def test_no_inputs_exits_2(self, tmp_path):
         result = run("warn", "--out", tmp_path / "w")
         assert result.exit_code == 2
@@ -298,7 +292,7 @@ class TestWarnInputErrors:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("flag,value", [
-        ("--threshold", 1.5), ("--threshold", 0), ("--x-days", -1),
+        ("--threshold", 1.5), ("--threshold", 0), ("--x-days", -1), ("--window", 1),
     ])
     def test_bad_params_exit_2_before_loading(self, tmp_path, flag, value):
         # the history file does not exist: parameters are checked first
@@ -470,3 +464,86 @@ class TestReportReadingErrors:
                      "--out", tmp_path / "o")
         assert_clean_exit(result, 4)
         assert result.stderr == "internal error: RuntimeError: boom\n"
+
+
+def write_universe(tmp_path, doc):
+    universe = tmp_path / "u.json"
+    universe.write_text(json.dumps(doc))
+    return universe
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("case", [
+        "missing_bars", "directory_bars", "latin1_bars", "missing_volatility_table",
+        "missing_history",
+    ])
+    def test_unreadable_input_exits_3_naming_it(self, tmp_path, case):
+        bad = tmp_path / "in.csv"
+        if case == "directory_bars":
+            bad.mkdir()
+        elif case == "latin1_bars":
+            bad.write_bytes("date,high,low,close,volume_usd,market_cap_usd\n# caf\xe9\n"
+                            .encode("latin-1"))
+        if case == "missing_history":
+            args = ("warn", "--history", bad)
+        else:
+            doc = ({"volatility_table": "in.csv"} if case == "missing_volatility_table"
+                   else {"tokens": [{"id": "X", "role": "standalone", "bars": "in.csv"}]})
+            args = ("score", "--universe", write_universe(tmp_path, doc))
+        result = run(*args, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr.startswith(f"error: {bad}: cannot read")
+
+
+class TestUniverseEntryErrors:
+    @pytest.mark.parametrize("tokens,entry", [
+        ([{"id": 5}], "token entry 1"),
+        ([{"id": "X", "role": "standalone", "bars": 5}], "token 'X': 'bars'"),
+        ([{"id": "X", "role": "standalone", "exclude_addresses": 5}],
+         "token 'X': 'exclude_addresses'"),
+        ([{"id": "", "role": "standalone"}], "token entry 1"),
+        ([{"id": "X", "role": "standalone"}, {"id": "X", "role": "hosted", "base": "ETH"}],
+         "token entry 2 repeats the id 'X'"),
+    ])
+    def test_bad_entry_exits_2_naming_file_and_entry(self, tmp_path, tokens, entry):
+        universe = write_universe(tmp_path, {
+            "volatility_table": str(REFERENCE_DIR / "reference_volatility.csv"),
+            "tokens": tokens,
+        })
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 2)
+        assert f"universe file {universe}: {entry}" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_token_in_tables_and_files_scores_from_its_files(self, tmp_path):
+        # A token with both table rows and raw files scores as if the rows were absent.
+        doge_bars = tmp_path / "doge.csv"
+        doge_bars.write_text("date,high,low,close,volume_usd,market_cap_usd\n"
+                             "2024-01-01,0.11,0.09,0.10,2e9,1.4e10\n"
+                             "2024-01-02,0.12,0.08,0.11,3e9,1.5e10\n"
+                             "2024-01-03,0.13,0.10,0.12,1e9,1.6e10\n")
+        doge_fgi = tmp_path / "doge_fgi.csv"
+        doge_fgi.write_text("date,fgi,abs_return\n2024-01-01,30,\n2024-01-02,85,0.1\n"
+                            "2024-01-03,10,0.09\n")
+        entry = {"id": "DOGE", "role": "standalone", "bars": "doge.csv",
+                 "sentiment": "doge_fgi.csv"}
+        reports = []
+        for name, keep in (("both", lambda line: True),
+                           ("files", lambda line: not line.startswith("DOGE,"))):
+            for table in ("reference_volatility.csv", "reference_fgi.csv"):
+                lines = (REFERENCE_DIR / table).read_text().splitlines(keepends=True)
+                (tmp_path / f"{name}_{table}").write_text("".join(filter(keep, lines)))
+            universe = tmp_path / f"{name}.json"
+            universe.write_text(json.dumps({
+                "volatility_table": f"{name}_reference_volatility.csv",
+                "fgi_table": f"{name}_reference_fgi.csv",
+                "tokens": [entry],
+            }))
+            out = tmp_path / name
+            result = run("score", "--universe", universe, "--out", out)
+            assert result.exit_code == 0, result.output
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        doge = next(t for t in json.loads(reports[0])["tokens"] if t["id"] == "DOGE")
+        assert doge["window"] == {"start": "2024-01-01", "end": "2024-01-03"}
+        assert doge["inputs"]["fgi"]["r_f"] == 75.0

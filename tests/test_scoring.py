@@ -3,15 +3,22 @@ from __future__ import annotations
 
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import pytest
 
 from conftest import EXPECTED_SAS, EXPECTED_VDS, make_series
-from me2f.domain import ChainRole, FrameworkParams, HolderSnapshot
+from me2f.domain import (
+    ChainRole,
+    FrameworkParams,
+    HolderSnapshot,
+    SentimentPoint,
+    SentimentSeries,
+)
 from me2f.errors import EmptyUniverse, MissingBaseChain
 from me2f.scoring import TokenInputs, build_context, score_universe
-from me2f.sentiment import sentiment_maxima
-from me2f.volatility import VolatilityAggregate, normalize_cross_section
+from me2f.sentiment import FgiIndicators, fgi_indicators, sentiment_maxima
+from me2f.volatility import VolatilityAggregate, aggregate, normalize_cross_section
 
 PARAMS = FrameworkParams()
 
@@ -73,6 +80,23 @@ class TestBuildContext:
         assert member.volatility.max_mcap == pytest.approx(9.0)
         assert member.window == (date(2024, 1, 1), date(2024, 1, 2))
 
+    def test_series_replace_summaries_given_beside_them(self):
+        series = make_series("X", highs=[110, 120, 130], lows=[90, 100, 105],
+                             closes=[100, 110, 120], start=date(2024, 2, 1))
+        sentiment = SentimentSeries("X", [SentimentPoint(date(2024, 1, 1), 30.0, None),
+                                          SentimentPoint(date(2024, 1, 2), 70.0, 0.1)])
+        given = TokenInputs(ChainRole.standalone(), series=series,
+                            volatility=_agg("X", 0.5, 0.9, 1.0, 1.0), sentiment=sentiment,
+                            fgi=FgiIndicators("X", 50.0, 90.0, 10.0, 0.1, 0.1, 40.0, 0.2))
+        member = build_context({"X": given}, PARAMS).members["X"]
+        assert member.volatility == aggregate(series, PARAMS.scale_unit)
+        assert member.fgi == fgi_indicators(sentiment)
+        assert member.window == (date(2024, 2, 1), date(2024, 2, 3))
+
+    def test_token_without_series_is_stored_as_given(self, reference_inputs):
+        ctx = build_context(reference_inputs, PARAMS)
+        assert all(ctx.members[tid] is ti for tid, ti in reference_inputs.items())
+
 
 class TestScoreUniverse:
     def test_reference_vds_column(self, reference_inputs):
@@ -91,7 +115,12 @@ class TestScoreUniverse:
         report = score_universe(build_context(reference_inputs, PARAMS))
         libra = next(t for t in report.tokens if t.token_id == "LIBRA")
         assert libra.sas is None
-        assert libra.fgi is None
+        assert libra.inputs.fgi is None
+
+    def test_report_points_at_its_members(self, reference_inputs):
+        ctx = build_context(reference_inputs, PARAMS)
+        report = score_universe(ctx)
+        assert all(t.inputs is ctx.members[t.token_id] for t in report.tokens)
 
     def test_tokens_ordered_by_ascending_vds(self, reference_inputs):
         report = score_universe(build_context(reference_inputs, PARAMS))
@@ -165,3 +194,16 @@ class TestScoreUniverse:
         rescaled_by_id = {t.token_id: t.vds for t in rescaled.tokens}
         if factor != 1.0:
             assert any(rescaled_by_id[t] != base_by_id[t] for t in base_by_id)
+
+
+def test_readme_library_snippet_runs(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)  # the snippet names the fixture relative to the repository
+    exec(compile(snippet, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "ETH", "SOL", "DOGE", "SHIB", "TRUMP", "PEPE", "FLOKI", "MELANIA", "LIBRA"
+    ]

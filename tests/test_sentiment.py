@@ -114,7 +114,7 @@ class TestFgiIndicators:
 
 def _indicator(token="X", f_bar=50.0, f_max=80.0, f_min=20.0, q_g=0.1, q_f=0.1,
                delta_f=10.0, delta_p=0.1):
-    return FgiIndicators(token, f_bar, f_max, f_min, f_max - f_min, q_g, q_f, delta_f, delta_p)
+    return FgiIndicators(token, f_bar, f_max, f_min, q_g, q_f, delta_f, delta_p)
 
 
 class TestInstabilityAndShock:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from me2f.errors import NonMonotonicDates, OutOfRange, WindowTooShort
+from me2f.errors import ConfigError, NonMonotonicDates, OutOfRange, WindowTooShort
 from me2f.warning import (
     ActionBucket,
     BucketAssignment,
@@ -92,7 +92,7 @@ class TestRollingFlags:
             rolling_flags(series([1.0, 2.0]), 1, 0.9)
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             rolling_flags(series([1.0, 2.0]), 5, 1.0)
 
     def test_random_series_match_brute_force(self):
@@ -281,7 +281,7 @@ class TestSweepMatchesOracle:
 
     def test_negative_x_days_rejected(self):
         flags = {Metric.VDS: [flag_on_day(0, Metric.VDS)]}
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             joint_spike(flags, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             assign_buckets(flags, -1)

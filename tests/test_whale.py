@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import HolderSnapshot
+from me2f.errors import ConfigError
 from me2f.whale import concentration, wds
 
 
@@ -76,7 +77,7 @@ class TestInternalConcentration:
         )
 
     def test_n_below_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             concentration(snapshot(0.5, 0.1), 1)
 
 
