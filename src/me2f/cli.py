@@ -11,6 +11,11 @@ Report schemas, by top-level key:
   as null and render as an em dash in tabular output.
 - ``warn`` writes warnings.json with params, warnings, flags,
   joint_events, buckets.
+
+Both files hold the bytes of ``json.dumps(doc, indent=2)`` plus a newline:
+two spaces per nesting level, ASCII-only strings (``\\uXXXX`` escapes),
+floats in ``repr`` form with ``NaN``/``Infinity``/``-Infinity``, and each
+object's keys in the fixed order of its ``_Object`` below.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import sys
 from collections import defaultdict
 from datetime import date as Date
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -27,7 +33,7 @@ import click
 
 from . import ingest, scoring
 from .domain import FrameworkParams, TokenSeries
-from .errors import ConfigError, DataError, Me2fError, MissingReport, NonMonotonicDates
+from .errors import ConfigError, DataError, Me2fError, NonMonotonicDates
 from .ingest import HISTORY_HEADER, MarketDataClient
 from .scoring import FragilityReport, TokenReport
 from .warning import (
@@ -135,8 +141,138 @@ def report_table(report: FragilityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The JSON writers below emit exactly the bytes of ``json.dumps(doc, indent=2)``,
+# whose encoder runs only in pure Python once ``indent`` is set. Each object
+# of the two report schemas is one template of its keys, in order, with its
+# indentation fixed; scalars are encoded by type, as ``json`` encodes them.
+
+def _unencodable(value) -> str:
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_SCALARS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+# float.__repr__ texts that json spells otherwise; no other scalar encodes to
+# these, since strings encode with their quotes
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(values) -> list[str]:
+    """Each scalar as ``json`` encodes it."""
+    texts = [_SCALARS.get(type(v), _unencodable)(v) for v in values]
+    if _NON_FINITE.keys().isdisjoint(texts):
+        return texts
+    return [_NON_FINITE.get(text, text) for text in texts]
+
+
+class _Object:
+    """An object of fixed keys at nesting ``depth``, one ``%s`` per value."""
+
+    def __init__(self, depth: int, *keys: str):
+        pad = "  " * (depth + 1)
+        self.keys = keys
+        self.template = ("{\n" + ",\n".join(f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
+                         + "\n" + "  " * depth + "}")
+
+    def scalars(self, obj: dict | None) -> str:
+        """``obj`` when every value is a scalar; ``null`` for None."""
+        if obj is None:
+            return "null"
+        return self.template % tuple(_encode(map(obj.__getitem__, self.keys)))
+
+
+def _array(texts: list[str], depth: int) -> str:
+    """An array at nesting ``depth`` of already encoded items."""
+    if not texts:
+        return "[]"
+    pad = "  " * (depth + 1)
+    return "[\n" + pad + (",\n" + pad).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _strings(values: list[str], depth: int) -> str:
+    return _array(_encode(values), depth)
+
+
+_SCORE = _Object(0, "params", "window", "tokens", "warnings")
+_SCORE_PARAMS = _Object(1, "alpha", "beta", "gamma", "delta", "n", "scale_unit")
+_REPORT_WINDOW = _Object(1, "start", "end")
+_TOKEN = _Object(2, "id", "role", "vds", "wds", "sas", "raw", "inputs", "window", "warnings")
+_STANDALONE = _Object(3, "kind")
+_HOSTED = _Object(3, "kind", "base")
+_RAW = _Object(3, "vds", "wds", "sas")
+_INPUTS = _Object(3, "volatility", "concentration", "fgi")
+_TOKEN_WINDOW = _Object(3, "start", "end")
+_VOLATILITY = _Object(4, "avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap")
+_CONCENTRATION = _Object(4, "top_share_pct", "hhi", "internal")
+_FGI = _Object(4, "f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct", "delta_f_max",
+               "delta_p_max_pct")
+
+_WARN = _Object(0, "params", "warnings", "flags", "joint_events", "buckets")
+_WARN_PARAMS = _Object(1, "window_days", "threshold", "x_days")
+_FLAG = _Object(2, "token", "metric", "date", "value", "window_percentile")
+_JOINT_EVENT = _Object(2, "token", "date", "metrics")
+_BUCKET = _Object(2, "token", "date", "bucket", "metrics")
+
+
+def _token_json(t: dict) -> str:
+    role, inputs = t["role"], t["inputs"]
+    token_id, vds, wds, sas = _encode([t["id"], t["vds"], t["wds"], t["sas"]])
+    return _TOKEN.template % (
+        token_id,
+        (_HOSTED if "base" in role else _STANDALONE).scalars(role),
+        vds, wds, sas,
+        _RAW.scalars(t["raw"]),
+        _INPUTS.template % (
+            _VOLATILITY.scalars(inputs["volatility"]),
+            _CONCENTRATION.scalars(inputs["concentration"]),
+            _FGI.scalars(inputs["fgi"]),
+        ),
+        _TOKEN_WINDOW.scalars(t["window"]),
+        _strings(t["warnings"], 3),
+    )
+
+
+def _score_json(doc: dict) -> str:
+    return _SCORE.template % (
+        _SCORE_PARAMS.scalars(doc["params"]),
+        _REPORT_WINDOW.scalars(doc["window"]),
+        _array([_token_json(t) for t in doc["tokens"]], 1),
+        _strings(doc["warnings"], 1),
+    )
+
+
+def _warn_json(doc: dict) -> str:
+    return _WARN.template % (
+        _WARN_PARAMS.scalars(doc["params"]),
+        _strings(doc["warnings"], 1),
+        _array([_FLAG.scalars(f) for f in doc["flags"]], 1),
+        _array([_JOINT_EVENT.template % (*_encode([e["token"], e["date"]]),
+                                         _strings(e["metrics"], 3))
+                 for e in doc["joint_events"]], 1),
+        _array([_BUCKET.template % (*_encode([b["token"], b["date"], b["bucket"]]),
+                                    _strings(b["metrics"], 3))
+                for b in doc["buckets"]], 1),
+    )
+
+
+_WRITERS = {_SCORE.keys: _score_json, _WARN.keys: _warn_json}
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, plus a newline.
+
+    ``doc`` is a ``score`` or a ``warn`` document, told apart by its
+    top-level keys.
+    """
+    writer = _WRITERS.get(tuple(doc))
+    if writer is None:
+        raise TypeError(f"no JSON writer for a document with keys {list(doc)}")
+    return writer(doc) + "\n"
 
 
 def bars_to_csv(series: TokenSeries) -> str:
@@ -318,10 +454,10 @@ def score(universe_path, out_dir, formats, **overrides):
 
 
 def _read_report(path: Path) -> dict:
-    if not path.exists():
-        raise MissingReport(f"report file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON report: {exc}") from None
     if not isinstance(doc, dict):

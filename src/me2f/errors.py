@@ -143,7 +143,3 @@ class PartialRange(DataError):
         super().__init__(f"{token_id}: missing {len(missing)} day(s): {head}{more}")
         self.token_id = token_id
         self.missing = missing
-
-
-class MissingReport(DataError):
-    """Report file required by a command does not exist."""

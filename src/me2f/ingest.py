@@ -383,6 +383,10 @@ def _score_series(days: Sequence[Date], keys: Iterable[tuple[str, Metric]],
 
 # --- universe files ------------------------------------------------------
 
+UNIVERSE_KEYS = ("tokens", "volatility_table", "fgi_table")
+UNIVERSE_TOKEN_KEYS = ("id", "role", "base", "bars", "holders", "sentiment", "exclude_addresses")
+
+
 def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenInputs]:
     """Assemble per-token inputs from a universe JSON file.
 
@@ -395,13 +399,22 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"universe file not found: {path}") from None
+    except (OSError, UnicodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"universe file {path}: cannot read: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"universe file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"universe file {path} must contain a JSON object")
     where = f"universe file {path}"
+
+    def reject_unknown_keys(obj: dict, known: tuple[str, ...], owner: str = "") -> None:
+        for key in obj:
+            if key not in known:
+                raise ConfigError(f"{where}: {owner}unknown key {key!r} "
+                                  f"(known keys: {', '.join(known)})")
+
+    reject_unknown_keys(doc, UNIVERSE_KEYS)
 
     def file_at(obj: dict, key: str, owner: str = "") -> Path | None:
         value = obj.get(key)
@@ -425,6 +438,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
         if tid in files:
             raise ConfigError(f"{where}: token entry {number} repeats the id {tid!r}")
         owner = f"token {tid!r}: "
+        reject_unknown_keys(entry, UNIVERSE_TOKEN_KEYS, owner)
         exclude = entry.get("exclude_addresses", [])
         if not isinstance(exclude, list) or not all(isinstance(a, str) for a in exclude):
             raise ConfigError(f"{where}: {owner}'exclude_addresses' must be a list of strings")

@@ -2,14 +2,20 @@
 from __future__ import annotations
 
 import json
+import math
+import random
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR
-from me2f.cli import main
+from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, random_series
+from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
+from me2f.cli import _dumps, main, report_to_dict
 
 runner = CliRunner()
 
@@ -453,6 +459,14 @@ class TestReportReadingErrors:
         assert_clean_exit(result, 3)
         assert str(report) in result.stderr
 
+    @pytest.mark.parametrize("command", ["plot", "warn"])
+    def test_report_that_is_a_directory_exits_3_naming_it(self, tmp_path, command):
+        report = tmp_path / "report.json"
+        report.mkdir()
+        result = run(command, "--report", report, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr.startswith(f"error: {report}: cannot read")
+
     def test_unexpected_exception_exits_4_without_traceback(self, tmp_path, monkeypatch):
         from me2f import ingest
 
@@ -504,6 +518,9 @@ class TestUniverseEntryErrors:
         ([{"id": "", "role": "standalone"}], "token entry 1"),
         ([{"id": "X", "role": "standalone"}, {"id": "X", "role": "hosted", "base": "ETH"}],
          "token entry 2 repeats the id 'X'"),
+        # the missing bars file is never read: the misspelt key is named first
+        ([{"id": "DOGE", "role": "standalone", "bars": "missing.csv", "bar": "nope.csv"}],
+         "token 'DOGE': unknown key 'bar'"),
     ])
     def test_bad_entry_exits_2_naming_file_and_entry(self, tmp_path, tokens, entry):
         universe = write_universe(tmp_path, {
@@ -514,6 +531,23 @@ class TestUniverseEntryErrors:
         assert_clean_exit(result, 2)
         assert f"universe file {universe}: {entry}" in result.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path):
+        universe = write_universe(tmp_path, {"tokens": [], "volatility_tabel": "missing.csv"})
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 2)
+        assert f"universe file {universe}: unknown key 'volatility_tabel'" in result.stderr
+
+    @pytest.mark.parametrize("case", ["directory", "latin1"])
+    def test_unreadable_universe_exits_2_naming_it(self, tmp_path, case):
+        universe = tmp_path / "u.json"
+        if case == "directory":
+            universe.mkdir()
+        else:
+            universe.write_bytes('{"tokens": [{"id": "caf\xe9"}]}'.encode("latin-1"))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith(f"error: universe file {universe}: cannot read")
 
     def test_token_in_tables_and_files_scores_from_its_files(self, tmp_path):
         # A token with both table rows and raw files scores as if the rows were absent.
@@ -547,3 +581,106 @@ class TestUniverseEntryErrors:
         doge = next(t for t in json.loads(reports[0])["tokens"] if t["id"] == "DOGE")
         assert doge["window"] == {"start": "2024-01-01", "end": "2024-01-03"}
         assert doge["inputs"]["fgi"]["r_f"] == 75.0
+
+
+# Every scalar slot of both report schemas takes any JSON scalar: the writers
+# encode by type, not by slot.
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.floats(),  # -0.0, subnormals, nan and +-inf included
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e16, 1.5e300, math.nan, math.inf, -math.inf]),
+    st.integers(), st.integers(min_value=-2**200, max_value=2**200),
+    st.text(),  # non-ASCII, control and astral-plane characters included
+    st.text(alphabet='"\\\x00\x1f\x7f\u2028\xe9\U0001f600/'),
+)
+
+
+def objects(fields: dict):
+    """Objects with these keys in this order (``fixed_dictionaries`` may reorder them)."""
+    return st.fixed_dictionaries(fields).map(lambda obj: {key: obj[key] for key in fields})
+
+
+def scalars(*keys):
+    return objects({key: SCALARS for key in keys})
+
+
+def scalar_lists():
+    return st.lists(SCALARS, max_size=3)
+
+
+WINDOWS = st.none() | scalars("start", "end")
+TOKENS = objects({
+    "id": SCALARS,
+    "role": scalars("kind") | scalars("kind", "base"),
+    "vds": SCALARS, "wds": SCALARS, "sas": SCALARS,
+    "raw": scalars("vds", "wds", "sas"),
+    "inputs": objects({
+        "volatility": st.none() | scalars("avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap"),
+        "concentration": st.none() | scalars("top_share_pct", "hhi", "internal"),
+        "fgi": st.none() | scalars("f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct",
+                                   "delta_f_max", "delta_p_max_pct"),
+    }),
+    "window": WINDOWS,
+    "warnings": scalar_lists(),
+})
+SCORE_DOCS = objects({
+    "params": scalars("alpha", "beta", "gamma", "delta", "n", "scale_unit"),
+    "window": WINDOWS,
+    "tokens": st.lists(TOKENS, max_size=3),
+    "warnings": scalar_lists(),
+})
+WARN_DOCS = objects({
+    "params": scalars("window_days", "threshold", "x_days"),
+    "warnings": scalar_lists(),
+    "flags": st.lists(scalars("token", "metric", "date", "value", "window_percentile"),
+                      max_size=3),
+    "joint_events": st.lists(objects(
+        {"token": SCALARS, "date": SCALARS, "metrics": scalar_lists()}), max_size=3),
+    "buckets": st.lists(objects(
+        {"token": SCALARS, "date": SCALARS, "bucket": SCALARS, "metrics": scalar_lists()}),
+        max_size=3),
+})
+EDGE_TOKEN = {
+    "id": "\u00e9\"\\\n\U0001f600", "role": {"kind": "standalone"},
+    "vds": -0.0, "wds": None, "sas": math.nan,
+    "raw": {"vds": 5e-324, "wds": math.inf, "sas": -math.inf},
+    "inputs": {"volatility": None, "concentration": None, "fgi": None},
+    "window": None, "warnings": [],
+}
+
+
+class TestJsonWriters:
+    """``_dumps`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(doc=SCORE_DOCS | WARN_DOCS)
+    @example(doc={"params": {k: None for k in ("alpha", "beta", "gamma", "delta", "n",
+                                               "scale_unit")},
+                  "window": None, "tokens": [], "warnings": []})
+    @example(doc={"params": {"alpha": 1e16, "beta": 10**30, "gamma": 0, "delta": True,
+                             "n": -(2**64), "scale_unit": 1e-320},
+                  "window": None, "tokens": [EDGE_TOKEN], "warnings": ["\x00"]})
+    @example(doc={"params": {"window_days": 90, "threshold": 0.9, "x_days": 3},
+                  "warnings": [], "flags": [], "joint_events": [], "buckets": []})
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_matches_json_dumps_on_a_scored_report(self, reference_inputs):
+        # the writers' key lists agree with report_to_dict's, every section present
+        inputs = dict(reference_inputs)
+        inputs["DOGE"] = replace(inputs["DOGE"], holders=HolderSnapshot("DOGE", (0.5, 0.1)),
+                                 series=random_series(random.Random(0), "DOGE"))
+        params = FrameworkParams()
+        doc = report_to_dict(score_universe(build_context(inputs, params)))
+        doge = next(t for t in doc["tokens"] if t["id"] == "DOGE")
+        assert doge["window"] and doge["inputs"]["concentration"]
+        assert any(t["role"]["kind"] == "hosted" for t in doc["tokens"])
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_unknown_documents_and_scalars_are_rejected(self):
+        with pytest.raises(TypeError, match="no JSON writer"):
+            _dumps({"tokens": []})
+        doc = {"params": {"window_days": 90, "threshold": 0.9, "x_days": 3}, "warnings": [object()],
+               "flags": [], "joint_events": [], "buckets": []}
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            _dumps(doc)
