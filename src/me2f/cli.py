@@ -465,6 +465,43 @@ def _read_report(path: Path) -> dict:
     return doc
 
 
+def _is_score(value) -> bool:
+    """A JSON number, not a bool, finite and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _report_tokens(path: Path, doc: dict) -> list[dict]:
+    """A report's token entries, checked for ``plot`` and ``warn`` alike.
+
+    ``tokens`` must be a list of objects, each with a string ``id``; every
+    score, at the top level or under ``raw``, must be null or a finite JSON
+    number >= 0.
+    """
+    tokens = doc.get("tokens", [])
+    if not isinstance(tokens, list):
+        raise DataError(f"{path}: 'tokens' must be a list of token objects")
+    for number, t in enumerate(tokens, start=1):
+        if not isinstance(t, dict) or not isinstance(t.get("id"), str):
+            raise DataError(f"{path}: token entry {number} needs a string 'id'")
+        raw = t.get("raw", {})
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: token {t['id']!r} has a 'raw' that is not an object")
+        for scores in (t, raw):
+            for metric in Metric:
+                value = scores.get(metric.value)
+                if value is not None and not _is_score(value):
+                    raise DataError(
+                        f"{path}: token {t['id']!r} has {metric.value} score {value!r}; "
+                        "scores must be finite numbers >= 0"
+                    )
+    return tokens
+
+
 def _load_report_scores(path: Path) -> Iterator[tuple[tuple[str, Metric], tuple[Date, float]]]:
     doc = _read_report(path)
     window = doc.get("window")
@@ -474,26 +511,12 @@ def _load_report_scores(path: Path) -> Iterator[tuple[tuple[str, Metric], tuple[
         (day,) = ingest.iso_days([window["end"]])
     except (TypeError, ValueError):
         raise DataError(f"{path}: window end {window['end']!r} is not a YYYY-MM-DD date") from None
-    for t in doc.get("tokens", []):
-        if not isinstance(t, dict) or not isinstance(t.get("id"), str):
-            raise DataError(f"{path}: every report token needs a string 'id'")
+    for t in _report_tokens(path, doc):
         raw = t.get("raw", {})
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: token {t['id']!r} has a 'raw' that is not an object")
         for metric in Metric:
-            value = raw.get(metric.value, t.get(metric.value))
-            if value is None:
-                continue
-            try:
-                score = float(value)
-            except (TypeError, ValueError):
-                score = math.nan
-            if not math.isfinite(score) or score < 0:
-                raise DataError(
-                    f"{path}: token {t['id']!r} has {metric.value} score {value!r}; "
-                    "scores must be finite numbers >= 0"
-                )
-            yield (t["id"], metric), (day, score)
+            score = raw.get(metric.value, t.get(metric.value))
+            if score is not None:
+                yield (t["id"], metric), (day, float(score))
 
 
 @main.command()
@@ -593,7 +616,9 @@ def plot(report_path, out_dir):
     """Render descending bar charts (SVG + CSV sidecar) from a report."""
 
     def run():
-        doc = _read_report(Path(report_path))
+        path = Path(report_path)
+        doc = _read_report(path)
+        _report_tokens(path, doc)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for notice in write_charts(doc, out):

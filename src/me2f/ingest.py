@@ -28,8 +28,9 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta, timezone
+from itertools import compress, repeat
+from operator import attrgetter, eq, lt
 from pathlib import Path
-from operator import attrgetter, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domain import (
@@ -73,14 +74,18 @@ FGI_TABLE_HEADER = [
 
 # --- CSV plumbing --------------------------------------------------------
 
-def _read_rows(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[list[str]]]:
-    """Physical line numbers and cells of a CSV file's data rows.
+def _read_columns(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+    """Physical line numbers of a CSV file's data rows, and its cells by column.
 
     Blank lines are skipped but counted, so a number is the line an editor
     shows. The first non-blank line must equal one of ``headers`` and
     every data row must have as many cells as it. Cells are not stripped:
     ``float`` ignores surrounding blanks, and callers strip the text cells
     they use. A file that cannot be read as UTF-8 text is a ``DataError``.
+
+    Once every row holds ``width - 1`` commas, the rows joined by commas
+    split into ``width`` cells per row, in order, so the body is split
+    once and no list is built per row.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -97,15 +102,18 @@ def _read_rows(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[lis
     if header not in headers:
         expected = " or ".join(",".join(h) for h in headers)
         raise SchemaMismatch(f"{path}: header {header!r} is not {expected}")
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
+    del lines[0]
+    if not lines:
         raise EmptyFile(f"{path}: no data rows")
     width = len(header)
-    if set(map(len, rows)) != {width}:
-        i = next(i for i, cells in enumerate(rows) if len(cells) != width)
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(width - 1) != len(commas):
+        i = next(i for i, count in enumerate(commas) if count != width - 1)
         raise MalformedRow(path, numbers[i + 1], header[0],
-                           f"expected {width} cells, got {len(rows[i])}")
-    return numbers[1:], rows
+                           f"expected {width} cells, got {commas[i] + 1}")
+    cells = ",".join(lines).split(",")
+    del lines
+    return numbers[1:], [cells[j::width] for j in range(width)]
 
 
 def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
@@ -168,21 +176,39 @@ def _by_date(dates: list[Date], *columns: tuple) -> list:
 
 # --- loaders -------------------------------------------------------------
 #
-# Bars and FGI series share one loader: it parses every column in bulk and
-# lets the series check it in bulk. Any failure on that path, a padded date
-# cell included, hands the file to the row-by-row parse, which accepts it or
-# raises the first error in file order with its line and column.
+# Every CSV is read as columns, with one split per file (_read_columns).
+# All six loaders parse by column and check in bulk: numbers through
+# ``float``, finiteness, signs, tokens and roles over whole columns, and the
+# row invariants in the types they build. Any failure on that path, a padded
+# date cell included, hands the file to the row-by-row parse, which accepts
+# it or raises the first error in file order with its line and column.
 
 _OPTIONAL_COLUMNS = {"abs_return"}  # an empty cell there means "no value"
 
 
+def _finite_floats(column: list[str]) -> list[float]:
+    """A column's cells as floats; ``ValueError`` for a non-number or a non-finite cell."""
+    values = list(map(float, column))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("not finite")
+    return values
+
+
+def _distinct_tokens(column: list[str]) -> list[str]:
+    """A table's stripped token cells; ``ValueError`` for an empty or repeated one."""
+    tokens = list(map(str.strip, column))
+    if not all(tokens) or len(set(tokens)) != len(tokens):
+        raise ValueError("empty or repeated token")
+    return tokens
+
+
 def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header: list[str]):
     path = Path(path)
-    numbers, rows = _read_rows(path, header)
+    numbers, columns = _read_columns(path, header)
     token_id = _token_id_for(path, token_id)
     names = header[1:]
     try:
-        dates, *cells = zip(*rows)
+        dates, *cells = columns
         values = [
             tuple(None if raw == "" else float(raw) for raw in column)
             if name in _OPTIONAL_COLUMNS else tuple(map(float, column))
@@ -193,7 +219,7 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
         pass
     parsed = []
     seen: set[Date] = set()
-    for lineno, (day_raw, *cells) in zip(numbers, rows):
+    for lineno, (day_raw, *cells) in zip(numbers, zip(*columns)):
         day = _parse_date(path, lineno, day_raw)
         if day in seen:
             raise MalformedRow(path, lineno, "date", f"duplicate date {day}")
@@ -233,22 +259,28 @@ def load_holders_csv(
 
     The first column is either a numeric rank or an address; an optional
     ``exclude`` set drops address rows (custodial filtering, off by
-    default). The share sum is checked over the whole file, before
-    truncation to the top n.
+    default) before their shares are parsed. The share sum is checked over
+    the whole file, before truncation to the top n.
     """
     path = Path(path)
-    numbers, rows = _read_rows(path, ["rank", "share"], ["address", "share"])
+    numbers, (keys, raws) = _read_columns(path, ["rank", "share"], ["address", "share"])
     excluded = set(exclude)
-    shares: list[float] = []
-    for lineno, (key, raw) in zip(numbers, rows):
-        if key.strip() in excluded:
-            continue
-        share = _parse_float(path, lineno, "share", raw)
-        if share < 0:
-            raise MalformedRow(path, lineno, "share", f"negative share {share}")
-        shares.append(share)
-    if not shares:
+    if excluded:
+        kept = [key.strip() not in excluded for key in keys]
+        numbers, raws = list(compress(numbers, kept)), list(compress(raws, kept))
+    if not raws:
         raise EmptyFile(f"{path}: no data rows")
+    try:
+        shares = _finite_floats(raws)
+        if min(shares) < 0:
+            raise ValueError("negative share")
+    except ValueError:
+        shares = []
+        for lineno, raw in zip(numbers, raws):
+            share = _parse_float(path, lineno, "share", raw)
+            if share < 0:
+                raise MalformedRow(path, lineno, "share", f"negative share {share}")
+            shares.append(share)
     try:
         check_share_sum(shares)
     except InvalidShares as exc:
@@ -263,11 +295,29 @@ def load_volatility_table(
     """Load a pre-aggregated volatility summary table.
 
     Percent columns become fractions; volume/market-cap columns are
-    already in scale units (USD billions).
+    already in scale units (USD billions). Tokens of one base share one
+    ``ChainRole``.
     """
     path = Path(path)
+    numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
+    try:
+        tokens = _distinct_tokens(columns[0])
+        avg_pct, max_pct, volume, mcap = map(_finite_floats, columns[1:5])
+        roles, bases = (list(map(str.strip, column)) for column in columns[5:])
+        # standalone rows name no base, hosted rows one
+        if not (set(roles) <= {"standalone", "hosted"}
+                and all(map(eq, map("hosted".__eq__, roles), map(bool, bases)))):
+            raise ValueError("bad chain role")
+        role_of = {base: ChainRole.hosted_on(base) for base in set(bases) - {""}}
+        role_of[""] = ChainRole.standalone()
+        return {
+            token: (VolatilityAggregate(token, a / 100.0, m / 100.0, v, c), role_of[base])
+            for token, a, m, v, c, base in zip(tokens, avg_pct, max_pct, volume, mcap, bases)
+        }
+    except (ValueError, DataError):
+        pass
     out: dict[str, tuple[VolatilityAggregate, ChainRole]] = {}
-    for lineno, cells in zip(*_read_rows(path, VOLATILITY_TABLE_HEADER)):
+    for lineno, cells in zip(numbers, zip(*columns)):
         token = _table_token(path, lineno, cells[0], out)
         avg_pct, max_pct, volume, mcap = (
             _parse_float(path, lineno, col, raw)
@@ -305,8 +355,19 @@ def _table_token(path: Path, lineno: int, raw: str, seen: Mapping[str, object]) 
 def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
     """Load a pre-aggregated FGI indicator table (percent columns -> fractions)."""
     path = Path(path)
+    numbers, columns = _read_columns(path, FGI_TABLE_HEADER)
+    try:
+        tokens = _distinct_tokens(columns[0])
+        return {
+            token: FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100.0, q_f_pct / 100.0,
+                                 delta_f, delta_p_pct / 100.0)
+            for token, f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct
+            in zip(tokens, *map(_finite_floats, columns[1:]))
+        }
+    except (ValueError, DataError):
+        pass
     out: dict[str, FgiIndicators] = {}
-    for lineno, cells in zip(*_read_rows(path, FGI_TABLE_HEADER)):
+    for lineno, cells in zip(numbers, zip(*columns)):
         token = _table_token(path, lineno, cells[0], out)
         f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct = (
             _parse_float(path, lineno, col, raw)
@@ -340,10 +401,10 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     file order, a repeat at its later line.
     """
     path = Path(path)
-    numbers, rows = _read_rows(path, HISTORY_HEADER)
+    numbers, columns = _read_columns(path, HISTORY_HEADER)
     metrics = {m.value: m for m in Metric}
     try:
-        days, tokens, names, values = zip(*rows)
+        days, tokens, names, values = columns
         keys = zip(tokens, map(metrics.__getitem__, names))
         series = _score_series(iso_days(days), keys, tuple(map(float, values)))
         if all(s.token_id and s.token_id == s.token_id.strip() for s in series):
@@ -351,7 +412,7 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     except (KeyError, ValueError, DataError):
         pass
     parsed, seen = [], set()
-    for lineno, (day_raw, token, name, raw) in zip(numbers, rows):
+    for lineno, (day_raw, token, name, raw) in zip(numbers, zip(*columns)):
         day = _parse_date(path, lineno, day_raw)
         token, metric = token.strip(), metrics.get(name.strip())
         if not token:

@@ -467,6 +467,29 @@ class TestReportReadingErrors:
         assert_clean_exit(result, 3)
         assert result.stderr.startswith(f"error: {report}: cannot read")
 
+    # Token lists and scores both commands must refuse, as JSON text; before the
+    # shared check, plot exited 4 on all but the last two and warn read `true` as 1.0.
+    @pytest.mark.parametrize("tokens,named", [
+        pytest.param('[{"vds": 0.5}]', "token entry 1", id="no_id"),
+        pytest.param('[{"id": "PEPE", "vds": "0.5"}]', "'PEPE'", id="string_score"),
+        pytest.param('{"PEPE": {"vds": 0.5}}', "'tokens'", id="tokens_object"),
+        pytest.param('["PEPE"]', "token entry 1", id="tokens_strings"),
+        pytest.param('[{"id": "PEPE", "vds": 1e400}]', "'PEPE'", id="float_overflow"),
+        pytest.param('[{"id": "PEPE", "vds": 1' + "0" * 400 + '}]', "'PEPE'", id="int_overflow"),
+        pytest.param('[{"id": "PEPE", "raw": {"vds": true}}]', "'PEPE'", id="bool_score"),
+        pytest.param('[{"id": "PEPE", "sas": NaN}]', "'PEPE'", id="nan_score"),
+        pytest.param('[{"id": "PEPE", "wds": -0.25}]', "'PEPE'", id="negative_score"),
+    ])
+    @pytest.mark.parametrize("command", ["plot", "warn"])
+    def test_bad_report_tokens_exit_3_naming_file_and_token(self, tmp_path, command, tokens, named):
+        report = tmp_path / "report.json"
+        report.write_text('{"window": {"start": "2025-01-01", "end": "2025-01-03"}, '
+                          f'"tokens": {tokens}}}')
+        extra = ("--window", 2) if command == "warn" else ()
+        result = run(command, "--report", report, *extra, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr.startswith(f"error: {report}: ") and named in result.stderr
+
     def test_unexpected_exception_exits_4_without_traceback(self, tmp_path, monkeypatch):
         from me2f import ingest
 

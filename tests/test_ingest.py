@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from me2f.domain import (
     _SHARE_SUM_TOLERANCE,
+    ChainRole,
     DailyBar,
     FrameworkParams,
+    HolderSnapshot,
     SentimentPoint,
     SentimentSeries,
     TokenSeries,
@@ -37,8 +39,10 @@ from me2f.errors import (
 )
 from me2f.ingest import (
     BARS_HEADER,
+    FGI_TABLE_HEADER,
     HISTORY_HEADER,
     SENTIMENT_HEADER,
+    VOLATILITY_TABLE_HEADER,
     MarketDataClient,
     ProviderEndpointSpec,
     RateLimiter,
@@ -51,6 +55,8 @@ from me2f.ingest import (
     load_universe,
     load_volatility_table,
 )
+from me2f.sentiment import FgiIndicators
+from me2f.volatility import VolatilityAggregate
 from me2f.warning import Metric, ScorePoint, ScoreSeries
 from conftest import REFERENCE_DIR
 
@@ -564,7 +570,7 @@ def make_bar_rows(rng: random.Random):
 # validated DailyBar or SentimentPoint per row whose error becomes a
 # MalformedRow naming the failing field. Line numbers count physical lines.
 
-def oracle_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+def oracle_rows(path: Path, *headers: list[str]) -> list[tuple[int, list[str]]]:
     numbered = [
         (lineno, line)
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
@@ -572,9 +578,9 @@ def oracle_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
     ]
     if not numbered:
         raise EmptyFile(f"{path}: file is empty")
-    got = [cell.strip() for cell in numbered[0][1].split(",")]
-    if got != header:
-        raise SchemaMismatch(f"{path}: header {got!r}")
+    header = [cell.strip() for cell in numbered[0][1].split(",")]
+    if header not in headers:
+        raise SchemaMismatch(f"{path}: header {header!r}")
     rows = []
     for lineno, line in numbered[1:]:
         cells = [cell.strip() for cell in line.split(",")]
@@ -659,6 +665,18 @@ BAD_DATES = [
 BLANKS = ["", "   ", "\t"]
 
 
+def csv_text(draw, header, rows):
+    """The file of ``header`` and ``rows``: sometimes one row with a cell too
+    many or too few, then blank lines anywhere (before the header too)."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(BLANKS)))
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def mutated_csv(draw, header, row, mutations):
     """A CSV of ``row``-drawn lines in shuffled date order, then up to three
@@ -679,13 +697,7 @@ def mutated_csv(draw, header, row, mutations):
             rows[i][col] = f"  {rows[i][col]}\t"
         else:
             mutations[kind](draw, rows[i])
-    if draw(st.integers(min_value=0, max_value=9)) == 0:
-        i = draw(st.integers(min_value=0, max_value=n - 1))
-        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(BLANKS)))
-    return "\n".join(lines) + "\n"
+    return csv_text(draw, header, rows)
 
 
 def bar_cells(i):
@@ -812,13 +824,7 @@ def history_csv(draw):
         else:
             col = draw(st.integers(0, 3))
             rows[i][col] = f"  {rows[i][col]}\t"
-    if draw(st.integers(min_value=0, max_value=9)) == 0:
-        i = draw(st.integers(min_value=0, max_value=n - 1))
-        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
-    lines = [",".join(HISTORY_HEADER)] + [",".join(r) for r in rows]
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(BLANKS)))
-    return "\n".join(lines) + "\n"
+    return csv_text(draw, HISTORY_HEADER, rows)
 
 
 class TestHistoryLoaderMatchesRowOracle:
@@ -838,6 +844,199 @@ class TestHistoryLoaderMatchesRowOracle:
         assert (err.value.line, err.value.column) == (4, "date")
 
 
+# --- row-by-row oracles for the table and holder loaders --------------------
+#
+# Each row in file order: the token (empty, then repeated), every number,
+# the chain role and base, then the summary type's own rule, whose error
+# becomes a MalformedRow. Holder rows named in ``exclude`` are skipped before
+# their share is read; the share sum is checked over the file, then the top
+# n shares, descending, make the snapshot.
+
+def oracle_table_token(path, lineno, token, seen):
+    if not token:
+        raise MalformedRow(path, lineno, "token", "empty token id")
+    if token in seen:
+        raise MalformedRow(path, lineno, "token", f"duplicate row for token {token!r}")
+
+
+def oracle_load_volatility_table(path: Path, token_id=None) -> dict:
+    out = {}
+    for lineno, (token, *cells) in oracle_rows(path, VOLATILITY_TABLE_HEADER):
+        oracle_table_token(path, lineno, token, out)
+        avg_pct, max_pct, volume, mcap = [
+            oracle_float(path, lineno, col, raw)
+            for col, raw in zip(VOLATILITY_TABLE_HEADER[1:5], cells[:4])
+        ]
+        role, base = cells[4:]
+        if role not in ("standalone", "hosted"):
+            raise MalformedRow(path, lineno, "chain_role", f"unknown role {role!r}")
+        if role == "standalone" and base:
+            raise MalformedRow(path, lineno, "base", f"standalone token {token} must not name a base")
+        if role == "hosted" and not base:
+            raise MalformedRow(path, lineno, "base", f"hosted token {token} needs a base")
+        try:
+            agg = VolatilityAggregate(token, avg_pct / 100, max_pct / 100, volume, mcap)
+        except DataError as exc:
+            raise MalformedRow(path, lineno, "avg_vol_pct", str(exc)) from None
+        out[token] = (agg, ChainRole(base or None))
+    return out
+
+
+def oracle_load_fgi_table(path: Path, token_id=None) -> dict:
+    out = {}
+    for lineno, (token, *cells) in oracle_rows(path, FGI_TABLE_HEADER):
+        oracle_table_token(path, lineno, token, out)
+        f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct = [
+            oracle_float(path, lineno, col, raw) for col, raw in zip(FGI_TABLE_HEADER[1:], cells)
+        ]
+        try:
+            out[token] = FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100, q_f_pct / 100,
+                                       delta_f, delta_p_pct / 100)
+        except DataError as exc:
+            column = "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct"
+            raise MalformedRow(path, lineno, column, str(exc)) from None
+    return out
+
+
+def oracle_load_holders(path: Path, token_id: str, n: int, exclude: set[str]) -> HolderSnapshot:
+    shares = []
+    for lineno, (key, raw) in oracle_rows(path, ["rank", "share"], ["address", "share"]):
+        if key in exclude:
+            continue
+        share = oracle_float(path, lineno, "share", raw)
+        if share < 0:
+            raise MalformedRow(path, lineno, "share", f"negative share {share}")
+        shares.append(share)
+    if not shares:
+        raise EmptyFile(f"{path}: no data rows")
+    total = math.fsum(shares)
+    if total > 1 + _SHARE_SUM_TOLERANCE:
+        raise InvalidShares(f"{path}: shares sum to {total}, exceeding total supply")
+    return HolderSnapshot(token_id, tuple(sorted(shares, reverse=True)[:n]))
+
+
+@st.composite
+def mutated_table(draw, header, cells, mutations):
+    """Rows of distinct tokens and ``cells``-drawn values, then up to three
+    mutations, sometimes a row with a cell too many or too few, then blank
+    lines anywhere."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[f"T{i}", *draw(cells)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        kind = draw(st.sampled_from(["token", "number", "pad", *mutations]))
+        if kind == "token":  # empty, padded or another row's
+            other = rows[draw(st.integers(min_value=0, max_value=n - 1))][0]
+            rows[i][0] = draw(st.sampled_from(["", "  ", f" {rows[i][0]}\t", other]))
+        elif kind == "number":
+            _set_number(draw, rows[i])
+        elif kind == "pad":
+            col = draw(st.integers(min_value=0, max_value=len(header) - 1))
+            rows[i][col] = f"  {rows[i][col]}\t"
+        else:
+            mutations[kind](draw, rows[i])
+    return csv_text(draw, header, rows)
+
+
+volatility_cells = st.tuples(
+    st.floats(0.0, 50.0), st.floats(1.0, 3.0), st.floats(0.0, 1e3), st.floats(0.0, 1e3),
+    st.sampled_from(["", "ETH", "SOL"]),
+).map(lambda t: [repr(t[0]), repr(t[0] * t[1]), repr(t[2]), repr(t[3]),
+                 "hosted" if t[4] else "standalone", t[4]])
+
+
+def _bad_role(draw, cells):
+    cells[5:] = draw(st.sampled_from([
+        ["standalone", "ETH"], ["hosted", ""], ["hosted", "  "], ["Hosted", "ETH"], ["chain", ""], ["", ""],
+    ]))
+
+
+def _avg_above_max(draw, cells):
+    cells[1], cells[2] = cells[2], cells[1]
+
+
+VOLATILITY_MUTATIONS = {"role": _bad_role, "avg_max": _avg_above_max}
+
+# f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f_max, delta_p_max_pct
+fgi_table_cells = st.tuples(
+    st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3).map(sorted),
+    st.floats(0.0, 50.0), st.floats(0.0, 50.0), st.floats(0.0, 100.0), st.floats(0.0, 200.0),
+).map(lambda t: [repr(t[0][1]), repr(t[0][2]), repr(t[0][0]), *map(repr, t[1:])])
+
+
+def _fgi_mean_outside(draw, cells):
+    if draw(st.booleans()):
+        cells[1] = repr(float(cells[2]) + 1)  # above f_max
+    else:
+        cells[2], cells[3] = cells[3], cells[2]  # f_max below f_min
+
+
+def _extreme_shares(draw, cells):
+    cells[4:6] = draw(st.sampled_from([["60", "50.5"], ["100", "1e-6"], ["-1", "0"], ["0", "-0.5"]]))
+
+
+FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares}
+
+
+@st.composite
+def holders_csv(draw):
+    """A rank or address holder file, up to three mutations, sometimes a row
+    with a cell too many or too few, blank lines; with an ``exclude`` set over
+    its keys and a top n."""
+    header = draw(st.sampled_from([["rank", "share"], ["address", "share"]]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    keys = [str(i + 1) if header[0] == "rank" else f"0x{i:02x}" for i in range(n)]
+    rows = [[key, repr(draw(st.floats(0.0, 0.125)))] for key in keys]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        kind = draw(st.sampled_from(["number", "negative", "large", "pad"]))
+        if kind == "number":
+            rows[i][1] = draw(st.sampled_from(BAD_NUMBERS))
+        elif kind == "negative":
+            rows[i][1] = draw(st.sampled_from(["-0.1", "-1e-9", "-5e-324", "-0.0"]))
+        elif kind == "large":  # the sum passes 1, or one share passes it within the tolerance
+            rows[i][1] = draw(st.sampled_from(["0.9", "1", "1.0000000005", "2"]))
+        else:
+            col = draw(st.integers(min_value=0, max_value=1))
+            rows[i][col] = f"  {rows[i][col]}\t"
+    exclude = draw(st.sets(st.sampled_from(keys)))
+    return csv_text(draw, header, rows), exclude, draw(st.integers(min_value=2, max_value=5))
+
+
+TABLE_SETTINGS = settings(FILE_SETTINGS, derandomize=True)
+
+
+class TestTableAndHolderLoadersMatchRowOracle:
+    """Same value, or the same error class and message (file, line, column)."""
+
+    @given(text=mutated_table(VOLATILITY_TABLE_HEADER, volatility_cells, VOLATILITY_MUTATIONS))
+    @TABLE_SETTINGS
+    def test_volatility_table(self, tmp_path, text):
+        path = write(tmp_path, "volatility.csv", text)
+        assert outcome(lambda p, _: load_volatility_table(p), path) == outcome(
+            oracle_load_volatility_table, path)
+
+    @given(text=mutated_table(FGI_TABLE_HEADER, fgi_table_cells, FGI_TABLE_MUTATIONS))
+    @TABLE_SETTINGS
+    def test_fgi_table(self, tmp_path, text):
+        path = write(tmp_path, "fgi.csv", text)
+        assert outcome(lambda p, _: load_fgi_table(p), path) == outcome(oracle_load_fgi_table, path)
+
+    @given(case=holders_csv())
+    @TABLE_SETTINGS
+    def test_holders(self, tmp_path, case):
+        text, exclude, n = case
+        path = write(tmp_path, "holders.csv", text)
+        assert outcome(lambda p, t: load_holders_csv(p, t, n, exclude), path) == outcome(
+            lambda p, t: oracle_load_holders(p, t, n, exclude), path)
+
+    def test_hosted_tokens_share_one_role_per_base(self, tmp_path):
+        text = (",".join(VOLATILITY_TABLE_HEADER) + "\nA,1,2,3,4,hosted,ETH\nB,1,2,3,4,hosted,ETH\n"
+                "ETH,1,2,3,4,standalone,\n")
+        table = load_volatility_table(write(tmp_path, "v.csv", text))
+        assert table["A"][1] is table["B"][1] == ChainRole.hosted_on("ETH")
+
+
 class TestPhysicalLineNumbers:
     def test_blank_lines_count_and_the_file_is_named(self, tmp_path):
         lines = BARS_OK.splitlines()
@@ -854,3 +1053,12 @@ class TestPhysicalLineNumbers:
             load_holders_csv(path)
         assert (err.value.line, err.value.column) == (5, "rank")
         assert str(path) in str(err.value)
+
+    def test_a_cell_too_many_then_one_too_few_fail_at_the_first(self, tmp_path):
+        # the file holds as many commas as a well-formed one: every line is counted
+        lines = BARS_OK.splitlines()
+        text = "\n".join([lines[0], lines[1] + ",1", lines[2], lines[3].rpartition(",")[0]]) + "\n"
+        with pytest.raises(MalformedRow) as err:
+            load_bars_csv(write(tmp_path, "x.csv", text))
+        assert (err.value.line, err.value.column) == (2, "date")
+        assert str(err.value).endswith("expected 6 cells, got 7")
