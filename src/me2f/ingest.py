@@ -25,11 +25,12 @@ import os
 import threading
 import time
 from collections import defaultdict, deque
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta, timezone
 from itertools import compress, repeat
-from operator import attrgetter, eq, lt
+from operator import eq, lt
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,7 +49,9 @@ from .errors import (
     EmptyUniverse,
     HttpError,
     InvalidShares,
+    InvalidSummary,
     MalformedRow,
+    NonMonotonicDates,
     ParseError,
     PartialRange,
     RateLimited,
@@ -57,7 +60,7 @@ from .errors import (
 from .scoring import TokenInputs
 from .sentiment import FgiIndicators
 from .volatility import VolatilityAggregate
-from .warning import Metric, ScorePoint, ScoreSeries
+from .warning import Metric, ScoreSeries
 
 BARS_HEADER = ["date", "high", "low", "close", "volume_usd", "market_cap_usd"]
 SENTIMENT_HEADER = ["date", "fgi", "abs_return"]
@@ -116,25 +119,6 @@ def _read_columns(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[
     return numbers[1:], [cells[j::width] for j in range(width)]
 
 
-def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
-    raw = raw.strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedRow(path, lineno, column, f"not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise MalformedRow(path, lineno, column, f"not finite: {raw!r}")
-    return value
-
-
-def _parse_date(path: Path, lineno: int, raw: str) -> Date:
-    raw = raw.strip()
-    try:
-        return iso_days([raw])[0]
-    except ValueError:
-        raise MalformedRow(path, lineno, "date", f"not a YYYY-MM-DD date: {raw!r}") from None
-
-
 def iso_days(cells: Sequence[str]) -> list[Date]:
     """``YYYY-MM-DD`` cells as dates; ``ValueError`` for any other form.
 
@@ -154,19 +138,11 @@ def iso_days(cells: Sequence[str]) -> list[Date]:
     return list(map(Date.fromisoformat, cells))
 
 
-def _checked_row(path: Path, lineno: int, row_type, *values):
-    """``row_type(*values)``, its ``DataError`` located at the line and the field."""
-    try:
-        return row_type(*values)
-    except DataError as exc:  # the message opens with the failing "field="
-        raise MalformedRow(path, lineno, str(exc).partition("=")[0], str(exc)) from None
-
-
 def _token_id_for(path: Path, token_id: str | None) -> str:
     return token_id if token_id else Path(path).stem.upper()
 
 
-def _by_date(dates: list[Date], *columns: tuple) -> list:
+def _by_date(dates: list[Date], *columns: list) -> list:
     """``dates`` and ``columns`` reordered by a stable sort on the date."""
     if all(map(lt, dates, dates[1:])):
         return [dates, *columns]
@@ -177,28 +153,102 @@ def _by_date(dates: list[Date], *columns: tuple) -> list:
 # --- loaders -------------------------------------------------------------
 #
 # Every CSV is read as columns, with one split per file (_read_columns).
-# All six loaders parse by column and check in bulk: numbers through
-# ``float``, finiteness, signs, tokens and roles over whole columns, and the
-# row invariants in the types they build. Any failure on that path, a padded
-# date cell included, hands the file to the row-by-row parse, which accepts
-# it or raises the first error in file order with its line and column.
+# Each loader has one parse of those columns. It runs each kind of check
+# (a cell, a repeat, an invariant of the type it builds) over whole
+# columns, in the order the checks of a single row run, and a failed check
+# raises a _RowError that names the column. _located runs the parse once on
+# the file and, only if it fails, bisects over row prefixes to find the
+# first bad row in file order, whose line the MalformedRow names.
 
-_OPTIONAL_COLUMNS = {"abs_return"}  # an empty cell there means "no value"
+_METRICS = {m.value: m for m in Metric}
 
 
-def _finite_floats(column: list[str]) -> list[float]:
-    """A column's cells as floats; ``ValueError`` for a non-number or a non-finite cell."""
-    values = list(map(float, column))
-    if not all(map(math.isfinite, values)):
-        raise ValueError("not finite")
+class _RowError(Exception):
+    """A row check failed: ``(column, reason)``; ``_located`` adds the line."""
+
+    @classmethod
+    def of(cls, exc: DataError) -> "_RowError":
+        """A domain row type's error, whose message opens with the failing "field="."""
+        return cls(str(exc).partition("=")[0], str(exc))
+
+
+def _located(path: Path, numbers: Sequence[int], columns: list[list[str]], parse):
+    """``parse(columns)``, or the ``MalformedRow`` of the first bad row in file order.
+
+    A prefix of the rows fails to parse exactly when it holds a bad row (a
+    repeat counts at its later line), so the shortest failing prefix ends at
+    the first bad row, and its parse raises that row's error. The search is
+    a bisection: O(log n) parses, and none when the file is good.
+    """
+    try:
+        return parse(columns)
+    except _RowError as exc:
+        error = exc
+    good, bad = 0, len(numbers)  # the first `good` rows parse, the first `bad` rows do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parse([column[:mid] for column in columns])
+        except _RowError as exc:
+            bad, error = mid, exc
+        else:
+            good = mid
+    raise MalformedRow(path, numbers[bad - 1], *error.args) from None
+
+
+def _floats(column: str, cells: list[str], optional: bool = False) -> Sequence:
+    """A column's cells as finite floats; in an ``optional`` column a blank
+    cell is None. Cell by cell, with stripping, only when the bulk parse fails."""
+    blanks = cells.count("") if optional else 0
+    with suppress(ValueError):  # a tuple, which a series keeps without a copy
+        values = tuple(map(float, filter(None, cells) if blanks else cells))
+        if math.isfinite(sum(values)):
+            if blanks:  # put each blank back, as None
+                values, i = list(values), -1
+                for _ in range(blanks):
+                    i = cells.index("", i + 1)
+                    values.insert(i, None)
+            return values
+    values = []
+    for raw in map(str.strip, cells):
+        try:
+            values.append(None if optional and not raw else float(raw))
+        except ValueError:
+            raise _RowError(column, f"not a number: {raw!r}") from None
+        if not math.isfinite(values[-1] or 0.0):  # None is a blank, not a bad cell
+            raise _RowError(column, f"not finite: {raw!r}")
     return values
 
 
-def _distinct_tokens(column: list[str]) -> list[str]:
-    """A table's stripped token cells; ``ValueError`` for an empty or repeated one."""
-    tokens = list(map(str.strip, column))
-    if not all(tokens) or len(set(tokens)) != len(tokens):
-        raise ValueError("empty or repeated token")
+def _dates(cells: list[str]) -> list[Date]:
+    """A date column; cell by cell, stripped, only when the bulk parse fails."""
+    with suppress(ValueError):
+        return iso_days(cells)
+    days = []
+    for raw in map(str.strip, cells):
+        try:
+            days += iso_days([raw])
+        except ValueError:
+            raise _RowError("date", f"not a YYYY-MM-DD date: {raw!r}") from None
+    return days
+
+
+def _first_repeat(keys: Iterable) -> int:
+    """The index of the first key equal to an earlier one (there must be one)."""
+    seen: set = set()
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
+
+
+def _tokens(cells: list[str]) -> list[str]:
+    """A table's stripped token cells; an empty or repeated one is a row error."""
+    tokens = list(map(str.strip, cells))
+    if not all(tokens):
+        raise _RowError("token", "empty token id")
+    if len(set(tokens)) != len(tokens):
+        raise _RowError("token", f"duplicate row for token {tokens[_first_repeat(tokens)]!r}")
     return tokens
 
 
@@ -206,32 +256,21 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
     path = Path(path)
     numbers, columns = _read_columns(path, header)
     token_id = _token_id_for(path, token_id)
-    names = header[1:]
-    try:
-        dates, *cells = columns
-        values = [
-            tuple(None if raw == "" else float(raw) for raw in column)
-            if name in _OPTIONAL_COLUMNS else tuple(map(float, column))
-            for name, column in zip(names, cells)
-        ]
-        return series_type.from_columns(token_id, *_by_date(iso_days(dates), *values))
-    except (ValueError, DataError):
-        pass
-    parsed = []
-    seen: set[Date] = set()
-    for lineno, (day_raw, *cells) in zip(numbers, zip(*columns)):
-        day = _parse_date(path, lineno, day_raw)
-        if day in seen:
-            raise MalformedRow(path, lineno, "date", f"duplicate date {day}")
-        seen.add(day)
-        values = [
-            None if name in _OPTIONAL_COLUMNS and not raw.strip()
-            else _parse_float(path, lineno, name, raw)
-            for name, raw in zip(names, cells)
-        ]
-        parsed.append(_checked_row(path, lineno, series_type.row_type, day, *values))
-    parsed.sort(key=attrgetter("date"))
-    return series_type(token_id, parsed)
+
+    def parse(columns: list[list[str]]):
+        dates = _dates(columns[0])
+        ascending = all(map(lt, dates, dates[1:]))
+        if not ascending and len(set(dates)) != len(dates):
+            raise _RowError("date", f"duplicate date {dates[_first_repeat(dates)]}")
+        values = [_floats(name, column, name == "abs_return")
+                  for name, column in zip(header[1:], columns[1:])]
+        try:
+            return series_type.from_columns(
+                token_id, *([dates, *values] if ascending else _by_date(dates, *values)))
+        except DataError as exc:
+            raise _RowError.of(exc) from None
+
+    return _located(path, numbers, columns, parse)
 
 
 def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
@@ -259,34 +298,33 @@ def load_holders_csv(
 
     The first column is either a numeric rank or an address; an optional
     ``exclude`` set drops address rows (custodial filtering, off by
-    default) before their shares are parsed. The share sum is checked over
-    the whole file, before truncation to the top n.
+    default) before their shares are parsed. Each share must lie in
+    [0, 1], and the share sum is checked over the whole file, before
+    truncation to the top n.
     """
     path = Path(path)
-    numbers, (keys, raws) = _read_columns(path, ["rank", "share"], ["address", "share"])
+    numbers, columns = _read_columns(path, ["rank", "share"], ["address", "share"])
     excluded = set(exclude)
-    if excluded:
-        kept = [key.strip() not in excluded for key in keys]
-        numbers, raws = list(compress(numbers, kept)), list(compress(raws, kept))
-    if not raws:
+
+    def parse(columns: list[list[str]]) -> Sequence[float]:
+        keys, raws = columns
+        if excluded:
+            raws = list(compress(raws, [key.strip() not in excluded for key in keys]))
+        shares = _floats("share", raws)
+        if min(shares, default=0.0) < 0:
+            raise _RowError("share", f"negative share {next(s for s in shares if s < 0)}")
+        if max(shares, default=0.0) > 1:
+            raise _RowError("share", f"share {next(s for s in shares if s > 1)} above 1")
+        return shares
+
+    shares = _located(path, numbers, columns, parse)
+    if not shares:
         raise EmptyFile(f"{path}: no data rows")
-    try:
-        shares = _finite_floats(raws)
-        if min(shares) < 0:
-            raise ValueError("negative share")
-    except ValueError:
-        shares = []
-        for lineno, raw in zip(numbers, raws):
-            share = _parse_float(path, lineno, "share", raw)
-            if share < 0:
-                raise MalformedRow(path, lineno, "share", f"negative share {share}")
-            shares.append(share)
     try:
         check_share_sum(shares)
     except InvalidShares as exc:
         raise InvalidShares(f"{path}: {exc}") from None
-    shares.sort(reverse=True)
-    return HolderSnapshot(_token_id_for(path, token_id), shares[:n])
+    return HolderSnapshot(_token_id_for(path, token_id), sorted(shares, reverse=True)[:n])
 
 
 def load_volatility_table(
@@ -295,99 +333,63 @@ def load_volatility_table(
     """Load a pre-aggregated volatility summary table.
 
     Percent columns become fractions; volume/market-cap columns are
-    already in scale units (USD billions). Tokens of one base share one
-    ``ChainRole``.
+    already in scale units (USD billions) and must not be negative.
+    Tokens of one base share one ``ChainRole``.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
-    try:
-        tokens = _distinct_tokens(columns[0])
-        avg_pct, max_pct, volume, mcap = map(_finite_floats, columns[1:5])
+
+    def parse(columns: list[list[str]]) -> dict[str, tuple[VolatilityAggregate, ChainRole]]:
+        tokens = _tokens(columns[0])
+        avg_pct, max_pct, volume, mcap = (
+            _floats(name, column) for name, column in zip(VOLATILITY_TABLE_HEADER[1:5], columns[1:5])
+        )
+        for name, sizes in zip(VOLATILITY_TABLE_HEADER[3:5], (volume, mcap)):
+            if min(sizes) < 0:
+                raise _RowError(name, f"negative size {next(s for s in sizes if s < 0)}")
         roles, bases = (list(map(str.strip, column)) for column in columns[5:])
         # standalone rows name no base, hosted rows one
         if not (set(roles) <= {"standalone", "hosted"}
                 and all(map(eq, map("hosted".__eq__, roles), map(bool, bases)))):
-            raise ValueError("bad chain role")
+            for token, role, base in zip(tokens, roles, bases):
+                if role not in ("standalone", "hosted"):
+                    raise _RowError("chain_role", f"unknown role {role!r}")
+                if (role == "hosted") != bool(base):
+                    raise _RowError("base", f"hosted token {token} needs a base" if role == "hosted"
+                                    else f"standalone token {token} must not name a base")
         role_of = {base: ChainRole.hosted_on(base) for base in set(bases) - {""}}
         role_of[""] = ChainRole.standalone()
-        return {
-            token: (VolatilityAggregate(token, a / 100.0, m / 100.0, v, c), role_of[base])
-            for token, a, m, v, c, base in zip(tokens, avg_pct, max_pct, volume, mcap, bases)
-        }
-    except (ValueError, DataError):
-        pass
-    out: dict[str, tuple[VolatilityAggregate, ChainRole]] = {}
-    for lineno, cells in zip(numbers, zip(*columns)):
-        token = _table_token(path, lineno, cells[0], out)
-        avg_pct, max_pct, volume, mcap = (
-            _parse_float(path, lineno, col, raw)
-            for col, raw in zip(VOLATILITY_TABLE_HEADER[1:5], cells[1:5])
-        )
-        role_raw, base = cells[5].strip(), cells[6].strip()
-        if role_raw == "standalone":
-            if base:
-                raise MalformedRow(path, lineno, "base",
-                                   f"standalone token {token} must not name a base")
-            role = ChainRole.standalone()
-        elif role_raw == "hosted":
-            if not base:
-                raise MalformedRow(path, lineno, "base", f"hosted token {token} needs a base")
-            role = ChainRole.hosted_on(base)
-        else:
-            raise MalformedRow(path, lineno, "chain_role", f"unknown role {role_raw!r}")
         try:
-            agg = VolatilityAggregate(token, avg_pct / 100.0, max_pct / 100.0, volume, mcap)
-        except DataError as exc:
-            raise MalformedRow(path, lineno, "avg_vol_pct", str(exc)) from None
-        out[token] = (agg, role)
-    return out
+            return {
+                token: (VolatilityAggregate(token, a / 100.0, m / 100.0, v, c), role_of[base])
+                for token, a, m, v, c, base in zip(tokens, avg_pct, max_pct, volume, mcap, bases)
+            }
+        except InvalidSummary as exc:
+            raise _RowError("avg_vol_pct", str(exc)) from None
 
-
-def _table_token(path: Path, lineno: int, raw: str, seen: Mapping[str, object]) -> str:
-    token = raw.strip()
-    if not token:
-        raise MalformedRow(path, lineno, "token", "empty token id")
-    if token in seen:
-        raise MalformedRow(path, lineno, "token", f"duplicate row for token {token!r}")
-    return token
+    return _located(path, numbers, columns, parse)
 
 
 def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
     """Load a pre-aggregated FGI indicator table (percent columns -> fractions)."""
     path = Path(path)
     numbers, columns = _read_columns(path, FGI_TABLE_HEADER)
-    try:
-        tokens = _distinct_tokens(columns[0])
-        return {
-            token: FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100.0, q_f_pct / 100.0,
-                                 delta_f, delta_p_pct / 100.0)
-            for token, f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct
-            in zip(tokens, *map(_finite_floats, columns[1:]))
-        }
-    except (ValueError, DataError):
-        pass
-    out: dict[str, FgiIndicators] = {}
-    for lineno, cells in zip(numbers, zip(*columns)):
-        token = _table_token(path, lineno, cells[0], out)
-        f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct = (
-            _parse_float(path, lineno, col, raw)
-            for col, raw in zip(FGI_TABLE_HEADER[1:], cells[1:])
-        )
+
+    def parse(columns: list[list[str]]) -> dict[str, FgiIndicators]:
+        tokens = _tokens(columns[0])
+        values = [_floats(name, column) for name, column in zip(FGI_TABLE_HEADER[1:], columns[1:])]
         try:
-            out[token] = FgiIndicators(
-                token_id=token,
-                f_bar=f_bar,
-                f_max=f_max,
-                f_min=f_min,
-                q_g=q_g_pct / 100.0,
-                q_f=q_f_pct / 100.0,
-                delta_f_max=delta_f,
-                delta_p_max=delta_p_pct / 100.0,
-            )
-        except DataError as exc:
-            column = "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct"
-            raise MalformedRow(path, lineno, column, str(exc)) from None
-    return out
+            return {
+                token: FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100.0, q_f_pct / 100.0,
+                                     delta_f, delta_p_pct / 100.0)
+                for token, f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct
+                in zip(tokens, *values)
+            }
+        except InvalidSummary as exc:
+            unordered = any(not f_min <= f_bar <= f_max for f_bar, f_max, f_min in zip(*values[:3]))
+            raise _RowError("f_bar" if unordered else "q_g_pct", str(exc)) from None
+
+    return _located(path, numbers, columns, parse)
 
 
 def load_history_csv(path: str | Path) -> list[ScoreSeries]:
@@ -395,54 +397,59 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
 
     Returns one ``ScoreSeries`` per (token, metric), in that order. Rows
     may come in any order; a value must be finite and >= 0, and each
-    (token, metric, date) may appear on one row only. Like the daily
-    loaders, the file is parsed by column and checked in bulk; any failure
-    hands it to the row-by-row parse, which names the first bad line in
-    file order, a repeat at its later line.
+    (token, metric, date) may appear on one row only. Like every loader,
+    the file is parsed once, by column; an error names the first bad line
+    in file order, a repeat at its later line.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, HISTORY_HEADER)
-    metrics = {m.value: m for m in Metric}
-    try:
-        days, tokens, names, values = columns
-        keys = zip(tokens, map(metrics.__getitem__, names))
-        series = _score_series(iso_days(days), keys, tuple(map(float, values)))
-        if all(s.token_id and s.token_id == s.token_id.strip() for s in series):
-            return series  # else an empty or padded token, for the row parse
-    except (KeyError, ValueError, DataError):
-        pass
-    parsed, seen = [], set()
-    for lineno, (day_raw, token, name, raw) in zip(numbers, zip(*columns)):
-        day = _parse_date(path, lineno, day_raw)
-        token, metric = token.strip(), metrics.get(name.strip())
-        if not token:
-            raise MalformedRow(path, lineno, "token", "empty token id")
-        if metric is None:
-            raise MalformedRow(path, lineno, "metric", f"unknown metric {name.strip()!r}")
-        point = _checked_row(path, lineno, ScorePoint, day, _parse_float(path, lineno, "value", raw))
-        if (token, metric, day) in seen:
-            raise MalformedRow(path, lineno, "date",
-                               f"duplicate row for token {token!r}, {metric.value}, {day}")
-        seen.add((token, metric, day))
-        parsed.append((day, (token, metric), point.value))
-    return _score_series(*zip(*parsed))
 
+    def parse(columns: list[list[str]]) -> list[ScoreSeries]:
+        days, tokens, names = _dates(columns[0]), columns[1], columns[2]
+        groups: dict[tuple[str, str], list[int]] = defaultdict(list)
+        for i, key in enumerate(zip(tokens, names)):
+            groups[key].append(i)
+        if not all(token and token == token.strip() and name in _METRICS
+                   for token, name in groups):  # a padded, empty or unknown key
+            tokens, names = list(map(str.strip, tokens)), list(map(str.strip, names))
+            if not all(tokens):
+                raise _RowError("token", "empty token id")
+            for name in names:
+                if name not in _METRICS:
+                    raise _RowError("metric", f"unknown metric {name!r}")
+            return parse([columns[0], tokens, names, columns[3]])
+        values = _floats("value", columns[3])
+        series = []
+        for (token, name), indices in sorted(groups.items()):
+            try:
+                series.append(ScoreSeries.from_columns(token, _METRICS[name], *_by_date(
+                    list(map(days.__getitem__, indices)), list(map(values.__getitem__, indices))
+                )))
+            except NonMonotonicDates:  # values were fine: a repeated date
+                i = _first_repeat(zip(tokens, names, days))
+                raise _RowError("date", f"duplicate row for token {tokens[i]!r}, "
+                                        f"{names[i]}, {days[i]}") from None
+            except DataError as exc:
+                raise _RowError.of(exc) from None
+        return series
 
-def _score_series(days: Sequence[Date], keys: Iterable[tuple[str, Metric]],
-                  values: Sequence[float]) -> list[ScoreSeries]:
-    """One series per (token, metric) key, in key order, from parallel rows."""
-    groups: dict[tuple[str, Metric], list[int]] = defaultdict(list)
-    for i, key in enumerate(keys):
-        groups[key].append(i)
-    return [
-        ScoreSeries.from_columns(token, metric, *_by_date(
-            list(map(days.__getitem__, indices)), tuple(map(values.__getitem__, indices))
-        ))
-        for (token, metric), indices in sorted(groups.items())
-    ]
+    return _located(path, numbers, columns, parse)
 
 
 # --- universe files ------------------------------------------------------
+
+def _read_json_object(path: Path, where: str) -> dict:
+    """The JSON object in a config file; ``ConfigError`` opening with ``where`` if there is none."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"{where}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must contain a JSON object")
+    return doc
+
 
 UNIVERSE_KEYS = ("tokens", "volatility_table", "fgi_table")
 UNIVERSE_TOKEN_KEYS = ("id", "role", "base", "bars", "holders", "sentiment", "exclude_addresses")
@@ -458,16 +465,8 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     any data file is read; a bad or repeated entry is a ``ConfigError``.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeError) as exc:  # missing, a directory, not UTF-8
-        raise ConfigError(f"universe file {path}: cannot read: "
-                          f"{getattr(exc, 'strerror', None) or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"universe file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"universe file {path} must contain a JSON object")
     where = f"universe file {path}"
+    doc = _read_json_object(path, where)
 
     def reject_unknown_keys(obj: dict, known: tuple[str, ...], owner: str = "") -> None:
         for key in obj:
@@ -567,8 +566,10 @@ class ProviderEndpointSpec:
     def __post_init__(self):
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN included
             raise ConfigError(f"timeout={self.timeout} must be > 0")
+        if self.page_size < 1:  # a page of 0 items never ends the paging
+            raise ConfigError(f"page_size={self.page_size} must be >= 1")
         missing = [f for f in BARS_HEADER if f not in self.fields]
         if missing:
             raise ConfigError(f"provider {self.name}: missing field paths for {missing}")
@@ -581,12 +582,7 @@ class ProviderEndpointSpec:
 
 def load_provider_config(path: str | Path) -> ProviderEndpointSpec:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"provider config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"provider config {path} is not valid JSON: {exc}") from None
+    doc = _read_json_object(path, f"provider config {path}")
     try:
         return ProviderEndpointSpec(
             name=doc["name"],
@@ -602,6 +598,8 @@ def load_provider_config(path: str | Path) -> ProviderEndpointSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"provider config {path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError, ConfigError) as exc:  # a bad value
+        raise ConfigError(f"provider config {path}: {exc}") from None
 
 
 class RateLimiter:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, random_series
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
 from me2f.cli import _dumps, main, report_to_dict
+from me2f.ingest import BARS_HEADER
 
 runner = CliRunner()
 
@@ -99,6 +100,17 @@ class TestScore:
         assert_clean_exit(result, 3)
         assert f"{bars}: line 4, column 'date'" in result.stderr
         assert "duplicate date 2024-01-01" in result.stderr
+
+    def test_holder_share_above_one_exits_3_naming_file_and_line(self, tmp_path):
+        # within the share-sum tolerance, but no one holder owns more than the supply
+        holders = tmp_path / "h.csv"
+        holders.write_text("rank,share\n1,1.0000000005\n")
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "X", "role": "standalone",
+                                                    "holders": "h.csv"}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert f"{holders}: line 2, column 'share'" in result.stderr
 
     def test_param_overrides_change_scores(self, tmp_path):
         out_default = score_reference(tmp_path, "a")
@@ -272,6 +284,20 @@ class TestBarsCsvRoundTrip:
         assert load_bars_csv(path, token_id="X") == series
 
 
+# a local port that accepts nothing: a config that wrongly passes fails without leaving the host
+PROVIDER = {"name": "prov", "base_url": "http://127.0.0.1:9",
+            "fields": {name: name for name in BARS_HEADER}}
+BAD_PROVIDER_CONFIGS = {
+    "directory": None,
+    "not UTF-8": "{\"name\": \"caf\xe9\"}".encode("latin-1"),
+    "a list": b"[]",
+    **{f"{key}={value!r}": json.dumps(PROVIDER | {key: value}).encode() for key, value in [
+        ("rate_limit_per_minute", "abc"), ("timeout_seconds", "abc"), ("page_size", "abc"),
+        ("page_size", 0), ("timeout_seconds", float("nan")), ("page_size", float("inf")),
+    ]},
+}
+
+
 class TestFetchCommand:
     def test_bad_date_exits_2(self, tmp_path):
         # Python 3.11's date.fromisoformat takes the last two; the loaders' rule does not.
@@ -288,6 +314,19 @@ class TestFetchCommand:
                      "--start", "2024-01-01", "--end", "2024-01-02",
                      "--cache-dir", tmp_path / "cache")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("content", BAD_PROVIDER_CONFIGS.values(), ids=list(BAD_PROVIDER_CONFIGS))
+    def test_bad_provider_config_exits_2_naming_it(self, tmp_path, content):
+        config = tmp_path / "provider.json"
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        result = run("fetch", "--provider-config", config, "--token", "X",
+                     "--start", "2024-01-01", "--end", "2024-01-02",
+                     "--cache-dir", tmp_path / "cache")
+        assert_clean_exit(result, 2)
+        assert str(config) in result.stderr
 
 
 class TestWarnInputErrors:
@@ -423,6 +462,15 @@ class TestSummaryTableRowErrors:
         result = score_tables(tmp_path, "A,5,40,0,20,standalone,\n" + VOL_ROW)
         assert_clean_exit(result, 3)
         assert "v.csv: line 3, column 'token'" in result.stderr and "'A'" in result.stderr
+
+    @pytest.mark.parametrize("row,column", [
+        ("A,5,40,-10,20,standalone,\n", "max_volume_busd"),
+        ("A,5,40,10,-20,standalone,\n", "max_mcap_busd"),
+    ])
+    def test_negative_size_exits_3(self, tmp_path, row, column):
+        result = score_tables(tmp_path, row)
+        assert_clean_exit(result, 3)
+        assert f"v.csv: line 2, column {column!r}" in result.stderr
 
     def test_repeated_fgi_row_exits_3(self, tmp_path):
         result = score_tables(tmp_path, VOL_ROW, FGI_ROW + "\n" + FGI_ROW)

@@ -10,7 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import (
@@ -747,12 +747,16 @@ class TestColumnarLoadersMatchRowOracle:
     """Same series, or the same error class and message (file, line, column)."""
 
     @given(text=mutated_csv(BARS_HEADER, bar_cells, BAR_MUTATIONS))
+    @example(text=",".join(BARS_HEADER) + "\n2024-01-01,90,110,100,1,1\n2024-01-02,110,90,100,1,1\n"
+             "2024-01-03,oops,90,100,1,1\n")  # line 2, column 'low'
     @FILE_SETTINGS
     def test_bars(self, tmp_path, text):
         path = write(tmp_path, "bars.csv", text)
         assert outcome(load_bars_csv, path) == outcome(oracle_load_bars, path)
 
     @given(text=mutated_csv(SENTIMENT_HEADER, sentiment_cells, SENTIMENT_MUTATIONS))
+    @example(text=",".join(SENTIMENT_HEADER) + "\n2024-01-02,50,-0.5\n2024-01-01,101,\n"
+             "2024-01-02,50,0.1\n")  # line 2, column 'abs_return'
     @FILE_SETTINGS
     def test_sentiment(self, tmp_path, text):
         path = write(tmp_path, "fgi.csv", text)
@@ -831,6 +835,8 @@ class TestHistoryLoaderMatchesRowOracle:
     """Same series, or the same error class and message (file, line, column)."""
 
     @given(text=history_csv())
+    @example(text="date,token,metric,value\n2024-01-02,X,vds,1\n2024-01-02,X,vds,2\n"
+             "2024-01-03,,vds,oops\n")  # line 3, column 'date'
     @FILE_SETTINGS
     def test_history(self, tmp_path, text):
         path = write(tmp_path, "history.csv", text)
@@ -867,6 +873,9 @@ def oracle_load_volatility_table(path: Path, token_id=None) -> dict:
             oracle_float(path, lineno, col, raw)
             for col, raw in zip(VOLATILITY_TABLE_HEADER[1:5], cells[:4])
         ]
+        for col, size in zip(VOLATILITY_TABLE_HEADER[3:5], (volume, mcap)):
+            if size < 0:
+                raise MalformedRow(path, lineno, col, f"negative size {size}")
         role, base = cells[4:]
         if role not in ("standalone", "hosted"):
             raise MalformedRow(path, lineno, "chain_role", f"unknown role {role!r}")
@@ -906,6 +915,8 @@ def oracle_load_holders(path: Path, token_id: str, n: int, exclude: set[str]) ->
         share = oracle_float(path, lineno, "share", raw)
         if share < 0:
             raise MalformedRow(path, lineno, "share", f"negative share {share}")
+        if share > 1:
+            raise MalformedRow(path, lineno, "share", f"share {share} above 1")
         shares.append(share)
     if not shares:
         raise EmptyFile(f"{path}: no data rows")
@@ -955,7 +966,12 @@ def _avg_above_max(draw, cells):
     cells[1], cells[2] = cells[2], cells[1]
 
 
-VOLATILITY_MUTATIONS = {"role": _bad_role, "avg_max": _avg_above_max}
+def _negative_table_size(draw, cells):
+    col = draw(st.sampled_from([3, 4]))  # max_volume_busd, max_mcap_busd
+    cells[col] = "-" + cells[col]
+
+
+VOLATILITY_MUTATIONS = {"role": _bad_role, "avg_max": _avg_above_max, "size": _negative_table_size}
 
 # f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f_max, delta_p_max_pct
 fgi_table_cells = st.tuples(
@@ -1010,6 +1026,8 @@ class TestTableAndHolderLoadersMatchRowOracle:
     """Same value, or the same error class and message (file, line, column)."""
 
     @given(text=mutated_table(VOLATILITY_TABLE_HEADER, volatility_cells, VOLATILITY_MUTATIONS))
+    @example(text=",".join(VOLATILITY_TABLE_HEADER) + "\nA,50,40,1,2,standalone,\n"
+             "B,5,40,1,2,hosted,\n,5,40,1,2,standalone,\n")  # line 2, column 'avg_vol_pct'
     @TABLE_SETTINGS
     def test_volatility_table(self, tmp_path, text):
         path = write(tmp_path, "volatility.csv", text)
@@ -1017,12 +1035,15 @@ class TestTableAndHolderLoadersMatchRowOracle:
             oracle_load_volatility_table, path)
 
     @given(text=mutated_table(FGI_TABLE_HEADER, fgi_table_cells, FGI_TABLE_MUTATIONS))
+    @example(text=",".join(FGI_TABLE_HEADER) + "\nA,50,90,10,60,50,50,10\n"
+             "A,50,oops,10,1,1,50,10\n")  # line 2, column 'q_g_pct'
     @TABLE_SETTINGS
     def test_fgi_table(self, tmp_path, text):
         path = write(tmp_path, "fgi.csv", text)
         assert outcome(lambda p, _: load_fgi_table(p), path) == outcome(oracle_load_fgi_table, path)
 
     @given(case=holders_csv())
+    @example(case=("rank,share\n1,1.5\n2,-0.1\n3,oops\n", set(), 2))  # line 2, above 1
     @TABLE_SETTINGS
     def test_holders(self, tmp_path, case):
         text, exclude, n = case
