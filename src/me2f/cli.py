@@ -24,8 +24,10 @@ import math
 import sys
 from collections import defaultdict
 from datetime import date as Date
+from functools import cache
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -145,14 +147,19 @@ def report_table(report: FragilityReport) -> str:
 # whose encoder runs only in pure Python once ``indent`` is set. Each object
 # of the two report schemas is one template of its keys, in order, with its
 # indentation fixed; scalars are encoded by type, as ``json`` encodes them.
+# A score token is filled in by one ``%`` on the template of its shape (its
+# role kind, and which of its volatility, concentration, fgi and window are
+# present), composed once from the object templates: at most 32 templates, one
+# ``_encode`` of all the token's scalars, and the tokens joined once into the
+# report's text.
 
 def _unencodable(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-_SCALARS = {
-    float: float.__repr__,
-    int: int.__repr__,
+_SCALARS = {  # by exact type, so ``repr`` is ``float.__repr__``/``int.__repr__``
+    float: repr,
+    int: repr,
     str: encode_basestring_ascii,
     type(None): {None: "null"}.__getitem__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -176,6 +183,8 @@ class _Object:
     def __init__(self, depth: int, *keys: str):
         pad = "  " * (depth + 1)
         self.keys = keys
+        # ``obj``'s values in key order (``itemgetter`` of one key returns the bare value)
+        self.values = itemgetter(*keys) if len(keys) > 1 else lambda obj: (obj[keys[0]],)
         self.template = ("{\n" + ",\n".join(f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
                          + "\n" + "  " * depth + "}")
 
@@ -183,15 +192,27 @@ class _Object:
         """``obj`` when every value is a scalar; ``null`` for None."""
         if obj is None:
             return "null"
-        return self.template % tuple(_encode(map(obj.__getitem__, self.keys)))
+        return self.template % tuple(_encode(self.values(obj)))
+
+    def split(self, key: str) -> tuple[str, str]:
+        """The template before ``key``'s value and after it."""
+        pieces = self.template.split("%s")
+        at = self.keys.index(key) + 1
+        return "%s".join(pieces[:at]), "%s".join(pieces[at:])
+
+
+def _brackets(depth: int) -> tuple[str, str, str]:
+    """An array's opening, separator and closing at nesting ``depth``."""
+    pad = "  " * (depth + 1)
+    return "[\n" + pad, ",\n" + pad, "\n" + "  " * depth + "]"
 
 
 def _array(texts: list[str], depth: int) -> str:
     """An array at nesting ``depth`` of already encoded items."""
     if not texts:
         return "[]"
-    pad = "  " * (depth + 1)
-    return "[\n" + pad + (",\n" + pad).join(texts) + "\n" + "  " * depth + "]"
+    opening, separator, closing = _brackets(depth)
+    return opening + separator.join(texts) + closing
 
 
 def _strings(values: list[str], depth: int) -> str:
@@ -211,6 +232,7 @@ _VOLATILITY = _Object(4, "avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap")
 _CONCENTRATION = _Object(4, "top_share_pct", "hhi", "internal")
 _FGI = _Object(4, "f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct", "delta_f_max",
                "delta_p_max_pct")
+_SECTIONS = (_VOLATILITY, _CONCENTRATION, _FGI, _TOKEN_WINDOW)  # a token's nullable objects
 
 _WARN = _Object(0, "params", "warnings", "flags", "joint_events", "buckets")
 _WARN_PARAMS = _Object(1, "window_days", "threshold", "x_days")
@@ -219,35 +241,53 @@ _JOINT_EVENT = _Object(2, "token", "date", "metrics")
 _BUCKET = _Object(2, "token", "date", "bucket", "metrics")
 
 
-def _token_json(t: dict) -> str:
-    role, inputs = t["role"], t["inputs"]
-    token_id, vds, wds, sas = _encode([t["id"], t["vds"], t["wds"], t["sas"]])
-    return _TOKEN.template % (
-        token_id,
-        (_HOSTED if "base" in role else _STANDALONE).scalars(role),
-        vds, wds, sas,
-        _RAW.scalars(t["raw"]),
-        _INPUTS.template % (
-            _VOLATILITY.scalars(inputs["volatility"]),
-            _CONCENTRATION.scalars(inputs["concentration"]),
-            _FGI.scalars(inputs["fgi"]),
-        ),
-        _TOKEN_WINDOW.scalars(t["window"]),
-        _strings(t["warnings"], 3),
+@cache
+def _token_template(role: _Object, *present: bool) -> str:
+    """A token's template for its shape: ``role``, and which of ``_SECTIONS``
+    are ``present`` (the others are null). One ``%s`` per scalar, in the
+    order of the text, and a last one for the warnings array."""
+    volatility, concentration, fgi, window = (
+        section.template if here else "null" for section, here in zip(_SECTIONS, present)
     )
+    return _TOKEN.template % (
+        "%s", role.template, "%s", "%s", "%s", _RAW.template,
+        _INPUTS.template % (volatility, concentration, fgi), window, "%s",
+    )
+
+
+def _token_json(t: dict) -> str:
+    """One token entry: all of its scalars through one ``_encode``, then one
+    ``%`` on the template of its shape."""
+    role, inputs = t["role"], t["inputs"]
+    sections = (inputs["volatility"], inputs["concentration"], inputs["fgi"], t["window"])
+    role_object = _HOSTED if "base" in role else _STANDALONE
+    values = [t["id"], *role_object.values(role), t["vds"], t["wds"], t["sas"],
+              *_RAW.values(t["raw"])]
+    for section, obj in zip(sections, _SECTIONS):
+        if section is not None:
+            values += obj.values(section)
+    warnings_at = len(values)
+    values += t["warnings"]
+    texts = _encode(values)
+    texts[warnings_at:] = [_array(texts[warnings_at:], 3)]
+    return _token_template(role_object, *(s is not None for s in sections)) % tuple(texts)
 
 
 def _score_json(doc: dict) -> str:
-    return _SCORE.template % (
-        _SCORE_PARAMS.scalars(doc["params"]),
-        _REPORT_WINDOW.scalars(doc["window"]),
-        _array([_token_json(t) for t in doc["tokens"]], 1),
-        _strings(doc["warnings"], 1),
-    )
+    head, tail = _SCORE.split("tokens")
+    head %= (_SCORE_PARAMS.scalars(doc["params"]), _REPORT_WINDOW.scalars(doc["window"]))
+    tail = tail % _strings(doc["warnings"], 1) + "\n"
+    tokens = [_token_json(t) for t in doc["tokens"]]
+    if not tokens:
+        return head + "[]" + tail
+    opening, separator, closing = _brackets(1)
+    tokens[0] = head + opening + tokens[0]
+    tokens[-1] += closing + tail
+    return separator.join(tokens)
 
 
 def _warn_json(doc: dict) -> str:
-    return _WARN.template % (
+    return (_WARN.template + "\n") % (
         _WARN_PARAMS.scalars(doc["params"]),
         _strings(doc["warnings"], 1),
         _array([_FLAG.scalars(f) for f in doc["flags"]], 1),
@@ -272,7 +312,7 @@ def _dumps(doc: dict) -> str:
     writer = _WRITERS.get(tuple(doc))
     if writer is None:
         raise TypeError(f"no JSON writer for a document with keys {list(doc)}")
-    return writer(doc) + "\n"
+    return writer(doc)
 
 
 def bars_to_csv(series: TokenSeries) -> str:

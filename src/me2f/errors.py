@@ -125,6 +125,10 @@ class HttpError(DataError):
         self.body = body
 
 
+class ProviderUnreachable(DataError):
+    """Provider could not be reached: the connection failed or timed out."""
+
+
 class RateLimited(DataError):
     """Provider kept rejecting requests after the advertised backoff."""
 

@@ -54,6 +54,7 @@ from .errors import (
     NonMonotonicDates,
     ParseError,
     PartialRange,
+    ProviderUnreachable,
     RateLimited,
     SchemaMismatch,
 )
@@ -385,9 +386,14 @@ def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
                 for token, f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct
                 in zip(tokens, *values)
             }
-        except InvalidSummary as exc:
-            unordered = any(not f_min <= f_bar <= f_max for f_bar, f_max, f_min in zip(*values[:3]))
-            raise _RowError("f_bar" if unordered else "q_g_pct", str(exc)) from None
+        except InvalidSummary as exc:  # in the order FgiIndicators checks
+            f_bar, f_max, f_min, _, _, delta_f, delta_p_pct = values
+            column = ("delta_f_max" if min(delta_f) < 0
+                      else "delta_p_max_pct" if min(delta_p_pct) < 0
+                      else "f_bar" if any(not lo <= mid <= hi
+                                          for mid, hi, lo in zip(f_bar, f_max, f_min))
+                      else "q_g_pct")
+            raise _RowError(column, str(exc)) from None
 
     return _located(path, numbers, columns, parse)
 
@@ -564,6 +570,15 @@ class ProviderEndpointSpec:
     page_size: int = 100
 
     def __post_init__(self):
+        texts = [("name", self.name), ("base_url", self.base_url), ("path", self.path),
+                 ("items_path", self.items_path)]
+        if self.api_key_header is not None:
+            texts.append(("api_key_header", self.api_key_header))
+        for mapping in ("query", "fields"):
+            texts += ((f"{mapping}.{key}", value) for key, value in getattr(self, mapping).items())
+        for key, value in texts:
+            if not isinstance(value, str):
+                raise ConfigError(f"{key}={value!r} must be a string")
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
         if not self.timeout > 0:  # NaN included
@@ -694,17 +709,29 @@ class MarketDataClient:
             key = os.environ.get(self.provider.api_key_env(), "")
             if key:
                 headers[self.provider.api_key_header] = key
-        self.limiter.acquire()
-        resp = self.session.get(url, params=params, headers=headers, timeout=self.provider.timeout)
+        resp = self._request(url, params, headers)
         if resp.status_code == 429:
             self._sleep(self._retry_after(resp.headers.get("Retry-After", "")))
-            self.limiter.acquire()
-            resp = self.session.get(url, params=params, headers=headers, timeout=self.provider.timeout)
+            resp = self._request(url, params, headers)
             if resp.status_code == 429:
                 raise RateLimited(f"{self.provider.name}: still rate limited after backoff")
         if resp.status_code >= 400:
             raise HttpError(resp.status_code, resp.text)
         return resp
+
+    def _request(self, url: str, params: dict[str, str], headers: dict[str, str]):
+        """One GET, once the rate limiter allows it; no retry when the
+        connection fails or times out."""
+        import requests  # here: it slows CLI start-up
+
+        self.limiter.acquire()
+        try:
+            return self.session.get(url, params=params, headers=headers,
+                                    timeout=self.provider.timeout)
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            reason = " ".join(str(exc).split()) or type(exc).__name__  # one line
+            raise ProviderUnreachable(
+                f"{self.provider.name}: cannot reach {url}: {reason}") from None
 
     def _retry_after(self, header: str) -> float:
         """Seconds to wait before the retry: ``Retry-After`` as delta-seconds

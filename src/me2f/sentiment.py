@@ -67,6 +67,11 @@ class FgiIndicators:
     delta_p_max: float
 
     def __post_init__(self):
+        # a negative largest move would make the shock index, and K**delta, complex
+        if self.delta_f_max < 0:
+            raise InvalidSummary(f"{self.token_id}: delta_f_max={self.delta_f_max!r} is negative")
+        if self.delta_p_max < 0:
+            raise InvalidSummary(f"{self.token_id}: delta_p_max={self.delta_p_max!r} is negative")
         if not self.f_min <= self.f_bar <= self.f_max:
             raise InvalidSummary(f"{self.token_id}: f_min <= f_bar <= f_max violated")
         if self.q_g < 0 or self.q_f < 0 or self.q_g + self.q_f > 1 + 1e-9:

@@ -8,7 +8,7 @@ to one of three action buckets.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
@@ -102,10 +102,11 @@ def rolling_flags(
     for i, value in enumerate(values):
         if i >= window_days:
             window.pop(bisect_left(window, values[i - window_days]))
-        insort(window, value)
+        below = bisect_left(window, value)  # the values strictly below, ties excluded
+        window.insert(below, value)
         if i < window_days - 1:
             continue
-        percentile = bisect_left(window, value) / window_days
+        percentile = below / window_days
         if percentile >= threshold:
             flags.append(
                 WarningFlag(series.token_id, series.metric, series.dates[i], value, percentile)

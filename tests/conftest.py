@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference universe and synthetic data builders."""
+"""Shared fixtures: the reference universe, synthetic data builders and a
+fake provider session."""
 from __future__ import annotations
 
 from datetime import date, timedelta
@@ -68,3 +69,41 @@ def random_series(rng, token_id: str, n_bars: int | None = None) -> TokenSeries:
         price = close
         day += timedelta(days=rng.randint(1, 3))
     return TokenSeries(token_id, tuple(bars))
+
+
+# --- remote fetch ----------------------------------------------------------
+
+class FakeResponse:
+    def __init__(self, status_code=200, payload=None, headers=None, text=""):
+        self.status_code = status_code
+        self._payload = payload
+        self.headers = headers or {}
+        self.text = text
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("no JSON body")
+        return self._payload
+
+
+class FakeSession:
+    """Serves paginated daily records; records every request. ``fail_first``
+    holds responses to serve, or exceptions to raise, before the records."""
+
+    def __init__(self, records, page_size=2, fail_first=None):
+        self.records = records
+        self.page_size = page_size
+        self.calls = []
+        self.fail_first = list(fail_first or [])
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "params": dict(params or {}), "headers": dict(headers or {})})
+        if self.fail_first:
+            failure = self.fail_first.pop(0)
+            if isinstance(failure, Exception):
+                raise failure
+            return failure
+        page = int(params["page"])
+        size = int(params.get("limit", self.page_size))
+        start = (page - 1) * size
+        return FakeResponse(payload={"data": self.records[start : start + size]})

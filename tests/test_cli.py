@@ -6,14 +6,16 @@ import math
 import random
 from dataclasses import replace
 from datetime import date, timedelta
+from itertools import count, product
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, random_series
+from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, FakeSession, random_series
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
 from me2f.cli import _dumps, main, report_to_dict
 from me2f.ingest import BARS_HEADER
@@ -294,6 +296,7 @@ BAD_PROVIDER_CONFIGS = {
     **{f"{key}={value!r}": json.dumps(PROVIDER | {key: value}).encode() for key, value in [
         ("rate_limit_per_minute", "abc"), ("timeout_seconds", "abc"), ("page_size", "abc"),
         ("page_size", 0), ("timeout_seconds", float("nan")), ("page_size", float("inf")),
+        ("name", 5), ("base_url", None), ("query", {"page": 1}),
     ]},
 }
 
@@ -327,6 +330,18 @@ class TestFetchCommand:
                      "--cache-dir", tmp_path / "cache")
         assert_clean_exit(result, 2)
         assert str(config) in result.stderr
+
+    @pytest.mark.parametrize("failure", [requests.ConnectionError("Connection refused"),
+                                         requests.Timeout()], ids=["connection", "timeout"])
+    def test_unreachable_provider_exits_3_naming_it(self, tmp_path, monkeypatch, failure):
+        monkeypatch.setattr(requests, "Session", lambda: FakeSession([], fail_first=[failure]))
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(PROVIDER))
+        result = run("fetch", "--provider-config", config, "--token", "X",
+                     "--start", "2024-01-01", "--end", "2024-01-02",
+                     "--cache-dir", tmp_path / "cache")
+        assert_clean_exit(result, 3)
+        assert result.stderr.startswith("error: prov: cannot reach http://127.0.0.1:9: ")
 
 
 class TestWarnInputErrors:
@@ -471,6 +486,17 @@ class TestSummaryTableRowErrors:
         result = score_tables(tmp_path, row)
         assert_clean_exit(result, 3)
         assert f"v.csv: line 2, column {column!r}" in result.stderr
+
+    @pytest.mark.parametrize("row,column", [
+        ("B,50,90,10,1,1,-1,10\n", "delta_f_max"),
+        ("B,50,90,10,1,1,50,-10\n", "delta_p_max_pct"),
+    ])
+    def test_negative_fgi_move_exits_3(self, tmp_path, row, column):
+        # beside a positive maximum, a negative move made the shock index negative and
+        # K**delta complex
+        result = score_tables(tmp_path, VOL_ROW + VOL_ROW.replace("A,", "B,"), FGI_ROW + row)
+        assert_clean_exit(result, 3)
+        assert f"f.csv: line 3, column {column!r}" in result.stderr
 
     def test_repeated_fgi_row_exits_3(self, tmp_path):
         result = score_tables(tmp_path, VOL_ROW, FGI_ROW + "\n" + FGI_ROW)
@@ -720,8 +746,61 @@ EDGE_TOKEN = {
 }
 
 
+# Every token shape: standalone or hosted, each of volatility, concentration,
+# fgi and window present or null, and warnings empty or not.
+TOKEN_SHAPES = list(product((False, True), repeat=6))
+SHAPE_IDS = ["+".join(name for name, here in zip(
+    ("hosted", "volatility", "concentration", "fgi", "window", "warnings"), shape) if here) or "bare"
+    for shape in TOKEN_SHAPES]
+
+
+def shaped_report(hosted, volatility, concentration, fgi, window, warned) -> dict:
+    """A score document of one token of this shape, every scalar a distinct float."""
+    values = (n / 8 for n in count(1))
+
+    def section(here, *keys):
+        return {key: next(values) for key in keys} if here else None
+
+    token = {
+        "id": "T", "role": {"kind": "hosted", "base": "B"} if hosted else {"kind": "standalone"},
+        "vds": next(values), "wds": None, "sas": 3, "raw": section(True, "vds", "wds", "sas"),
+        "inputs": {
+            "volatility": section(volatility, "avg_vol_pct", "max_vol_pct", "max_volume",
+                                  "max_mcap"),
+            "concentration": section(concentration, "top_share_pct", "hhi", "internal"),
+            "fgi": section(fgi, "f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct",
+                           "delta_f_max", "delta_p_max_pct"),
+        },
+        "window": section(window, "start", "end"),
+        "warnings": ["first", "second"] if warned else [],
+    }
+    params = dict.fromkeys(("alpha", "beta", "gamma", "delta", "n", "scale_unit"), 1.0)
+    return {"params": params, "window": None, "tokens": [token], "warnings": []}
+
+
 class TestJsonWriters:
     """``_dumps`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @pytest.mark.parametrize("shape", TOKEN_SHAPES, ids=SHAPE_IDS)
+    def test_every_token_shape_matches_json_dumps(self, shape):
+        doc = shaped_report(*shape)
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        token = doc["tokens"][0]
+        nested = [token["role"], token["raw"], *filter(None, token["inputs"].values()),
+                  token["window"], token["warnings"]]
+        for section in filter(None, nested):
+            for key in (range(len(section)) if isinstance(section, list) else list(section)):
+                kept = section[key]
+                for value in (math.nan, math.inf, -math.inf):
+                    section[key] = value
+                    assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+                section[key] = object()
+                with pytest.raises(TypeError) as ours:
+                    _dumps(doc)
+                with pytest.raises(TypeError) as theirs:
+                    json.dumps(doc, indent=2)
+                assert str(ours.value) == str(theirs.value)
+                section[key] = kept
 
     @settings(derandomize=True, max_examples=300)
     @given(doc=SCORE_DOCS | WARN_DOCS)

@@ -10,6 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from me2f.errors import (
     MalformedRow,
     ParseError,
     PartialRange,
+    ProviderUnreachable,
     RateLimited,
     SchemaMismatch,
 )
@@ -58,7 +60,7 @@ from me2f.ingest import (
 from me2f.sentiment import FgiIndicators
 from me2f.volatility import VolatilityAggregate
 from me2f.warning import Metric, ScorePoint, ScoreSeries
-from conftest import REFERENCE_DIR
+from conftest import REFERENCE_DIR, FakeResponse, FakeSession
 
 PARAMS = FrameworkParams()
 
@@ -284,38 +286,6 @@ class TestLoadUniverse:
 
 # --- remote fetch ----------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, headers=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.headers = headers or {}
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no JSON body")
-        return self._payload
-
-
-class FakeSession:
-    """Serves paginated daily records; records every request."""
-
-    def __init__(self, records, page_size=2, fail_first=None):
-        self.records = records
-        self.page_size = page_size
-        self.calls = []
-        self.fail_first = list(fail_first or [])
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "params": dict(params or {}), "headers": dict(headers or {})})
-        if self.fail_first:
-            return self.fail_first.pop(0)
-        page = int(params["page"])
-        size = int(params.get("limit", self.page_size))
-        start = (page - 1) * size
-        return FakeResponse(payload={"data": self.records[start : start + size]})
-
-
 class ExplodingSession:
     def get(self, *args, **kwargs):  # pragma: no cover - reaching it is the failure
         raise AssertionError("network touched despite cache hit")
@@ -447,6 +417,19 @@ class TestMarketDataClient:
             client.fetch_daily("DOGE", self.START, self.START)
         assert err.value.status == 500
 
+    @pytest.mark.parametrize("failures", [
+        [requests.ConnectionError("Connection refused")],
+        [requests.Timeout()],
+        [FakeResponse(429), requests.ConnectTimeout("timed out\nafter 5 s")],
+    ], ids=["connection", "timeout", "on-429-retry"])
+    def test_unreachable_provider_names_it_and_the_url(self, tmp_path, failures):
+        session = FakeSession([], page_size=10, fail_first=failures)
+        client, _ = make_client(tmp_path, session, make_provider(page_size=10))
+        with pytest.raises(ProviderUnreachable) as err:
+            client.fetch_daily("DOGE", self.START, self.START)
+        assert str(err.value).startswith("fakeprov: cannot reach https://api.fake/bars/DOGE: ")
+        assert "\n" not in str(err.value)
+
     def test_bad_items_path(self, tmp_path):
         session = FakeSession([], page_size=10,
                               fail_first=[FakeResponse(200, payload={"wrong": []})])
@@ -507,6 +490,18 @@ class TestProviderConfig:
         doc = {"name": "p", "base_url": "https://x", "fields": {"date": "d"}}
         with pytest.raises(ConfigError):
             load_provider_config(write(tmp_path, "p.json", json.dumps(doc)))
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("name", 5, "name"), ("base_url", None, "base_url"), ("path", 1.5, "path"),
+        ("items_path", ["data"], "items_path"), ("api_key_header", 5, "api_key_header"),
+        ("query", {"page": "{page}", "limit": 100}, "query.limit"),
+        ("fields", {**{name: name for name in BARS_HEADER}, "close": {"c": 1}}, "fields.close"),
+    ])
+    def test_non_string_value_rejected_naming_file_and_key(self, tmp_path, key, value, named):
+        doc = {"name": "p", "base_url": "https://x", "fields": {name: name for name in BARS_HEADER}}
+        path = write(tmp_path, "p.json", json.dumps(doc | {key: value}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {named}=")):
+            load_provider_config(path)
 
 
 class TestLoaderDomainAgreement:
@@ -902,7 +897,8 @@ def oracle_load_fgi_table(path: Path, token_id=None) -> dict:
             out[token] = FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100, q_f_pct / 100,
                                        delta_f, delta_p_pct / 100)
         except DataError as exc:
-            column = "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct"
+            column = ("delta_f_max" if delta_f < 0 else "delta_p_max_pct" if delta_p_pct < 0
+                      else "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct")
             raise MalformedRow(path, lineno, column, str(exc)) from None
     return out
 
@@ -991,7 +987,13 @@ def _extreme_shares(draw, cells):
     cells[4:6] = draw(st.sampled_from([["60", "50.5"], ["100", "1e-6"], ["-1", "0"], ["0", "-0.5"]]))
 
 
-FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares}
+def _negative_move(draw, cells):
+    col = draw(st.sampled_from([6, 7]))  # delta_f_max, delta_p_max_pct
+    cells[col] = draw(st.sampled_from(["-1", "-5e-324", "-" + cells[col]]))
+
+
+FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares,
+                       "move": _negative_move}
 
 
 @st.composite
@@ -1037,6 +1039,8 @@ class TestTableAndHolderLoadersMatchRowOracle:
     @given(text=mutated_table(FGI_TABLE_HEADER, fgi_table_cells, FGI_TABLE_MUTATIONS))
     @example(text=",".join(FGI_TABLE_HEADER) + "\nA,50,90,10,60,50,50,10\n"
              "A,50,oops,10,1,1,50,10\n")  # line 2, column 'q_g_pct'
+    @example(text=",".join(FGI_TABLE_HEADER) + "\nA,50,90,10,60,50,50,-1\n"
+             "B,95,90,10,1,1,50,10\n")  # line 2, column 'delta_p_max_pct'
     @TABLE_SETTINGS
     def test_fgi_table(self, tmp_path, text):
         path = write(tmp_path, "fgi.csv", text)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import SentimentPoint, SentimentSeries
-from me2f.errors import DegenerateMaxima, InsufficientHistory, OutOfRange
+from me2f.errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 from me2f.ingest import load_fgi_table
 from me2f.sentiment import (
     FgiBand,
@@ -156,6 +156,12 @@ class TestInstabilityAndShock:
         assert set(maxima.degenerate_components()) == {
             "r_f", "extreme_share", "mean_bias", "delta_f", "delta_p"
         }
+
+    @pytest.mark.parametrize("field,move", [("delta_f", -1.0), ("delta_p", -5e-324)])
+    def test_negative_largest_move_is_rejected(self, field, move):
+        # it would make the shock index negative and K**delta complex
+        with pytest.raises(InvalidSummary, match=f"{field}_max={move!r} is negative"):
+            _indicator(**{field: move})
 
     def test_empty_universe(self):
         with pytest.raises(DegenerateMaxima):
