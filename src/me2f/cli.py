@@ -25,7 +25,7 @@ import sys
 from collections import defaultdict
 from datetime import date as Date
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -39,6 +39,7 @@ from .errors import ConfigError, DataError, Me2fError, NonMonotonicDates
 from .ingest import HISTORY_HEADER, MarketDataClient
 from .scoring import FragilityReport, TokenReport
 from .warning import (
+    ActionBucket,
     Metric,
     ScoreSeries,
     assign_buckets,
@@ -49,6 +50,8 @@ from .warning import (
 ABSENT = "—"  # rendered for missing scores in tabular output
 
 _METRIC_COLORS = {"vds": "#2a9d8f", "wds": "#3a6ea5", "sas": "#e76f51"}
+# each metric's and bucket's name, read once rather than through ``.value`` per item
+_NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 
 
 # --- serialization -------------------------------------------------------
@@ -151,7 +154,9 @@ def report_table(report: FragilityReport) -> str:
 # role kind, and which of its volatility, concentration, fgi and window are
 # present), composed once from the object templates: at most 32 templates, one
 # ``_encode`` of all the token's scalars, and the tokens joined once into the
-# report's text.
+# report's text. A warn array (flags, joint events, buckets) is rendered whole:
+# one ``_encode`` of all its items' scalars, one more of all their metrics
+# lists' items, and one ``%`` on its object template repeated once per item.
 
 def _unencodable(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -286,17 +291,36 @@ def _score_json(doc: dict) -> str:
     return separator.join(tokens)
 
 
+def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
+    """An array at nesting 1 of ``obj`` items: one ``_encode`` of all their
+    scalars, gathered in key order, and one ``%`` on ``obj``'s template
+    repeated once per item. The string arrays under key ``listed`` get one
+    more ``_encode`` of all their items, then each is cut back by its length."""
+    if not items:
+        return "[]"
+    width = len(obj.keys)
+    values = list(chain.from_iterable(map(obj.values, items)))
+    if listed is not None:
+        at = obj.keys.index(listed)
+        lists = values[at::width]
+        values[at::width] = [None] * len(items)  # a scalar in the lists' place
+    texts = _encode(values)
+    if listed is not None:
+        strings = iter(_encode(chain.from_iterable(lists)))
+        opening, separator, closing = _brackets(3)
+        texts[at::width] = [opening + separator.join(islice(strings, n)) + closing if n else "[]"
+                            for n in map(len, lists)]
+    opening, separator, closing = _brackets(1)
+    return opening + (separator.join(repeat(obj.template, len(items))) % tuple(texts)) + closing
+
+
 def _warn_json(doc: dict) -> str:
     return (_WARN.template + "\n") % (
         _WARN_PARAMS.scalars(doc["params"]),
         _strings(doc["warnings"], 1),
-        _array([_FLAG.scalars(f) for f in doc["flags"]], 1),
-        _array([_JOINT_EVENT.template % (*_encode([e["token"], e["date"]]),
-                                         _strings(e["metrics"], 3))
-                 for e in doc["joint_events"]], 1),
-        _array([_BUCKET.template % (*_encode([b["token"], b["date"], b["bucket"]]),
-                                    _strings(b["metrics"], 3))
-                for b in doc["buckets"]], 1),
+        _objects(_FLAG, doc["flags"]),
+        _objects(_JOINT_EVENT, doc["joint_events"], "metrics"),
+        _objects(_BUCKET, doc["buckets"], "metrics"),
     )
 
 
@@ -475,8 +499,7 @@ def score(universe_path, out_dir, formats, **overrides):
         inputs = ingest.load_universe(universe_path, params)
         report = scoring.score_universe(scoring.build_context(inputs, params))
         doc = report_to_dict(report)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = ingest.make_dir(out_dir, "--out")
         written = []
         if "json" in wanted:
             (out / "report.json").write_text(_dumps(doc), encoding="utf-8")
@@ -612,7 +635,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
             "flags": [
                 {
                     "token": f.token_id,
-                    "metric": f.metric.value,
+                    "metric": _NAMES[f.metric],
                     "date": f.date.isoformat(),
                     "value": f.value,
                     "window_percentile": f.window_percentile,
@@ -623,7 +646,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                 {
                     "token": e.token_id,
                     "date": e.date.isoformat(),
-                    "metrics": [m.value for m in e.metrics],
+                    "metrics": [_NAMES[m] for m in e.metrics],
                 }
                 for e in events
             ],
@@ -631,14 +654,13 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                 {
                     "token": b.token_id,
                     "date": b.date.isoformat(),
-                    "bucket": b.bucket.value,
-                    "metrics": [m.value for m in b.metrics],
+                    "bucket": _NAMES[b.bucket],
+                    "metrics": [_NAMES[m] for m in b.metrics],
                 }
                 for b in buckets
             ],
         }
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = ingest.make_dir(out_dir, "--out")
         (out / "warnings.json").write_text(_dumps(doc), encoding="utf-8")
         click.echo(
             f"{len(doc['flags'])} flag(s), {len(doc['joint_events'])} joint event(s) "
@@ -659,8 +681,7 @@ def plot(report_path, out_dir):
         path = Path(report_path)
         doc = _read_report(path)
         _report_tokens(path, doc)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = ingest.make_dir(out_dir, "--out")
         for notice in write_charts(doc, out):
             click.echo(notice, err=True)
         click.echo(f"charts -> {out}", err=True)

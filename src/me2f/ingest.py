@@ -18,7 +18,6 @@ with a sha256 sidecar; cache hits make zero network calls.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -442,6 +441,18 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     return _located(path, numbers, columns, parse)
 
 
+def make_dir(path: str | Path, what: str) -> Path:
+    """``path`` as a directory, made with its parents where missing; a
+    ConfigError naming ``what`` and ``path`` where it cannot be (it, or a
+    parent, is a file)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be made a directory: {exc.strerror or exc}") from None
+    return path
+
+
 # --- universe files ------------------------------------------------------
 
 def _read_json_object(path: Path, where: str) -> dict:
@@ -547,6 +558,23 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
 # --- remote market data ----------------------------------------------------
 
+_URL_PLACEHOLDERS = ("token", "start", "end", "page", "page_size")
+
+
+def _check_template(key: str, template: str) -> None:
+    """A ``path`` or ``query`` value fills in only bare ``_URL_PLACEHOLDERS``."""
+    from string import Formatter  # here: it slows CLI start-up
+
+    try:
+        fields = [(name, spec, conversion)
+                  for _, name, spec, conversion in Formatter().parse(template) if name is not None]
+    except ValueError as exc:  # a lone brace
+        raise ConfigError(f"{key}={template!r} is not a URL template: {exc}") from None
+    if any(name not in _URL_PLACEHOLDERS or spec or conversion for name, spec, conversion in fields):
+        allowed = ", ".join(f"{{{name}}}" for name in _URL_PLACEHOLDERS)
+        raise ConfigError(f"{key}={template!r} may use only the placeholders {allowed}")
+
+
 @dataclass(frozen=True)
 class ProviderEndpointSpec:
     """Declarative description of one market-data provider.
@@ -579,6 +607,9 @@ class ProviderEndpointSpec:
         for key, value in texts:
             if not isinstance(value, str):
                 raise ConfigError(f"{key}={value!r} must be a string")
+        _check_template("path", self.path)
+        for key, value in self.query.items():
+            _check_template(f"query.{key}", value)
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
         if not self.timeout > 0:  # NaN included
@@ -683,6 +714,8 @@ class MarketDataClient:
         return self.cache_dir / self.provider.name / token_id / kind / f"{start}_{end}.json"
 
     def _cache_read(self, path: Path) -> list[dict] | None:
+        import hashlib  # here: it slows CLI start-up
+
         sidecar = path.with_suffix(path.suffix + ".sha256")
         if not path.exists() or not sidecar.exists():
             return None
@@ -692,7 +725,8 @@ class MarketDataClient:
         return json.loads(payload)["records"]
 
     def _cache_write(self, path: Path, records: list[dict]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        import hashlib  # here: it slows CLI start-up
+
         payload = json.dumps(
             {"fetched_at": self._clock(), "records": records}, indent=2
         ).encode("utf-8")
@@ -785,6 +819,7 @@ class MarketDataClient:
         if end < start:
             raise ConfigError(f"date range {start}..{end} is inverted")
         cache_path = self._cache_path(token_id, "bars", start, end)
+        make_dir(cache_path.parent, "cache directory")  # before any request
         records = self._cache_read(cache_path)
         from_cache = records is not None
         if records is None:

@@ -25,6 +25,9 @@ class Metric(str, Enum):
     SAS = "sas"
 
 
+_METRICS = tuple(Metric)  # iterating the Enum class itself costs more, once per date
+
+
 class ActionBucket(str, Enum):
     TIGHTEN_RISK = "tighten_risk"
     GOVERNANCE_WATCH = "governance_watch"
@@ -138,7 +141,7 @@ def joint_spike(
     """
     if x_days < 0:
         raise ConfigError(f"x_days={x_days} must be >= 0")
-    metrics = [m for m in Metric if flags_by_metric.get(m)]
+    metrics = [m for m in _METRICS if flags_by_metric.get(m)]
     days = {m: _flag_days(flags_by_metric[m]) for m in metrics}
     events: set[JointSpike] = set()
     for m1, m2 in combinations(metrics, 2):
@@ -183,10 +186,10 @@ def assign_buckets(
     if not all_flags:
         return []
     token_id = all_flags[0].token_id
-    days = {m: _flag_days(flags_by_metric.get(m, ())) for m in Metric}
+    days = {m: _flag_days(flags_by_metric.get(m, ())) for m in _METRICS}
     assignments = []
     for d in sorted({f.date.toordinal() for f in all_flags}):
-        active = tuple(m for m in Metric if _flagged_within(days[m], d, x_days))
+        active = tuple(m for m in _METRICS if _flagged_within(days[m], d, x_days))
         assignments.append(
             BucketAssignment(token_id, Date.fromordinal(d), action_bucket(active), active)
         )

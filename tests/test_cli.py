@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
 from itertools import count, product
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, FakeSession, random_series
+import me2f
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
 from me2f.cli import _dumps, main, report_to_dict
 from me2f.ingest import BARS_HEADER
@@ -258,6 +261,52 @@ class TestWarn:
         assert len(doc["flags"]) == 1  # the later, higher VDS observation
 
 
+OUT_FILES = pytest.mark.parametrize("sub", ["afile", "afile/sub"], ids=["a file", "under a file"])
+
+
+def file_out(tmp_path, sub):
+    (tmp_path / "afile").write_text("kept\n")
+    return tmp_path / sub
+
+
+class TestOutThatIsNotADirectory:
+    """An ``--out`` that is, or lies under, a file exits 2 naming it."""
+
+    def assert_named(self, result, out, tmp_path):
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith(f"error: --out {out} cannot be made a directory: ")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    @OUT_FILES
+    def test_score(self, tmp_path, sub):
+        out = file_out(tmp_path, sub)
+        result = run("score", "--universe", REFERENCE_DIR / "universe.json", "--out", out)
+        self.assert_named(result, out, tmp_path)
+
+    @OUT_FILES
+    def test_warn(self, tmp_path, sub):
+        out = file_out(tmp_path, sub)
+        hist = tmp_path / "h.csv"
+        write_history(hist, [float(i) for i in range(1, 121)])
+        self.assert_named(run("warn", "--history", hist, "--out", out), out, tmp_path)
+
+    @OUT_FILES
+    def test_plot(self, tmp_path, sub):
+        report = score_reference(tmp_path) / "report.json"
+        out = file_out(tmp_path, sub)
+        self.assert_named(run("plot", "--report", report, "--out", out), out, tmp_path)
+
+
+def test_cli_import_leaves_fetch_only_modules_unloaded():
+    # the CLI starts for every command; what only ``fetch`` uses is imported where it is used
+    src = Path(me2f.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import me2f.cli; "
+            "print(sorted({'hashlib', 'requests', 'email.utils'} & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout
+    assert loaded == "[]\n"
+
+
 class TestDeterminism:
     def test_score_and_plot_byte_identical(self, tmp_path):
         out1 = score_reference(tmp_path, "run1", extra=("--format", "json,table,chart"))
@@ -297,6 +346,8 @@ BAD_PROVIDER_CONFIGS = {
         ("rate_limit_per_minute", "abc"), ("timeout_seconds", "abc"), ("page_size", "abc"),
         ("page_size", 0), ("timeout_seconds", float("nan")), ("page_size", float("inf")),
         ("name", 5), ("base_url", None), ("query", {"page": 1}),
+        ("path", "/b/{tok}"), ("path", "/b/{}"), ("path", "/b/{token!r}"),
+        ("query", {"start": "{"}), ("query", {"end": "}"}), ("query", {"page": "{page:03}"}),
     ]},
 }
 
@@ -342,6 +393,18 @@ class TestFetchCommand:
                      "--cache-dir", tmp_path / "cache")
         assert_clean_exit(result, 3)
         assert result.stderr.startswith("error: prov: cannot reach http://127.0.0.1:9: ")
+
+    def test_cache_dir_under_a_file_exits_2_before_any_request(self, tmp_path, monkeypatch):
+        session = FakeSession([])
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(PROVIDER))
+        cache = config / "cache"
+        result = run("fetch", "--provider-config", config, "--token", "X",
+                     "--start", "2024-01-01", "--end", "2024-01-02", "--cache-dir", cache)
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith(f"error: cache directory {cache}")
+        assert session.calls == []
 
 
 class TestWarnInputErrors:
@@ -778,8 +841,59 @@ def shaped_report(hosted, volatility, concentration, fgi, window, warned) -> dic
     return {"params": params, "window": None, "tokens": [token], "warnings": []}
 
 
+def warn_doc(flags=(), events=(), buckets=()) -> dict:
+    """A warn document; ``flags`` are (value, window_percentile), ``events``
+    and ``buckets`` their metrics lists."""
+    return {
+        "params": {"window_days": 90, "threshold": 0.9, "x_days": 3},
+        "warnings": [],
+        "flags": [{"token": f"F{i}", "metric": "vds", "date": "2024-01-01", "value": value,
+                   "window_percentile": percentile} for i, (value, percentile) in enumerate(flags)],
+        "joint_events": [{"token": f"E{i}", "date": "2024-01-02", "metrics": list(metrics)}
+                         for i, metrics in enumerate(events)],
+        "buckets": [{"token": f"B{i}", "date": "2024-01-03", "bucket": "governance_watch",
+                     "metrics": list(metrics)} for i, metrics in enumerate(buckets)],
+    }
+
+
+# Values that compare equal but encode differently sit side by side, so a
+# writer that shares rendered text between equal values shows.
+EQUAL_METRICS = [[1], [True], [1.0], [1, True, 1.0], [True], [1]]
+WARN_CASES = {
+    "all arrays empty": warn_doc(),
+    "equal metrics side by side": warn_doc(events=EQUAL_METRICS, buckets=EQUAL_METRICS),
+    "empty metrics": warn_doc(events=[[], ["vds"], [], []], buckets=[[], [], ["wds", "sas"], []]),
+    "only empty metrics": warn_doc(events=[[]], buckets=[[], []]),
+    "one flag": warn_doc(flags=[(0.5, 0.9)]),
+    "non-finite flags": warn_doc(flags=[(math.nan, 0.9), (math.inf, math.nan), (-math.inf, math.inf),
+                                        (1.0, -math.inf)]),
+}
+
+
 class TestJsonWriters:
     """``_dumps`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @pytest.mark.parametrize("doc", WARN_CASES.values(), ids=list(WARN_CASES))
+    def test_warn_cases_match_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("array", ["flags", "joint_events", "buckets"])
+    def test_unencodable_warn_values_raise_jsons_error(self, array):
+        doc = warn_doc(flags=[(1.0, 0.9)] * 2, events=[["vds", "sas"]] * 2,
+                       buckets=[["wds"]] * 2)
+        for item in doc[array]:
+            for key, value in item.items():  # each scalar, and each item of a metrics list
+                places = [(value, i) for i in range(len(value))] if key == "metrics" else [(item, key)]
+                for holder, at in places:
+                    kept = holder[at]
+                    holder[at] = object()
+                    with pytest.raises(TypeError) as ours:
+                        _dumps(doc)
+                    with pytest.raises(TypeError) as theirs:
+                        json.dumps(doc, indent=2)
+                    assert str(ours.value) == str(theirs.value)
+                    holder[at] = kept
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("shape", TOKEN_SHAPES, ids=SHAPE_IDS)
     def test_every_token_shape_matches_json_dumps(self, shape):

@@ -7,6 +7,7 @@ import random
 import re
 from datetime import date, datetime, timedelta, timezone
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,15 @@ class TestMarketDataClient:
         assert str(err.value).startswith("fakeprov: cannot reach https://api.fake/bars/DOGE: ")
         assert "\n" not in str(err.value)
 
+    def test_cache_dir_under_a_file_is_rejected_before_any_request(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        session = FakeSession(day_records(self.START, 1), page_size=10)
+        client = MarketDataClient(make_provider(page_size=10), tmp_path / "afile" / "cache",
+                                  session=session)
+        with pytest.raises(ConfigError, match=re.escape(f"cache directory {tmp_path / 'afile'}")):
+            client.fetch_daily("DOGE", self.START, self.START)
+        assert session.calls == []
+
     def test_bad_items_path(self, tmp_path):
         session = FakeSession([], page_size=10,
                               fail_first=[FakeResponse(200, payload={"wrong": []})])
@@ -502,6 +512,29 @@ class TestProviderConfig:
         path = write(tmp_path, "p.json", json.dumps(doc | {key: value}))
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {named}=")):
             load_provider_config(path)
+
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("path", "/b/{tok}", "path"), ("path", "/b/{}", "path"), ("path", "/b/{token.x}", "path"),
+        ("path", "/b/{token!s}", "path"), ("query", {"page": "{page:03}"}, "query.page"),
+        ("query", {"start": "{"}, "query.start"), ("query", {"end": "{end"}, "query.end"),
+        ("query", {"q": "}"}, "query.q"), ("query", {"q": "{page:{size}}"}, "query.q"),
+    ])
+    def test_bad_url_template_rejected_naming_file_and_key(self, tmp_path, key, value, named):
+        doc = {"name": "p", "base_url": "https://x", "fields": {name: name for name in BARS_HEADER}}
+        path = write(tmp_path, "p.json", json.dumps(doc | {key: value}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {named}=")):
+            load_provider_config(path)
+
+    def test_every_placeholder_and_escaped_braces_are_filled_in(self, tmp_path):
+        day = date(2024, 3, 1)
+        provider = replace(make_provider(page_size=10), path="/{token}/{start}/{end}/{{x}}",
+                           query={"page": "{page}", "limit": "{page_size}", "q": "{{}}"})
+        session = FakeSession(day_records(day, 1), page_size=10)
+        client, _ = make_client(tmp_path, session, provider)
+        client.fetch_daily("DOGE", day, day)
+        assert session.calls[0]["url"] == "https://api.fake/DOGE/2024-03-01/2024-03-01/{x}"
+        assert session.calls[0]["params"] == {"page": "1", "limit": "10", "q": "{}"}
 
 
 class TestLoaderDomainAgreement:
