@@ -41,6 +41,7 @@ from .scoring import FragilityReport, TokenReport
 from .warning import (
     ActionBucket,
     Metric,
+    ScorePoint,
     ScoreSeries,
     assign_buckets,
     joint_spike,
@@ -529,11 +530,9 @@ def _read_report(path: Path) -> dict:
 
 
 def _is_score(value) -> bool:
-    """A JSON number, not a bool, finite and >= 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+    """A JSON number (not a bool) that ``ScorePoint``'s value rule accepts."""
     try:
-        return math.isfinite(value) and value >= 0
+        return type(value) in (int, float) and ScorePoint.rules[0].holds({"value": (value,)})
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -706,10 +705,17 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
         except ValueError:
             raise ConfigError(f"--start {start_raw!r} and --end {end_raw!r} must be YYYY-MM-DD") from None
         provider = ingest.load_provider_config(provider_path)
+        if out_path:  # before any request
+            if Path(out_path).is_dir():
+                raise ConfigError(f"--out {out_path} is a directory")
+            ingest.make_dir(Path(out_path).parent, "--out")
         client = MarketDataClient(provider, cache_dir)
         series = client.fetch_daily(token_id, start, end)
         if out_path:
-            Path(out_path).write_text(bars_to_csv(series), encoding="utf-8")
+            try:
+                Path(out_path).write_text(bars_to_csv(series), encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"--out {out_path}: cannot write: {exc.strerror or exc}") from None
             click.echo(f"{len(series.dates)} bar(s) -> {out_path}", err=True)
         else:
             click.echo(f"{len(series.dates)} bar(s) cached for {token_id}", err=True)

@@ -4,20 +4,22 @@ All types are frozen dataclasses that validate their invariants at
 construction time, so a value that exists is a value that is valid. They
 are safe to share across threads.
 
-The daily series (bars, FGI, and score histories in ``warning``) share one
-implementation: they store one tuple per column and check each column once,
-in bulk; only when a bulk check fails are the rows rescanned through the
-row type, so that the error names the first offending row as the per-row
-types do. Holder snapshots are checked the same way.
+Each checked type states its row invariants once, in one table of
+``Rule`` values. ``check_rows`` runs a table over whole columns in bulk,
+and only when that fails rescans the rows one at a time, to name the first
+bad row. A row type's constructor runs its table on one-row columns; the
+daily series (bars, FGI, and score histories in ``warning``) and the table
+loaders run it once over all their columns. Rules that span rows stay code.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from datetime import date as Date
 from itertools import pairwise
 from operator import attrgetter, ge, le, lt
-from typing import Iterable, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
@@ -34,13 +36,68 @@ from .errors import (
 _SHARE_SUM_TOLERANCE = 1e-9
 
 
-def _require_finite_positive(name: str, value: float, day: Date) -> None:
-    if not math.isfinite(value) or value <= 0:
-        raise NegativePrice(f"{name}={value!r} on {day}")
+# One row invariant: the field it names; ``holds(columns)``, a test of whole
+# columns by field name (a table's tests hold together exactly when every row
+# keeps every rule); the error class; and the message, formatted with the
+# failing row's fields.
+Rule = namedtuple("Rule", "field holds error message")
+
+
+def check_rows(rules: Sequence[Rule], columns: Mapping[str, Sequence]) -> None:
+    """Check ``rules`` over whole columns; where one fails, raise the first
+    failing rule of the first bad row, with the rule's ``field`` on the error."""
+    n = len(next(iter(columns.values())))
+    if not n or all(rule.holds(columns) for rule in rules):
+        return
+    for i in range(n):
+        row = {name: column[i:i + 1] for name, column in columns.items()}
+        for rule in rules:
+            if not rule.holds(row):
+                error = rule.error(rule.message.format(**{k: v for k, (v,) in row.items()}))
+                error.field = rule.field
+                raise error
+
+
+def positive(name: str) -> Callable:
+    """The test that every value of column ``name`` is finite and above 0."""
+    return lambda c: all(map(math.isfinite, c[name])) and min(c[name]) > 0
+
+
+def finite_in(name: str, lo: float, hi: float = math.inf) -> Callable:
+    """The test that every value of column ``name`` is finite and in [lo, hi]."""
+    if hi == math.inf:  # every finite value is below it: skip the max
+        return lambda c: all(map(math.isfinite, c[name])) and min(c[name]) >= lo
+    return lambda c: all(map(math.isfinite, c[name])) and lo <= min(c[name]) and max(c[name]) <= hi
+
+
+def not_negative(name: str) -> Callable:
+    """The test that no value of column ``name`` is below 0 (NaN is not)."""
+    return lambda c: not any(map((0.0).__gt__, c[name]))  # 0.0 > NaN is false, as NaN < 0 is
+
+
+class Checked:
+    """A frozen dataclass whose constructor checks its ``rules`` on one-row
+    columns, and whose ``many`` checks whole columns and builds unchecked."""
+
+    rules: tuple[Rule, ...] = ()
+
+    def __post_init__(self):
+        check_rows(self.rules, {name: (value,) for name, value in vars(self).items()})
+
+    @classmethod
+    def many(cls, columns: Mapping[str, Sequence]) -> list:
+        """One value per row of ``columns``, every field by name in field order."""
+        check_rows(cls.rules, columns)
+        names, built = list(columns), []
+        for row in zip(*columns.values()):
+            value = object.__new__(cls)
+            value.__dict__.update(zip(names, row))
+            built.append(value)
+        return built
 
 
 @dataclass(frozen=True)
-class DailyBar:
+class DailyBar(Checked):
     """One day of trading: intraday extremes, close, volume, market cap (USD)."""
 
     date: Date
@@ -50,16 +107,17 @@ class DailyBar:
     volume_usd: float
     market_cap_usd: float
 
-    def __post_init__(self):  # each message opens with the failing "field="
-        _require_finite_positive("high", self.high, self.date)
-        _require_finite_positive("low", self.low, self.date)
-        _require_finite_positive("close", self.close, self.date)
-        for name in ("volume_usd", "market_cap_usd"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise InvalidBar(f"{name}={value!r} on {self.date}")
-        if self.low > self.high:
-            raise LowAboveHigh(f"low={self.low!r} > high={self.high!r} on {self.date}")
+    rules = (
+        Rule("high", positive("high"), NegativePrice, "high={high!r} on {date}"),
+        Rule("low", positive("low"), NegativePrice, "low={low!r} on {date}"),
+        Rule("close", positive("close"), NegativePrice, "close={close!r} on {date}"),
+        Rule("volume_usd", finite_in("volume_usd", 0), InvalidBar,
+             "volume_usd={volume_usd!r} on {date}"),
+        Rule("market_cap_usd", finite_in("market_cap_usd", 0), InvalidBar,
+             "market_cap_usd={market_cap_usd!r} on {date}"),
+        Rule("low", lambda c: all(map(le, c["low"], c["high"])), LowAboveHigh,
+             "low={low!r} > high={high!r} on {date}"),
+    )
 
 
 _Series = TypeVar("_Series", bound="_DailySeries")
@@ -70,8 +128,8 @@ class _DailySeries:
     """Date-ascending daily rows under key fields, one tuple per column.
 
     A subclass declares any key fields after ``token_id``, then one column
-    per field of its ``row_type``, ``dates`` first, and ``_columns_ok``, the
-    bulk form of the row checks. ``Series(*keys, rows)`` takes row values;
+    per field of its ``row_type``, ``dates`` first, whose ``rules`` are
+    checked over whole columns. ``Series(*keys, rows)`` takes row values;
     ``from_columns(*keys, *columns)`` takes the columns, in field order.
     Either way every row invariant and strictly ascending dates are checked
     at construction.
@@ -99,25 +157,26 @@ class _DailySeries:
             object.__setattr__(self, name, value if i < n_keys else tuple(value))
         self._check()
 
-    def _columns(self) -> list[tuple]:
-        return [getattr(self, f.name) for f in fields(self)[-len(fields(self.row_type)):]]
+    def _columns(self) -> dict[str, tuple]:
+        """The columns by the row type's field names (``date`` for ``dates``)."""
+        names = [f.name for f in fields(self.row_type)]
+        return {name: getattr(self, f.name) for name, f in zip(names, fields(self)[-len(names):])}
 
     def _check(self) -> None:
-        """Check every column in bulk; on failure raise the first bad row's error."""
+        """Check the row type's rules over whole columns, then that dates ascend."""
         columns = self._columns()
-        if len(set(map(len, columns))) > 1:
+        if len(set(map(len, columns.values()))) > 1:
             raise DataError(f"{self.token_id}: columns differ in length")
-        if not self.dates or (self._columns_ok() and all(map(lt, self.dates, self.dates[1:]))):
+        check_rows(self.row_type.rules, columns)
+        if all(map(lt, self.dates, self.dates[1:])):
             return
-        for row in zip(*columns):
-            self.row_type(*row)
         for prev, cur in pairwise(self.dates):
             if cur <= prev:
                 what = "duplicate" if cur == prev else "out-of-order"
                 raise NonMonotonicDates(f"{what} date {cur}")
 
     def _rows(self) -> tuple:
-        return tuple(map(self.row_type, *self._columns()))
+        return tuple(self.row_type.many(self._columns()))
 
     def window(self) -> tuple[Date, Date] | None:
         if not self.dates:
@@ -141,16 +200,6 @@ class TokenSeries(_DailySeries):
         _DailySeries._rows, doc="The rows as ``DailyBar`` values, built on each access."
     )
 
-    def _columns_ok(self) -> bool:
-        prices = (self.high, self.low, self.close)
-        sizes = (self.volume_usd, self.market_cap_usd)
-        return (
-            all(all(map(math.isfinite, column)) for column in prices + sizes)
-            and min(map(min, prices)) > 0
-            and min(map(min, sizes)) >= 0
-            and all(map(le, self.low, self.high))
-        )
-
 
 def validate_series(series: _Series) -> _Series:
     """Re-check every row and series invariant; return the series unchanged.
@@ -173,33 +222,27 @@ class HolderSnapshot:
     token_id: str
     shares: tuple[float, ...]
 
-    def __post_init__(self):  # checked in bulk; only a failure rescans, to name the share
+    share_rules = (
+        Rule("share", lambda c: all(map(math.isfinite, c["share"])), InvalidShares,
+             "share {share} is not finite"),
+        Rule("share", lambda c: min(c["share"]) >= 0, InvalidShares, "negative share {share}"),
+        Rule("share", lambda c: max(c["share"]) <= 1, InvalidShares, "share {share} above 1"),
+    )
+
+    def __post_init__(self):  # the order and the sum span the shares, so they are checked here
         shares = tuple(self.shares)
         object.__setattr__(self, "shares", shares)
-        if not (
-            all(map(math.isfinite, shares))
-            and min(shares, default=0.0) >= 0
-            and max(shares, default=0.0) <= 1
-            and all(map(ge, shares, shares[1:]))
-        ):
-            for k, share in enumerate(shares):
-                if not math.isfinite(share) or share < 0 or share > 1:
-                    raise InvalidShares(f"share #{k + 1} = {share!r} outside [0, 1]")
-            for k, (bigger, smaller) in enumerate(pairwise(shares)):
-                if smaller > bigger:
-                    raise InvalidShares(f"shares not descending at position {k + 2}")
-        check_share_sum(shares)
-
-
-def check_share_sum(shares: Iterable[float]) -> None:
-    """Raise ``InvalidShares`` if holder shares sum past 1 beyond the tolerance."""
-    total = math.fsum(shares)
-    if total > 1 + _SHARE_SUM_TOLERANCE:
-        raise InvalidShares(f"shares sum to {total}, exceeding total supply")
+        check_rows(self.share_rules, {"share": shares})
+        if not all(map(ge, shares, shares[1:])):
+            k = next(k for k, (bigger, smaller) in enumerate(pairwise(shares)) if smaller > bigger)
+            raise InvalidShares(f"shares not descending at position {k + 2}")
+        total = math.fsum(shares)
+        if total > 1 + _SHARE_SUM_TOLERANCE:
+            raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
 @dataclass(frozen=True)
-class SentimentPoint:
+class SentimentPoint(Checked):
     """Daily fear-and-greed index value with that day's absolute price return.
 
     ``abs_return`` is None on days without a previous close (typically the
@@ -210,12 +253,13 @@ class SentimentPoint:
     fgi: float
     abs_return: float | None = None
 
-    def __post_init__(self):
-        if not math.isfinite(self.fgi) or not 0 <= self.fgi <= 100:
-            raise FgiOutOfRange(f"fgi={self.fgi!r} on {self.date} outside [0, 100]")
-        if self.abs_return is not None:
-            if not math.isfinite(self.abs_return) or self.abs_return < 0:
-                raise OutOfRange(f"abs_return={self.abs_return!r} on {self.date} must be >= 0")
+    rules = (
+        Rule("fgi", finite_in("fgi", 0, 100), FgiOutOfRange, "fgi={fgi!r} on {date} outside [0, 100]"),
+        Rule("abs_return",  # filter(None, ...) drops absent returns, and zeros, which are valid
+             lambda c: all(map(math.isfinite, r := list(filter(None, c["abs_return"]))))
+             and min(r, default=0.0) >= 0,
+             OutOfRange, "abs_return={abs_return!r} on {date} must be >= 0"),
+    )
 
 
 @dataclass(frozen=True, init=False)
@@ -230,16 +274,6 @@ class SentimentSeries(_DailySeries):
     points = property(
         _DailySeries._rows, doc="The rows as ``SentimentPoint`` values, built on each access."
     )
-
-    def _columns_ok(self) -> bool:
-        # filter(None, ...) drops absent returns and zeros; zeros are valid.
-        return (
-            all(map(math.isfinite, self.fgi))
-            and 0 <= min(self.fgi)
-            and max(self.fgi) <= 100
-            and all(map(math.isfinite, filter(None, self.abs_return)))
-            and min(filter(None, self.abs_return), default=0.0) >= 0
-        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ class ConfigError(Me2fError):
 class DataError(Me2fError):
     """Input data violates a contract (file content, series invariants, ...)."""
 
+    field: str | None = None  # the field named by a broken row rule (``domain.Rule``)
+
 
 # --- domain invariants -------------------------------------------------
 

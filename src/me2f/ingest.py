@@ -25,7 +25,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as Date
 from datetime import timedelta, timezone
 from itertools import compress, repeat
@@ -39,7 +39,7 @@ from .domain import (
     HolderSnapshot,
     SentimentSeries,
     TokenSeries,
-    check_share_sum,
+    check_rows,
 )
 from .errors import (
     ConfigError,
@@ -48,7 +48,6 @@ from .errors import (
     EmptyUniverse,
     HttpError,
     InvalidShares,
-    InvalidSummary,
     MalformedRow,
     NonMonotonicDates,
     ParseError,
@@ -153,42 +152,51 @@ def _by_date(dates: list[Date], *columns: list) -> list:
 # --- loaders -------------------------------------------------------------
 #
 # Every CSV is read as columns, with one split per file (_read_columns).
-# Each loader has one parse of those columns. It runs each kind of check
-# (a cell, a repeat, an invariant of the type it builds) over whole
-# columns, in the order the checks of a single row run, and a failed check
-# raises a _RowError that names the column. _located runs the parse once on
-# the file and, only if it fails, bisects over row prefixes to find the
-# first bad row in file order, whose line the MalformedRow names.
+# Each loader has one parse of those columns. It checks the cells' text
+# (numbers, dates, tokens, roles and bases) by column, raising a _RowError
+# that names the column, and leaves every invariant of the values to the
+# rule table of the type it builds, run once over whole columns; a broken
+# rule's field maps to its CSV column. _located runs the parse once on the
+# file and, only if it fails, bisects over row prefixes to find the first
+# bad row in file order, whose line the MalformedRow names.
 
 _METRICS = {m.value: m for m in Metric}
+_VOLATILITY_COLUMNS = dict(zip([f.name for f in fields(VolatilityAggregate)], VOLATILITY_TABLE_HEADER))
+_FGI_COLUMNS = dict(zip([f.name for f in fields(FgiIndicators)], FGI_TABLE_HEADER))
 
 
 class _RowError(Exception):
-    """A row check failed: ``(column, reason)``; ``_located`` adds the line."""
-
-    @classmethod
-    def of(cls, exc: DataError) -> "_RowError":
-        """A domain row type's error, whose message opens with the failing "field="."""
-        return cls(str(exc).partition("=")[0], str(exc))
+    """A cell check failed: ``(column, reason)``; ``_located`` adds the line."""
 
 
-def _located(path: Path, numbers: Sequence[int], columns: list[list[str]], parse):
+def _located(path: Path, numbers: Sequence[int], columns: list[list[str]], parse,
+             column_of: Mapping[str, str] | None = None):
     """``parse(columns)``, or the ``MalformedRow`` of the first bad row in file order.
 
-    A prefix of the rows fails to parse exactly when it holds a bad row (a
-    repeat counts at its later line), so the shortest failing prefix ends at
-    the first bad row, and its parse raises that row's error. The search is
-    a bisection: O(log n) parses, and none when the file is good.
+    A bad row raises a ``_RowError``, or a broken rule's error, whose field
+    ``column_of`` maps to its column. A prefix of the rows fails to parse
+    exactly when it holds a bad row (a repeat counts at its later line), so
+    the shortest failing prefix ends at the first bad row, and its parse
+    raises that row's error. The search is a bisection: O(log n) parses,
+    and none when the file is good.
     """
+    def checked(columns: list[list[str]]):
+        try:
+            return parse(columns)
+        except DataError as exc:  # a broken rule, unless it names no field
+            if exc.field is None:
+                raise
+            raise _RowError((column_of or {}).get(exc.field, exc.field), str(exc)) from None
+
     try:
-        return parse(columns)
+        return checked(columns)
     except _RowError as exc:
         error = exc
     good, bad = 0, len(numbers)  # the first `good` rows parse, the first `bad` rows do not
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            parse([column[:mid] for column in columns])
+            checked([column[:mid] for column in columns])
         except _RowError as exc:
             bad, error = mid, exc
         else:
@@ -218,6 +226,12 @@ def _floats(column: str, cells: list[str], optional: bool = False) -> Sequence:
         if not math.isfinite(values[-1] or 0.0):  # None is a blank, not a bad cell
             raise _RowError(column, f"not finite: {raw!r}")
     return values
+
+
+def _summary_numbers(header: list[str], columns: list[list[str]]) -> list[Sequence[float]]:
+    """A summary table's number columns, each ``_pct`` one as fractions."""
+    return [[value / 100.0 for value in _floats(name, column)] if name.endswith("_pct")
+            else _floats(name, column) for name, column in zip(header, columns)]
 
 
 def _dates(cells: list[str]) -> list[Date]:
@@ -264,11 +278,8 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
             raise _RowError("date", f"duplicate date {dates[_first_repeat(dates)]}")
         values = [_floats(name, column, name == "abs_return")
                   for name, column in zip(header[1:], columns[1:])]
-        try:
-            return series_type.from_columns(
-                token_id, *([dates, *values] if ascending else _by_date(dates, *values)))
-        except DataError as exc:
-            raise _RowError.of(exc) from None
+        return series_type.from_columns(
+            token_id, *([dates, *values] if ascending else _by_date(dates, *values)))
 
     return _located(path, numbers, columns, parse)
 
@@ -311,20 +322,17 @@ def load_holders_csv(
         if excluded:
             raws = list(compress(raws, [key.strip() not in excluded for key in keys]))
         shares = _floats("share", raws)
-        if min(shares, default=0.0) < 0:
-            raise _RowError("share", f"negative share {next(s for s in shares if s < 0)}")
-        if max(shares, default=0.0) > 1:
-            raise _RowError("share", f"share {next(s for s in shares if s > 1)} above 1")
+        check_rows(HolderSnapshot.share_rules, {"share": shares})
         return shares
 
     shares = _located(path, numbers, columns, parse)
     if not shares:
         raise EmptyFile(f"{path}: no data rows")
     try:
-        check_share_sum(shares)
-    except InvalidShares as exc:
+        snapshot = HolderSnapshot(_token_id_for(path, token_id), sorted(shares, reverse=True))
+    except InvalidShares as exc:  # the sum: every share passed the parse
         raise InvalidShares(f"{path}: {exc}") from None
-    return HolderSnapshot(_token_id_for(path, token_id), sorted(shares, reverse=True)[:n])
+    return HolderSnapshot(snapshot.token_id, snapshot.shares[:n])
 
 
 def load_volatility_table(
@@ -333,20 +341,15 @@ def load_volatility_table(
     """Load a pre-aggregated volatility summary table.
 
     Percent columns become fractions; volume/market-cap columns are
-    already in scale units (USD billions) and must not be negative.
-    Tokens of one base share one ``ChainRole``.
+    already in scale units (USD billions). Tokens of one base share one
+    ``ChainRole``.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
 
     def parse(columns: list[list[str]]) -> dict[str, tuple[VolatilityAggregate, ChainRole]]:
         tokens = _tokens(columns[0])
-        avg_pct, max_pct, volume, mcap = (
-            _floats(name, column) for name, column in zip(VOLATILITY_TABLE_HEADER[1:5], columns[1:5])
-        )
-        for name, sizes in zip(VOLATILITY_TABLE_HEADER[3:5], (volume, mcap)):
-            if min(sizes) < 0:
-                raise _RowError(name, f"negative size {next(s for s in sizes if s < 0)}")
+        values = _summary_numbers(VOLATILITY_TABLE_HEADER[1:5], columns[1:5])
         roles, bases = (list(map(str.strip, column)) for column in columns[5:])
         # standalone rows name no base, hosted rows one
         if not (set(roles) <= {"standalone", "hosted"}
@@ -359,15 +362,10 @@ def load_volatility_table(
                                     else f"standalone token {token} must not name a base")
         role_of = {base: ChainRole.hosted_on(base) for base in set(bases) - {""}}
         role_of[""] = ChainRole.standalone()
-        try:
-            return {
-                token: (VolatilityAggregate(token, a / 100.0, m / 100.0, v, c), role_of[base])
-                for token, a, m, v, c, base in zip(tokens, avg_pct, max_pct, volume, mcap, bases)
-            }
-        except InvalidSummary as exc:
-            raise _RowError("avg_vol_pct", str(exc)) from None
+        aggregates = VolatilityAggregate.many(dict(zip(_VOLATILITY_COLUMNS, (tokens, *values))))
+        return {agg.token_id: (agg, role_of[base]) for agg, base in zip(aggregates, bases)}
 
-    return _located(path, numbers, columns, parse)
+    return _located(path, numbers, columns, parse, _VOLATILITY_COLUMNS)
 
 
 def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
@@ -377,24 +375,10 @@ def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
 
     def parse(columns: list[list[str]]) -> dict[str, FgiIndicators]:
         tokens = _tokens(columns[0])
-        values = [_floats(name, column) for name, column in zip(FGI_TABLE_HEADER[1:], columns[1:])]
-        try:
-            return {
-                token: FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100.0, q_f_pct / 100.0,
-                                     delta_f, delta_p_pct / 100.0)
-                for token, f_bar, f_max, f_min, q_g_pct, q_f_pct, delta_f, delta_p_pct
-                in zip(tokens, *values)
-            }
-        except InvalidSummary as exc:  # in the order FgiIndicators checks
-            f_bar, f_max, f_min, _, _, delta_f, delta_p_pct = values
-            column = ("delta_f_max" if min(delta_f) < 0
-                      else "delta_p_max_pct" if min(delta_p_pct) < 0
-                      else "f_bar" if any(not lo <= mid <= hi
-                                          for mid, hi, lo in zip(f_bar, f_max, f_min))
-                      else "q_g_pct")
-            raise _RowError(column, str(exc)) from None
+        values = _summary_numbers(FGI_TABLE_HEADER[1:], columns[1:])
+        return dict(zip(tokens, FgiIndicators.many(dict(zip(_FGI_COLUMNS, (tokens, *values))))))
 
-    return _located(path, numbers, columns, parse)
+    return _located(path, numbers, columns, parse, _FGI_COLUMNS)
 
 
 def load_history_csv(path: str | Path) -> list[ScoreSeries]:
@@ -434,8 +418,6 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
                 i = _first_repeat(zip(tokens, names, days))
                 raise _RowError("date", f"duplicate row for token {tokens[i]!r}, "
                                         f"{names[i]}, {days[i]}") from None
-            except DataError as exc:
-                raise _RowError.of(exc) from None
         return series
 
     return _located(path, numbers, columns, parse)

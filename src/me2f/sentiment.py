@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub
+from operator import add, le, sub
 from typing import Iterable
 
-from .domain import SentimentSeries
+from .domain import Checked, Rule, SentimentSeries, finite_in, not_negative
 from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
@@ -49,7 +49,7 @@ def classify_fgi(value: float) -> FgiBand:
 
 
 @dataclass(frozen=True)
-class FgiIndicators:
+class FgiIndicators(Checked):
     """Summary indicators of one token's FGI history.
 
     q_g/q_f are fractions of observations in the extreme-greed /
@@ -66,16 +66,22 @@ class FgiIndicators:
     delta_f_max: float
     delta_p_max: float
 
-    def __post_init__(self):
-        # a negative largest move would make the shock index, and K**delta, complex
-        if self.delta_f_max < 0:
-            raise InvalidSummary(f"{self.token_id}: delta_f_max={self.delta_f_max!r} is negative")
-        if self.delta_p_max < 0:
-            raise InvalidSummary(f"{self.token_id}: delta_p_max={self.delta_p_max!r} is negative")
-        if not self.f_min <= self.f_bar <= self.f_max:
-            raise InvalidSummary(f"{self.token_id}: f_min <= f_bar <= f_max violated")
-        if self.q_g < 0 or self.q_f < 0 or self.q_g + self.q_f > 1 + 1e-9:
-            raise InvalidSummary(f"{self.token_id}: q_g + q_f outside [0, 1]")
+    # a negative largest move would make the shock index, and K**delta, complex
+    rules = (
+        Rule("delta_f_max", not_negative("delta_f_max"), InvalidSummary,
+             "{token_id}: delta_f_max={delta_f_max!r} is negative"),
+        Rule("delta_p_max", not_negative("delta_p_max"), InvalidSummary,
+             "{token_id}: delta_p_max={delta_p_max!r} is negative"),
+        *(Rule(name, finite_in(name, 0, 100), InvalidSummary,
+               f"{{token_id}}: {name}={{{name}!r}} outside [0, 100]")
+          for name in ("f_bar", "f_max", "f_min")),
+        Rule("f_bar", lambda c: all(map(le, c["f_min"], c["f_bar"]))
+             and all(map(le, c["f_bar"], c["f_max"])),
+             InvalidSummary, "{token_id}: f_min <= f_bar <= f_max violated"),
+        Rule("q_g", lambda c: not_negative("q_g")(c) and not_negative("q_f")(c)
+             and not any(map((1 + 1e-9).__lt__, map(add, c["q_g"], c["q_f"]))),
+             InvalidSummary, "{token_id}: q_g + q_f outside [0, 1]"),
+    )
 
     @property
     def r_f(self) -> float:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub, truediv
+from operator import le, sub, truediv
 from typing import Iterable, Mapping
 
-from .domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
+from .domain import ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, not_negative
 from .errors import (
     DegenerateUniverse,
     InsufficientHistory,
@@ -25,7 +25,7 @@ _STANDALONE = ChainRole.standalone()
 
 
 @dataclass(frozen=True)
-class VolatilityAggregate:
+class VolatilityAggregate(Checked):
     """Per-token volatility and scale summary.
 
     ``avg_vol``/``max_vol`` are unit-free fractions (0.05 = 5%);
@@ -39,12 +39,12 @@ class VolatilityAggregate:
     max_volume: float
     max_mcap: float
 
-    def __post_init__(self):
-        if not 0 <= self.avg_vol <= self.max_vol:
-            raise InvalidSummary(
-                f"{self.token_id}: need 0 <= avg_vol <= max_vol, "
-                f"got ({self.avg_vol}, {self.max_vol})"
-            )
+    rules = (
+        Rule("max_volume", not_negative("max_volume"), InvalidSummary, "negative size {max_volume}"),
+        Rule("max_mcap", not_negative("max_mcap"), InvalidSummary, "negative size {max_mcap}"),
+        Rule("avg_vol", lambda c: all(map(le, c["avg_vol"], c["max_vol"])) and min(c["avg_vol"]) >= 0,
+             InvalidSummary, "{token_id}: need 0 <= avg_vol <= max_vol, got ({avg_vol}, {max_vol})"),
+    )
 
 
 @dataclass(frozen=True)

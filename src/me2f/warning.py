@@ -7,7 +7,6 @@ to one of three action buckets.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date as Date
@@ -15,7 +14,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .domain import _DailySeries
+from .domain import Checked, Rule, _DailySeries, finite_in
 from .errors import ConfigError, OutOfRange, WindowTooShort
 
 
@@ -35,13 +34,13 @@ class ActionBucket(str, Enum):
 
 
 @dataclass(frozen=True)
-class ScorePoint:
+class ScorePoint(Checked):
     date: Date
     value: float
 
-    def __post_init__(self):  # the message opens with the failing "field="
-        if not math.isfinite(self.value) or self.value < 0:
-            raise OutOfRange(f"value={self.value!r} on {self.date} must be >= 0")
+    rules = (
+        Rule("value", finite_in("value", 0), OutOfRange, "value={value!r} on {date} must be >= 0"),
+    )
 
 
 @dataclass(frozen=True, init=False)
@@ -53,9 +52,6 @@ class ScoreSeries(_DailySeries):
     value: tuple[float, ...]
 
     row_type = ScorePoint
-
-    def _columns_ok(self) -> bool:
-        return all(map(math.isfinite, self.value)) and min(self.value) >= 0
 
 
 @dataclass(frozen=True)

@@ -9,23 +9,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import HolderSnapshot
+from .domain import Checked, HolderSnapshot, Rule, finite_in
 from .errors import ConfigError, InvalidSummary
 
 
 @dataclass(frozen=True)
-class ConcentrationResult:
+class ConcentrationResult(Checked):
     token_id: str
     c: float
     h: float
     n_internal: float
     wds: float
 
-    def __post_init__(self):
-        if not 0 <= self.c <= 1:
-            raise InvalidSummary(f"{self.token_id}: c={self.c} outside [0, 1]")
-        if not 0 <= self.n_internal <= 1:
-            raise InvalidSummary(f"{self.token_id}: n_internal={self.n_internal} outside [0, 1]")
+    rules = (
+        Rule("c", finite_in("c", 0, 1), InvalidSummary, "{token_id}: c={c} outside [0, 1]"),
+        Rule("n_internal", finite_in("n_internal", 0, 1), InvalidSummary,
+             "{token_id}: n_internal={n_internal} outside [0, 1]"),
+    )
 
 
 def concentration(snapshot: HolderSnapshot, n: int) -> ConcentrationResult:

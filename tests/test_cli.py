@@ -406,6 +406,48 @@ class TestFetchCommand:
         assert result.stderr.startswith(f"error: cache directory {cache}")
         assert session.calls == []
 
+    def fetch_one_day(self, tmp_path, monkeypatch, out):
+        """``fetch --out out`` of one day served by a ``FakeSession``; the session."""
+        session = FakeSession([{"date": "2024-01-01", **dict.fromkeys(BARS_HEADER[1:], 1.0)}])
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(PROVIDER | {"items_path": "data", "query": {"page": "{page}"}}))
+        result = run("fetch", "--provider-config", config, "--token", "X", "--start", "2024-01-01",
+                     "--end", "2024-01-01", "--cache-dir", tmp_path / "cache", "--out", out(config))
+        return result, session
+
+    @pytest.mark.parametrize("out", [
+        lambda config: config.parent,  # a directory
+        lambda config: config / "bars.csv",  # under a file
+        lambda config: config / "sub" / "bars.csv",  # under a missing directory under a file
+    ], ids=["directory", "parent is a file", "parent under a file"])
+    def test_out_that_cannot_be_a_file_exits_2_before_any_request(self, tmp_path, monkeypatch, out):
+        result, session = self.fetch_one_day(tmp_path, monkeypatch, out)
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith("error: --out ")
+        assert session.calls == [] and not (tmp_path / "cache").exists()
+
+    def test_out_under_missing_directories_makes_them(self, tmp_path, monkeypatch):
+        result, session = self.fetch_one_day(
+            tmp_path, monkeypatch, lambda config: config.parent / "new" / "sub" / "bars.csv")
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "new" / "sub" / "bars.csv").read_text().splitlines()
+        assert lines[0] == ",".join(BARS_HEADER) and lines[1].startswith("2024-01-01,")
+        assert len(session.calls) == 1
+
+    def test_a_failed_out_write_exits_2_naming_it(self, tmp_path, monkeypatch):
+        out, write_text = tmp_path / "bars.csv", Path.write_text
+
+        def failing_write(path, *args, **kwargs):
+            if path == out:
+                raise PermissionError(13, "Permission denied")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write)
+        result, _ = self.fetch_one_day(tmp_path, monkeypatch, lambda config: out)
+        assert_clean_exit(result, 2)
+        assert result.stderr == f"error: --out {out}: cannot write: Permission denied\n"
+
 
 class TestWarnInputErrors:
     def assert_one_line_error(self, result, code):
@@ -560,6 +602,12 @@ class TestSummaryTableRowErrors:
         result = score_tables(tmp_path, VOL_ROW + VOL_ROW.replace("A,", "B,"), FGI_ROW + row)
         assert_clean_exit(result, 3)
         assert f"f.csv: line 3, column {column!r}" in result.stderr
+
+    def test_fgi_value_above_100_exits_3(self, tmp_path):
+        result = score_tables(tmp_path, VOL_ROW, FGI_ROW.replace(",90,", ",101,"))
+        assert_clean_exit(result, 3)
+        assert "f.csv: line 2, column 'f_max'" in result.stderr
+        assert "f_max=101.0 outside [0, 100]" in result.stderr
 
     def test_repeated_fgi_row_exits_3(self, tmp_path):
         result = score_tables(tmp_path, VOL_ROW, FGI_ROW + "\n" + FGI_ROW)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from datetime import date
+from datetime import date, timedelta
 from itertools import pairwise
 
 import pytest
@@ -17,11 +17,12 @@ from me2f.domain import (
     SentimentPoint,
     SentimentSeries,
     TokenSeries,
-    check_share_sum,
+    check_rows,
     validate_series,
 )
 from me2f.errors import (
     ConfigError,
+    DataError,
     FgiOutOfRange,
     InvalidBar,
     InvalidShares,
@@ -30,6 +31,9 @@ from me2f.errors import (
     NonMonotonicDates,
     OutOfRange,
 )
+from me2f.sentiment import FgiIndicators
+from me2f.volatility import VolatilityAggregate
+from me2f.warning import Metric, ScorePoint, ScoreSeries
 
 
 def bar(day, high=110.0, low=90.0, close=100.0, volume=1e9, mcap=2e9):
@@ -170,13 +174,19 @@ SHARE_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-12, -0.5, 1.0, 1.0 
 
 def oracle_snapshot(token_id, shares):
     """The per-share checks of ``HolderSnapshot``, one share and one pair at a time."""
-    for k, share in enumerate(shares):
-        if not math.isfinite(share) or share < 0 or share > 1:
-            raise InvalidShares(f"share #{k + 1} = {share!r} outside [0, 1]")
+    for share in shares:
+        if not math.isfinite(share):
+            raise InvalidShares(f"share {share} is not finite")
+        if share < 0:
+            raise InvalidShares(f"negative share {share}")
+        if share > 1:
+            raise InvalidShares(f"share {share} above 1")
     for k, (bigger, smaller) in enumerate(pairwise(shares)):
         if smaller > bigger:
             raise InvalidShares(f"shares not descending at position {k + 2}")
-    check_share_sum(shares)
+    total = math.fsum(shares)
+    if total > 1 + 1e-9:
+        raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
 def holder_outcome(check, shares):
@@ -236,3 +246,138 @@ class TestChainRole:
     def test_empty_base_rejected(self):
         with pytest.raises(ConfigError):
             ChainRole.hosted_on("")
+
+
+# --- the bulk check of a rule table against its row check ---------------------
+#
+# The table loaders build values without a per-row check, so they are safe
+# only while a table's bulk check and its row check agree: the same values,
+# or the same error class, message and field at the same first bad row.
+
+EDGES = [0.0, -0.0, -1e-12, math.nan, math.inf, -math.inf, 1 + 1e-12, 100 + 1e-12]
+
+
+def rule_outcome(build):
+    """``build()``, or the class, message and field of the error it raises."""
+    try:
+        return build()
+    except DataError as exc:
+        return type(exc), str(exc), exc.field
+
+
+@st.composite
+def table(draw, names, row, pairs=()):
+    """Columns of 2-6 rows drawn from ``row``, then one to three mutations: a
+    number set to an edge value, or a row's two fields of one of ``pairs`` swapped."""
+    rows = [list(draw(row)) for _ in range(draw(st.integers(2, 6)))]
+    numbers = [i for i, name in enumerate(names) if name not in ("date", "token_id")]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        if not pairs or draw(st.booleans()):
+            cells[draw(st.sampled_from(numbers))] = draw(st.sampled_from(EDGES))
+        else:
+            a, b = (names.index(name) for name in draw(st.sampled_from(pairs)))
+            cells[a], cells[b] = cells[b], cells[a]
+    return dict(zip(names, map(list, zip(*rows))))
+
+
+def dated(row):
+    """A row of the ``row`` strategies after a date that ``with_days`` fills in."""
+    return st.tuples(st.just(None), *row)
+
+
+def with_days(columns):
+    """``columns`` dated one day apart from 2024-01-01, so dates never fail."""
+    columns["date"] = [date(2024, 1, 1) + timedelta(days=i) for i in range(len(columns["date"]))]
+    return columns
+
+
+def tokens(columns):
+    """``columns`` with the distinct tokens T0, T1, ..., so messages name the row."""
+    columns["token_id"] = [f"T{i}" for i in range(len(columns["token_id"]))]
+    return columns
+
+
+price = st.floats(1.0, 100.0)
+size = st.floats(0.0, 1e9)
+BAR_ROWS = table(["date", "high", "low", "close", "volume_usd", "market_cap_usd"],
+                 dated([price, price, price, size, size]).map(
+                     lambda r: (r[0], max(r[1:4]), min(r[1:4]), sorted(r[1:4])[1], r[4], r[5])),
+                 [("high", "low"), ("low", "close"), ("close", "volume_usd")]).map(with_days)
+SENTIMENT_ROWS = table(["date", "fgi", "abs_return"],
+                       dated([st.floats(0.0, 100.0), st.none() | st.floats(0.0, 1.0)])).map(with_days)
+SCORE_ROWS = table(["date", "value"], dated([st.floats(0.0, 10.0)])).map(with_days)
+SHARE_ROWS = table(["share"], st.tuples(st.floats(0.0, 1.0)))
+fraction = st.floats(0.0, 0.5)
+VOLATILITY_ROWS = table(
+    ["token_id", "avg_vol", "max_vol", "max_volume", "max_mcap"],
+    st.tuples(st.just(""), fraction, fraction, size, size).map(
+        lambda r: (r[0], min(r[1:3]), max(r[1:3]), *r[3:])),
+    [("avg_vol", "max_vol"), ("max_volume", "avg_vol")]).map(tokens)
+FGI_ROWS = table(
+    ["token_id", "f_bar", "f_max", "f_min", "q_g", "q_f", "delta_f_max", "delta_p_max"],
+    st.tuples(st.just(""), st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3).map(sorted),
+              fraction, fraction, st.floats(0.0, 100.0), fraction).map(
+        lambda r: (r[0], r[1][1], r[1][2], r[1][0], *r[2:])),
+    [("f_bar", "f_max"), ("f_min", "f_max"), ("f_bar", "f_min"), ("q_g", "delta_f_max")]).map(tokens)
+
+BULK_SETTINGS = settings(max_examples=60, derandomize=True)
+
+
+def variants(columns):
+    """``columns``, then, one at a time, each number of its first and of its
+    last row set to each edge value."""
+    yield columns
+    for name in [name for name in columns if name not in ("date", "token_id")]:
+        for i in (0, -1):
+            for edge in EDGES:
+                changed = {key: list(column) for key, column in columns.items()}
+                changed[name][i] = edge
+                yield changed
+
+
+def assert_bulk_matches_rows(bulk, row_type, columns, keep=lambda row: row):
+    """``bulk(columns)`` equals every row built through ``row_type``, or the
+    first bad row's error, on every variant of ``columns``."""
+    for changed in variants(columns):
+        rows = rule_outcome(lambda: [keep(row_type(*row)) for row in zip(*changed.values())])
+        assert rule_outcome(lambda: bulk(changed)) == rows, changed
+
+
+class TestBulkCheckMatchesRowCheck:
+    @given(columns=BAR_ROWS)
+    @BULK_SETTINGS
+    def test_bars(self, columns):
+        assert_bulk_matches_rows(
+            lambda c: list(TokenSeries.from_columns("X", *c.values()).bars), DailyBar, columns)
+
+    @given(columns=SENTIMENT_ROWS)
+    @BULK_SETTINGS
+    def test_sentiment(self, columns):
+        assert_bulk_matches_rows(
+            lambda c: list(SentimentSeries.from_columns("X", *c.values()).points), SentimentPoint,
+            columns)
+
+    @given(columns=SCORE_ROWS)
+    @BULK_SETTINGS
+    def test_scores(self, columns):
+        assert_bulk_matches_rows(
+            lambda c: list(ScoreSeries._rows(ScoreSeries.from_columns("X", Metric.VDS, *c.values()))),
+            ScorePoint, columns)
+
+    @given(columns=SHARE_ROWS)
+    @BULK_SETTINGS
+    def test_holder_shares(self, columns):
+        assert_bulk_matches_rows(
+            lambda c: check_rows(HolderSnapshot.share_rules, c) or c["share"],
+            lambda share: HolderSnapshot("X", (share,)), columns, keep=lambda snap: snap.shares[0])
+
+    @given(columns=VOLATILITY_ROWS)
+    @BULK_SETTINGS
+    def test_volatility_summary(self, columns):
+        assert_bulk_matches_rows(VolatilityAggregate.many, VolatilityAggregate, columns)
+
+    @given(columns=FGI_ROWS)
+    @BULK_SETTINGS
+    def test_fgi_summary(self, columns):
+        assert_bulk_matches_rows(FgiIndicators.many, FgiIndicators, columns)

@@ -901,9 +901,6 @@ def oracle_load_volatility_table(path: Path, token_id=None) -> dict:
             oracle_float(path, lineno, col, raw)
             for col, raw in zip(VOLATILITY_TABLE_HEADER[1:5], cells[:4])
         ]
-        for col, size in zip(VOLATILITY_TABLE_HEADER[3:5], (volume, mcap)):
-            if size < 0:
-                raise MalformedRow(path, lineno, col, f"negative size {size}")
         role, base = cells[4:]
         if role not in ("standalone", "hosted"):
             raise MalformedRow(path, lineno, "chain_role", f"unknown role {role!r}")
@@ -911,6 +908,9 @@ def oracle_load_volatility_table(path: Path, token_id=None) -> dict:
             raise MalformedRow(path, lineno, "base", f"standalone token {token} must not name a base")
         if role == "hosted" and not base:
             raise MalformedRow(path, lineno, "base", f"hosted token {token} needs a base")
+        for col, size in zip(VOLATILITY_TABLE_HEADER[3:5], (volume, mcap)):
+            if size < 0:
+                raise MalformedRow(path, lineno, col, f"negative size {size}")
         try:
             agg = VolatilityAggregate(token, avg_pct / 100, max_pct / 100, volume, mcap)
         except DataError as exc:
@@ -930,7 +930,10 @@ def oracle_load_fgi_table(path: Path, token_id=None) -> dict:
             out[token] = FgiIndicators(token, f_bar, f_max, f_min, q_g_pct / 100, q_f_pct / 100,
                                        delta_f, delta_p_pct / 100)
         except DataError as exc:
+            outside = [col for col, value in (("f_bar", f_bar), ("f_max", f_max), ("f_min", f_min))
+                       if not 0 <= value <= 100]
             column = ("delta_f_max" if delta_f < 0 else "delta_p_max_pct" if delta_p_pct < 0
+                      else outside[0] if outside
                       else "f_bar" if not f_min <= f_bar <= f_max else "q_g_pct")
             raise MalformedRow(path, lineno, column, str(exc)) from None
     return out
@@ -1020,13 +1023,18 @@ def _extreme_shares(draw, cells):
     cells[4:6] = draw(st.sampled_from([["60", "50.5"], ["100", "1e-6"], ["-1", "0"], ["0", "-0.5"]]))
 
 
+def _fgi_outside_range(draw, cells):
+    col = draw(st.sampled_from([0, 1, 2]))  # f_bar, f_max, f_min
+    cells[col] = draw(st.sampled_from(["101", "100.00000000001", "-1", "-0.0", "-1e-12"]))
+
+
 def _negative_move(draw, cells):
     col = draw(st.sampled_from([6, 7]))  # delta_f_max, delta_p_max_pct
     cells[col] = draw(st.sampled_from(["-1", "-5e-324", "-" + cells[col]]))
 
 
 FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares,
-                       "move": _negative_move}
+                       "move": _negative_move, "range": _fgi_outside_range}
 
 
 @st.composite
@@ -1063,6 +1071,7 @@ class TestTableAndHolderLoadersMatchRowOracle:
     @given(text=mutated_table(VOLATILITY_TABLE_HEADER, volatility_cells, VOLATILITY_MUTATIONS))
     @example(text=",".join(VOLATILITY_TABLE_HEADER) + "\nA,50,40,1,2,standalone,\n"
              "B,5,40,1,2,hosted,\n,5,40,1,2,standalone,\n")  # line 2, column 'avg_vol_pct'
+    @example(text=",".join(VOLATILITY_TABLE_HEADER) + "\nA,5,40,-1,2,chain,\n")  # 'chain_role'
     @TABLE_SETTINGS
     def test_volatility_table(self, tmp_path, text):
         path = write(tmp_path, "volatility.csv", text)
@@ -1074,6 +1083,8 @@ class TestTableAndHolderLoadersMatchRowOracle:
              "A,50,oops,10,1,1,50,10\n")  # line 2, column 'q_g_pct'
     @example(text=",".join(FGI_TABLE_HEADER) + "\nA,50,90,10,60,50,50,-1\n"
              "B,95,90,10,1,1,50,10\n")  # line 2, column 'delta_p_max_pct'
+    @example(text=",".join(FGI_TABLE_HEADER) + "\nA,50,90,10,1,1,50,10\n"
+             "B,50,101,-1,1,1,50,10\n")  # line 3, column 'f_max'
     @TABLE_SETTINGS
     def test_fgi_table(self, tmp_path, text):
         path = write(tmp_path, "fgi.csv", text)

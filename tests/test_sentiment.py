@@ -163,6 +163,25 @@ class TestInstabilityAndShock:
         with pytest.raises(InvalidSummary, match=f"{field}_max={move!r} is negative"):
             _indicator(**{field: move})
 
+    @pytest.mark.parametrize("field,value", [
+        ("f_min", -1.0), ("f_max", 101.0), ("f_bar", 100 + 1e-12), ("f_min", float("nan")),
+    ])
+    def test_fgi_value_outside_0_100_is_rejected(self, field, value):
+        kwargs = {"f_bar": 50.0, "f_max": 100.0, "f_min": 0.0, field: value}
+        with pytest.raises(InvalidSummary) as err:
+            FgiIndicators("X", kwargs["f_bar"], kwargs["f_max"], kwargs["f_min"], 0.1, 0.1, 1.0, 0.1)
+        assert err.value.field == field
+        assert str(err.value) == f"X: {field}={value!r} outside [0, 100]"
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"delta_f": -1.0}, "delta_f_max"), ({"delta_p": -1.0}, "delta_p_max"),
+        ({"f_bar": 90.0}, "f_bar"), ({"q_g": 0.6, "q_f": 0.5}, "q_g"), ({"q_f": -0.1}, "q_g"),
+    ])
+    def test_each_rule_names_its_field(self, kwargs, field):
+        with pytest.raises(InvalidSummary) as err:
+            _indicator(**kwargs)
+        assert err.value.field == field
+
     def test_empty_universe(self):
         with pytest.raises(DegenerateMaxima):
             sentiment_maxima([])

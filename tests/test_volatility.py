@@ -14,6 +14,7 @@ from me2f.domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
 from me2f.errors import (
     DegenerateUniverse,
     InsufficientHistory,
+    InvalidSummary,
     MissingBaseChain,
     NonPositiveScale,
     ZeroPrevClose,
@@ -117,6 +118,22 @@ class TestNormalizeCrossSection:
     def test_degenerate_universe(self):
         with pytest.raises(DegenerateUniverse):
             normalize_cross_section([VolatilityAggregate("X", 0.0, 0.0, 1.0, 1.0)])
+
+
+class TestVolatilityAggregateRules:
+    @pytest.mark.parametrize("args,field,message", [
+        ((0.1, 0.2, -1.0, 2.0), "max_volume", "negative size -1.0"),
+        ((0.1, 0.2, 1.0, -2.0), "max_mcap", "negative size -2.0"),
+        ((0.3, 0.2, 1.0, 2.0), "avg_vol", "X: need 0 <= avg_vol <= max_vol, got (0.3, 0.2)"),
+        ((-0.1, 0.2, 1.0, 2.0), "avg_vol", "X: need 0 <= avg_vol <= max_vol, got (-0.1, 0.2)"),
+    ])
+    def test_a_broken_rule_raises_naming_its_field(self, args, field, message):
+        with pytest.raises(InvalidSummary) as err:
+            VolatilityAggregate("X", *args)
+        assert (err.value.field, str(err.value)) == (field, message)
+
+    def test_zero_sizes_are_accepted(self):
+        assert VolatilityAggregate("X", 0.0, 0.0, 0.0, -0.0).max_volume == 0.0
 
     def test_empty(self):
         with pytest.raises(DegenerateUniverse):

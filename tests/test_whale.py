@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import HolderSnapshot
-from me2f.errors import ConfigError
-from me2f.whale import concentration, wds
+from me2f.errors import ConfigError, InvalidSummary
+from me2f.whale import ConcentrationResult, concentration, wds
 
 
 def snapshot(*shares: float) -> HolderSnapshot:
@@ -35,6 +35,18 @@ def random_snapshot(rng: random.Random, max_holders: int = 100) -> HolderSnapsho
     total = sum(raw)
     budget = rng.uniform(0.05, 1.0)
     return snapshot(*(x / total * budget for x in raw))
+
+
+class TestConcentrationResultRules:
+    @pytest.mark.parametrize("c,n_internal,field", [
+        (1.5, 0.5, "c"), (-0.1, 0.5, "c"), (float("nan"), 0.5, "c"),
+        (0.5, 1 + 1e-12, "n_internal"), (0.5, -1e-12, "n_internal"),
+    ])
+    def test_out_of_range_raises_naming_its_field(self, c, n_internal, field):
+        with pytest.raises(InvalidSummary) as err:
+            ConcentrationResult("X", c, 0.1, n_internal, 0.1)
+        assert err.value.field == field
+        assert str(err.value) == f"X: {field}={c if field == 'c' else n_internal} outside [0, 1]"
 
 
 class TestCumulativeShare:
