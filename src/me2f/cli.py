@@ -19,7 +19,6 @@ object's keys in the fixed order of its ``_Object`` below.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import defaultdict
@@ -51,6 +50,7 @@ from .warning import (
 ABSENT = "—"  # rendered for missing scores in tabular output
 
 _METRIC_COLORS = {"vds": "#2a9d8f", "wds": "#3a6ea5", "sas": "#e76f51"}
+_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # chart text as XML character data
 # each metric's and bucket's name, read once rather than through ``.value`` per item
 _NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 
@@ -386,7 +386,7 @@ def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{margin_left}" y="24" font-family="monospace" font-size="16" '
-        f'font-weight="bold">{title}</text>',
+        f'font-weight="bold">{title.translate(_SVG_TEXT)}</text>',
     ]
     for i in range(5):
         tick = top * i / 4
@@ -414,7 +414,7 @@ def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9
         )
         parts.append(
             f'<text x="{cx:.2f}" y="{margin_top + plot_h + 16}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{label}</text>'
+            f'font-size="11" text-anchor="middle">{label.translate(_SVG_TEXT)}</text>'
         )
     parts.append(
         f'<line x1="{margin_left}" y1="{margin_top + plot_h}" x2="{width - margin_right}" '
@@ -422,6 +422,13 @@ def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as an RFC 4180 field: quoted, its quotes doubled, where it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_charts(doc: dict, out_dir: Path) -> list[str]:
@@ -438,7 +445,7 @@ def write_charts(doc: dict, out_dir: Path) -> list[str]:
         (out_dir / f"{metric}.svg").write_text(
             bar_chart_svg(metric.upper(), pairs, _METRIC_COLORS[metric]), encoding="utf-8"
         )
-        sidecar = "token,value\n" + "".join(f"{tok},{val}\n" for tok, val in pairs)
+        sidecar = "token,value\n" + "".join(f"{_csv_field(tok)},{val}\n" for tok, val in pairs)
         (out_dir / f"{metric}.csv").write_text(sidecar, encoding="utf-8")
     return notices
 
@@ -448,12 +455,9 @@ def write_charts(doc: dict, out_dir: Path) -> list[str]:
 def _execute(action) -> None:
     try:
         action()
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        sys.exit(2 if isinstance(exc, ConfigError) else 3)
     except Me2fError as exc:
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(4)
@@ -517,18 +521,6 @@ def score(universe_path, out_dir, formats, **overrides):
     _execute(run)
 
 
-def _read_report(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # missing, a directory
-        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"{path}: not a JSON report: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: a report must be a JSON object")
-    return doc
-
-
 def _is_score(value) -> bool:
     """A JSON number (not a bool) that ``ScorePoint``'s value rule accepts."""
     try:
@@ -565,7 +557,7 @@ def _report_tokens(path: Path, doc: dict) -> list[dict]:
 
 
 def _load_report_scores(path: Path) -> Iterator[tuple[tuple[str, Metric], tuple[Date, float]]]:
-    doc = _read_report(path)
+    doc = ingest.read_json_object(path, str(path), DataError)
     window = doc.get("window")
     if not isinstance(window, dict) or not window.get("end"):
         raise DataError(f"{path}: report has no window; cannot date its scores")
@@ -678,7 +670,7 @@ def plot(report_path, out_dir):
 
     def run():
         path = Path(report_path)
-        doc = _read_report(path)
+        doc = ingest.read_json_object(path, str(path), DataError)
         _report_tokens(path, doc)
         out = ingest.make_dir(out_dir, "--out")
         for notice in write_charts(doc, out):

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from datetime import date as Date
-from itertools import pairwise
+from itertools import compress, pairwise
 from operator import attrgetter, ge, le, lt
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -63,16 +63,11 @@ def positive(name: str) -> Callable:
     return lambda c: all(map(math.isfinite, c[name])) and min(c[name]) > 0
 
 
-def finite_in(name: str, lo: float, hi: float = math.inf) -> Callable:
+def finite_in(name: str, lo: float = -math.inf, hi: float = math.inf) -> Callable:
     """The test that every value of column ``name`` is finite and in [lo, hi]."""
     if hi == math.inf:  # every finite value is below it: skip the max
         return lambda c: all(map(math.isfinite, c[name])) and min(c[name]) >= lo
     return lambda c: all(map(math.isfinite, c[name])) and lo <= min(c[name]) and max(c[name]) <= hi
-
-
-def not_negative(name: str) -> Callable:
-    """The test that no value of column ``name`` is below 0 (NaN is not)."""
-    return lambda c: not any(map((0.0).__gt__, c[name]))  # 0.0 > NaN is false, as NaN < 0 is
 
 
 class Checked:
@@ -311,6 +306,19 @@ class ChainRole:
     """Standalone chain, or token hosted on a standalone base chain."""
 
     base: str | None = None
+
+    # A role as text (volatility-table rows, universe entries) is "standalone", naming no
+    # base, or "hosted", naming a non-empty one; the later rules see only known roles.
+    text_rules = (
+        Rule("role", lambda c: all(map(("standalone", "hosted").__contains__, c["role"])),
+             DataError, "unknown role {role!r}"),
+        Rule("base", lambda c: all(isinstance(base, str) and base
+                                   for base in compress(c["base"], map("hosted".__eq__, c["role"]))),
+             DataError, "hosted token {token_id} needs a base"),
+        Rule("base", lambda c: all(map(("", None).__contains__,
+                                       compress(c["base"], map("standalone".__eq__, c["role"])))),
+             DataError, "standalone token {token_id} must not name a base"),
+    )
 
     def __post_init__(self):
         if self.base is not None and not self.base:

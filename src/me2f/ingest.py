@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from datetime import date as Date
 from datetime import timedelta, timezone
 from itertools import compress, repeat
-from operator import eq, lt
+from operator import lt
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -153,15 +153,16 @@ def _by_date(dates: list[Date], *columns: list) -> list:
 #
 # Every CSV is read as columns, with one split per file (_read_columns).
 # Each loader has one parse of those columns. It checks the cells' text
-# (numbers, dates, tokens, roles and bases) by column, raising a _RowError
-# that names the column, and leaves every invariant of the values to the
-# rule table of the type it builds, run once over whole columns; a broken
-# rule's field maps to its CSV column. _located runs the parse once on the
+# (numbers, dates and tokens) by column, raising a _RowError that names the
+# column, and leaves every invariant of the values to the rule table of the
+# type it builds (of a chain role's text, ChainRole.text_rules), run once over
+# whole columns; a broken rule's field maps to its CSV column. _located runs the parse once on the
 # file and, only if it fails, bisects over row prefixes to find the first
 # bad row in file order, whose line the MalformedRow names.
 
 _METRICS = {m.value: m for m in Metric}
-_VOLATILITY_COLUMNS = dict(zip([f.name for f in fields(VolatilityAggregate)], VOLATILITY_TABLE_HEADER))
+_VOLATILITY_COLUMNS = dict(zip([*(f.name for f in fields(VolatilityAggregate)), "role", "base"],
+                               VOLATILITY_TABLE_HEADER))
 _FGI_COLUMNS = dict(zip([f.name for f in fields(FgiIndicators)], FGI_TABLE_HEADER))
 
 
@@ -351,17 +352,8 @@ def load_volatility_table(
         tokens = _tokens(columns[0])
         values = _summary_numbers(VOLATILITY_TABLE_HEADER[1:5], columns[1:5])
         roles, bases = (list(map(str.strip, column)) for column in columns[5:])
-        # standalone rows name no base, hosted rows one
-        if not (set(roles) <= {"standalone", "hosted"}
-                and all(map(eq, map("hosted".__eq__, roles), map(bool, bases)))):
-            for token, role, base in zip(tokens, roles, bases):
-                if role not in ("standalone", "hosted"):
-                    raise _RowError("chain_role", f"unknown role {role!r}")
-                if (role == "hosted") != bool(base):
-                    raise _RowError("base", f"hosted token {token} needs a base" if role == "hosted"
-                                    else f"standalone token {token} must not name a base")
-        role_of = {base: ChainRole.hosted_on(base) for base in set(bases) - {""}}
-        role_of[""] = ChainRole.standalone()
+        check_rows(ChainRole.text_rules, {"token_id": tokens, "role": roles, "base": bases})
+        role_of = {base: ChainRole(base or None) for base in set(bases)}
         aggregates = VolatilityAggregate.many(dict(zip(_VOLATILITY_COLUMNS, (tokens, *values))))
         return {agg.token_id: (agg, role_of[base]) for agg, base in zip(aggregates, bases)}
 
@@ -437,16 +429,18 @@ def make_dir(path: str | Path, what: str) -> Path:
 
 # --- universe files ------------------------------------------------------
 
-def _read_json_object(path: Path, where: str) -> dict:
-    """The JSON object in a config file; ``ConfigError`` opening with ``where`` if there is none."""
+def read_json_object(path: Path, where: str, error: type[ConfigError] | type[DataError]) -> dict:
+    """The JSON object in a file a user passes in (universe file, provider config or
+    report), else an ``error`` opening with ``where``: it "cannot read" as UTF-8, "is not
+    valid JSON" (a decode error, an integer over 4,300 digits, deep nesting) or holds no object."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeError) as exc:  # missing, a directory, not UTF-8
-        raise ConfigError(f"{where}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+        raise error(f"{where}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{where} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must contain a JSON object")
+        raise error(f"{where} must contain a JSON object")
     return doc
 
 
@@ -465,7 +459,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     """
     path = Path(path)
     where = f"universe file {path}"
-    doc = _read_json_object(path, where)
+    doc = read_json_object(path, where, ConfigError)
 
     def reject_unknown_keys(obj: dict, known: tuple[str, ...], owner: str = "") -> None:
         for key in obj:
@@ -503,16 +497,13 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             raise ConfigError(f"{where}: {owner}'exclude_addresses' must be a list of strings")
         files[tid] = (*(file_at(entry, key, owner) for key in ("bars", "holders", "sentiment")),
                       exclude)
-        role_raw = entry.get("role")
-        if role_raw == "standalone":
-            roles[tid] = ChainRole.standalone()
-        elif role_raw == "hosted":
-            base = entry.get("base")
-            if not isinstance(base, str) or not base:
-                raise ConfigError(f"{where}: hosted token {tid} needs a 'base'")
-            roles[tid] = ChainRole.hosted_on(base)
-        elif role_raw is not None:
-            raise ConfigError(f"{where}: unknown role {role_raw!r} for {tid}")
+        role, base = entry.get("role"), entry.get("base")
+        if (role, base) != (None, None):  # else the volatility table gives the role
+            try:
+                check_rows(ChainRole.text_rules, {"token_id": (tid,), "role": (role,), "base": (base,)})
+            except DataError as exc:
+                raise ConfigError(f"{where}: {owner}{exc.field!r}: {exc}") from None
+            roles[tid] = ChainRole(base or None)
 
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
@@ -610,7 +601,7 @@ class ProviderEndpointSpec:
 
 def load_provider_config(path: str | Path) -> ProviderEndpointSpec:
     path = Path(path)
-    doc = _read_json_object(path, f"provider config {path}")
+    doc = read_json_object(path, f"provider config {path}", ConfigError)
     try:
         return ProviderEndpointSpec(
             name=doc["name"],
@@ -782,7 +773,7 @@ class MarketDataClient:
             resp = self._get(url, params)
             try:
                 body = resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"{spec.name}: response is not JSON: {exc}") from None
             batch = _dig(body, spec.items_path) if spec.items_path else body
             if not isinstance(batch, list):

@@ -13,7 +13,7 @@ from enum import Enum
 from operator import add, le, sub
 from typing import Iterable
 
-from .domain import Checked, Rule, SentimentSeries, finite_in, not_negative
+from .domain import Checked, Rule, SentimentSeries, finite_in
 from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
@@ -68,9 +68,11 @@ class FgiIndicators(Checked):
 
     # a negative largest move would make the shock index, and K**delta, complex
     rules = (
-        Rule("delta_f_max", not_negative("delta_f_max"), InvalidSummary,
+        *(Rule(name, finite_in(name), InvalidSummary, f"{{token_id}}: {name}={{{name}!r}} is not finite")
+          for name in ("q_g", "q_f", "delta_f_max", "delta_p_max")),
+        Rule("delta_f_max", finite_in("delta_f_max", 0), InvalidSummary,
              "{token_id}: delta_f_max={delta_f_max!r} is negative"),
-        Rule("delta_p_max", not_negative("delta_p_max"), InvalidSummary,
+        Rule("delta_p_max", finite_in("delta_p_max", 0), InvalidSummary,
              "{token_id}: delta_p_max={delta_p_max!r} is negative"),
         *(Rule(name, finite_in(name, 0, 100), InvalidSummary,
                f"{{token_id}}: {name}={{{name}!r}} outside [0, 100]")
@@ -78,7 +80,7 @@ class FgiIndicators(Checked):
         Rule("f_bar", lambda c: all(map(le, c["f_min"], c["f_bar"]))
              and all(map(le, c["f_bar"], c["f_max"])),
              InvalidSummary, "{token_id}: f_min <= f_bar <= f_max violated"),
-        Rule("q_g", lambda c: not_negative("q_g")(c) and not_negative("q_f")(c)
+        Rule("q_g", lambda c: finite_in("q_g", 0)(c) and finite_in("q_f", 0)(c)
              and not any(map((1 + 1e-9).__lt__, map(add, c["q_g"], c["q_f"]))),
              InvalidSummary, "{token_id}: q_g + q_f outside [0, 1]"),
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import le, sub, truediv
 from typing import Iterable, Mapping
 
-from .domain import ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, not_negative
+from .domain import ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, finite_in
 from .errors import (
     DegenerateUniverse,
     InsufficientHistory,
@@ -40,8 +40,10 @@ class VolatilityAggregate(Checked):
     max_mcap: float
 
     rules = (
-        Rule("max_volume", not_negative("max_volume"), InvalidSummary, "negative size {max_volume}"),
-        Rule("max_mcap", not_negative("max_mcap"), InvalidSummary, "negative size {max_mcap}"),
+        *(Rule(name, finite_in(name), InvalidSummary, f"{{token_id}}: {name}={{{name}!r}} is not finite")
+          for name in ("avg_vol", "max_vol", "max_volume", "max_mcap")),
+        Rule("max_volume", finite_in("max_volume", 0), InvalidSummary, "negative size {max_volume}"),
+        Rule("max_mcap", finite_in("max_mcap", 0), InvalidSummary, "negative size {max_mcap}"),
         Rule("avg_vol", lambda c: all(map(le, c["avg_vol"], c["max_vol"])) and min(c["avg_vol"]) >= 0,
              InvalidSummary, "{token_id}: need 0 <= avg_vol <= max_vol, got ({avg_vol}, {max_vol})"),
     )
@@ -78,9 +80,13 @@ def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggrega
         )
     # Construction checked every close > 0, so no day can divide by zero.
     vols = list(map(truediv, map(sub, high[1:], low[1:]), close[:-1]))
+    try:
+        total = math.fsum(vols)
+    except OverflowError:  # finite days whose sum passes the float range: its rule rejects inf
+        total = math.inf
     return VolatilityAggregate(
         token_id=series.token_id,
-        avg_vol=math.fsum(vols) / len(vols),
+        avg_vol=total / len(vols),
         max_vol=max(vols),
         max_volume=max(series.volume_usd) / scale_unit,
         max_mcap=max(series.market_cap_usd) / scale_unit,

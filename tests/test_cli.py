@@ -1,6 +1,7 @@
 """Command-line behavior: files written, exit codes, determinism."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from dataclasses import replace
 from datetime import date, timedelta
 from itertools import count, product
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 import requests
@@ -163,6 +165,22 @@ class TestPlot:
     def test_missing_report_exits_3(self, tmp_path):
         result = run("plot", "--report", tmp_path / "nope.json", "--out", tmp_path / "c")
         assert result.exit_code == 3
+
+    def test_chart_text_and_sidecar_fields_are_escaped(self, tmp_path):
+        ids = ["A<&B>", 'C,"D"', "E\r\nF", "G"]
+        doc = {"tokens": [{"id": tid, "vds": 0.5 - i / 10, "wds": None, "sas": None}
+                          for i, tid in enumerate(ids)]}
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(doc))
+        result = run("plot", "--report", report, "--out", tmp_path / "c")
+        assert result.exit_code == 0, result.output
+        texts = minidom.parse(str(tmp_path / "c" / "vds.svg")).getElementsByTagName("text")
+        labels = [t.firstChild.data for t in texts]  # the title, 5 ticks, then value and id per bar
+        assert labels[0] == "VDS"
+        assert labels[7::2] == [tid.replace("\r\n", "\n") for tid in ids]  # XML reads CR LF as LF
+        with open(tmp_path / "c" / "vds.csv", newline="", encoding="utf-8") as sidecar:
+            assert list(csv.reader(sidecar)) == [["token", "value"]] + [
+                [tid, repr(0.5 - i / 10)] for i, tid in enumerate(ids)]
 
 
 def write_history(path: Path, values, token="X", metric="vds", start=date(2025, 1, 1)):
@@ -688,6 +706,46 @@ class TestReportReadingErrors:
         assert result.stderr == "internal error: RuntimeError: boom\n"
 
 
+# Each way json.loads fails: a decode error, an integer over 4,300 digits
+# (ValueError) and deep nesting (RecursionError); before the one JSON reader
+# the last exited 4 from every command, and the huge integer from score and fetch.
+BAD_JSON = {"truncated": '{"tokens": [', "huge_int": '{"tokens": ' + "9" * 5000 + "}",
+            "deep": "[" * 100_000 + "]" * 100_000}
+
+
+class TestJsonDocumentErrors:
+    @pytest.mark.parametrize("text", BAD_JSON.values(), ids=list(BAD_JSON))
+    @pytest.mark.parametrize("args,code,where", [
+        (("score", "--universe"), 2, "universe file "),
+        (("fetch", "--token", "X", "--start", "2024-01-01", "--end", "2024-01-01",
+          "--provider-config"), 2, "provider config "),
+        (("plot", "--report"), 3, ""),
+        (("warn", "--report"), 3, ""),
+    ], ids=["universe", "provider", "plot", "warn"])
+    def test_undecodable_document_exits_cleanly_naming_it(self, tmp_path, args, code, where, text):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        extra = ("--cache-dir", tmp_path / "cache") if args[0] == "fetch" else ("--out", tmp_path / "o")
+        result = run(*args, doc, *extra)
+        assert_clean_exit(result, code)
+        assert result.stderr.startswith(f"error: {where}{doc} is not valid JSON: ")
+
+    def test_non_finite_summary_from_bars_exits_3_naming_token_and_field(self, tmp_path):
+        # A close of 1e-320 is finite and positive, but the next day's range over it
+        # is inf; before, report.json held NaN for X's VDS and 0.000 for every other token.
+        bars = ("date,high,low,close,volume_usd,market_cap_usd\n2024-01-01,111,89,1e-320,1e6,2e7\n"
+                "2024-01-02,112,88,102,2e6,2e7\n2024-01-03,113,87,100,3e6,2e7\n")
+        (tmp_path / "bars.csv").write_text(bars)
+        universe = write_universe(tmp_path, {
+            "volatility_table": str(REFERENCE_DIR / "reference_volatility.csv"),
+            "tokens": [{"id": "X", "role": "standalone", "bars": "bars.csv"}],
+        })
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == "error: X: avg_vol=inf is not finite\n"
+        assert not (tmp_path / "o").exists()
+
+
 def write_universe(tmp_path, doc):
     universe = tmp_path / "u.json"
     universe.write_text(json.dumps(doc))
@@ -739,6 +797,21 @@ class TestUniverseEntryErrors:
         assert_clean_exit(result, 2)
         assert f"universe file {universe}: {entry}" in result.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry,named", [
+        ({"role": "standalone", "base": "SOL"}, "'base': standalone token ETH must not name a base"),
+        ({"base": "SOL"}, "'role': unknown role None"),
+        ({"role": "hosted"}, "'base': hosted token ETH needs a base"),
+        ({"role": "hosted", "base": ["SOL"]}, "'base': hosted token ETH needs a base"),
+        ({"role": "Hosted", "base": "SOL"}, "'role': unknown role 'Hosted'"),
+    ])
+    def test_bad_role_or_base_exits_2_naming_entry_and_key(self, tmp_path, entry, named):
+        # before the one role rule, the first two scored ETH as standalone, dropping the base
+        universe = write_universe(tmp_path, {"tokens": [{"id": "SOL", "role": "standalone"},
+                                                        {"id": "ETH", **entry}]})
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 2)
+        assert result.stderr == f"error: universe file {universe}: token 'ETH': {named}\n"
 
     def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path):
         universe = write_universe(tmp_path, {"tokens": [], "volatility_tabel": "missing.csv"})

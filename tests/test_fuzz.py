@@ -1,9 +1,15 @@
-"""Fuzzed inputs: one mutated cell or line never breaks the CLI contract.
+"""Fuzzed inputs: one mutated cell, line or JSON value never breaks the CLI contract.
 
-Each example changes one cell or one line of the reference summary tables
-or of a small bars, holders, sentiment or history file, then runs ``score``
-or ``warn`` twice. Bad data exits 3 and good data 0, with one line on
-stderr and no traceback, and both runs write the same bytes.
+Each CSV example changes one cell or one line of the reference summary
+tables or of a small bars, holders, sentiment or history file, then runs
+``score`` or ``warn`` twice. Bad data exits 3 and good data 0, with one line
+on stderr and no traceback, and both runs write the same bytes.
+
+Each JSON example changes the bytes or one value or key of a universe file
+(``score``), a report (``plot`` and ``warn --report``) or a provider config
+(``fetch`` over a fake session), and runs the command twice. It exits 0, 2
+or 3, with one line on stderr and no traceback, and both runs write the
+same bytes.
 """
 from __future__ import annotations
 
@@ -11,11 +17,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+import requests
+
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_DIR
+from conftest import REFERENCE_DIR, FakeResponse
 from me2f.cli import main
 
 FILES = {
@@ -109,5 +118,124 @@ def test_one_mutation_keeps_the_cli_contract(mutation):
         assert outputs == sorted(p.name for p in (workdir / "b").glob("*"))
         for output in outputs:
             assert (workdir / "a" / output).read_bytes() == (workdir / "b" / output).read_bytes()
+        if "report.json" in outputs:  # a summary that overflowed once wrote NaN here with exit 0
+            report = (workdir / "a" / "report.json").read_text()
+            assert "NaN" not in report and "Infinity" not in report
         if first.exit_code == 3:
             assert first.stderr == second.stderr
+
+
+# --- JSON documents ----------------------------------------------------------
+
+REPORT = {
+    "window": {"start": "2024-01-01", "end": "2024-01-06"},
+    "tokens": [{"id": token, "vds": vds, "wds": 0.25, "sas": 0.125,
+                "raw": {"vds": vds, "wds": 0.25, "sas": 0.125}}
+               for token, vds in (("X", 0.5), ("Y", 0.75))],
+}
+PROVIDER = {"name": "prov", "base_url": "http://127.0.0.1:9", "items_path": "data",
+            "fields": {name: name for name in FILES["bars.csv"].splitlines()[0].split(",")}}
+DOCUMENTS = {"universe.json": UNIVERSE, "report.json": REPORT, "provider.json": PROVIDER}
+JSON_VALUES = [None, True, 0, -1, 1.5, "", "x", [], {}]
+HOLE = json.dumps("\u0000hole").encode()  # a string no document holds, for raw JSON text
+RAW = {"deep": b"[" * 100_000 + b"]" * 100_000, "huge_int": b"9" * 5000}  # what fills the hole
+
+
+def json_paths(value, path=()):
+    """Every (container path, key or index) in ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path, key
+        yield from json_paths(child, (*path, key))
+
+
+@st.composite
+def mutated_document(draw):
+    """A document's name, the kind of change and its bytes, with its text or
+    one value or key changed; a ``RAW`` value is left as ``HOLE``, so that a
+    failing example stays short to print."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = json.loads(json.dumps(DOCUMENTS[name]))  # a deep copy
+    kind = draw(st.sampled_from(["truncate", "bom", "byte", "value", "key", *RAW]))
+    if kind not in ("truncate", "bom", "byte"):
+        path, key = draw(st.sampled_from(list(json_paths(doc))))
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        if kind == "key":
+            value = parent.pop(key)
+            if isinstance(parent, dict) and draw(st.booleans()):
+                parent[key + "_"] = value  # renamed, not dropped
+        else:
+            parent[key] = draw(st.sampled_from(JSON_VALUES)) if kind == "value" else "\u0000hole"
+    data = json.dumps(doc).encode()
+    if kind == "truncate":
+        data = data[:draw(st.integers(min_value=0, max_value=len(data) - 1))]
+    elif kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "byte":
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x00"])) + data[at:]
+    return name, kind, data
+
+
+class OneShotSession:
+    """Serves three days of bars on its first request and no items after,
+    whatever the URL or query; nothing leaves the host."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        self.calls += 1
+        lines = FILES["bars.csv"].splitlines()
+        header = lines[0].split(",")
+        records = [dict(zip(header, line.split(","))) for line in lines[1:4]] if self.calls == 1 else []
+        return FakeResponse(payload={"data": records})
+
+
+def run_document(workdir: Path, name: str, command: str, out: str):
+    doc = workdir / name
+    if command == "score":
+        args = ["score", "--universe", doc, "--out", workdir / out]
+    elif command == "plot":
+        args = ["plot", "--report", doc, "--out", workdir / out]
+    elif command == "warn":
+        args = ["warn", "--report", doc, "--window", 2, "--out", workdir / out]
+    else:
+        args = ["fetch", "--provider-config", doc, "--token", "X", "--start", "2024-01-01",
+                "--end", "2024-01-03", "--cache-dir", workdir / "cache", "--out", workdir / out / "bars.csv"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(requests, "Session", OneShotSession)
+        return CliRunner().invoke(main, [str(a) for a in args])
+
+
+COMMANDS = {"universe.json": ["score"], "report.json": ["plot", "warn"], "provider.json": ["fetch"]}
+
+
+@given(mutation=mutated_document())
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_json_mutation_keeps_the_cli_contract(mutation):
+    name, kind, data = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for file_name, content in FILES.items():
+            (workdir / file_name).write_text(content, encoding="utf-8")
+        (workdir / name).write_bytes(data.replace(HOLE, RAW.get(kind, HOLE)))
+        for command in COMMANDS[name]:
+            first, second = (run_document(workdir, name, command, f"{command}_{out}") for out in "ab")
+            for result in (first, second):
+                assert result.exit_code in (0, 2, 3), result.output
+                assert "Traceback" not in result.output
+                lines = result.stderr.splitlines()
+                if command == "plot" and result.exit_code == 0:  # a notice per skipped chart
+                    lines = [line for line in lines if not line.startswith("skipped ")]
+                assert len(lines) == 1, result.stderr
+            assert second.exit_code == first.exit_code
+            assert second.stderr == first.stderr.replace(f"{command}_a", f"{command}_b")
+            a, b = workdir / f"{command}_a", workdir / f"{command}_b"
+            outputs = sorted(p.name for p in a.glob("*"))
+            assert outputs == sorted(p.name for p in b.glob("*"))
+            for output in outputs:
+                assert (a / output).read_bytes() == (b / output).read_bytes()

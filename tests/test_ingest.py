@@ -447,6 +447,16 @@ class TestMarketDataClient:
         with pytest.raises(ParseError):
             client.fetch_daily("DOGE", self.START, self.START)
 
+    def test_deeply_nested_response_is_a_parse_error(self, tmp_path):
+        class DeepResponse(FakeResponse):
+            def json(self):
+                return json.loads("[" * 100_000 + "]" * 100_000)  # RecursionError
+
+        session = FakeSession([], fail_first=[DeepResponse()])
+        client, _ = make_client(tmp_path, session, make_provider(page_size=10))
+        with pytest.raises(ParseError, match="response is not JSON: maximum recursion depth"):
+            client.fetch_daily("DOGE", self.START, self.START)
+
     def test_record_date_follows_the_loaders_rule(self, tmp_path):
         records = day_records(self.START, 1)
         records[0]["d"] = self.START.strftime("%Y%m%d")  # Python 3.11's fromisoformat takes it

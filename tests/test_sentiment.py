@@ -173,6 +173,15 @@ class TestInstabilityAndShock:
         assert err.value.field == field
         assert str(err.value) == f"X: {field}={value!r} outside [0, 100]"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field,name", [("q_g", "q_g"), ("q_f", "q_f"), ("delta_f", "delta_f_max"),
+                                            ("delta_p", "delta_p_max")])
+    def test_a_non_finite_number_is_rejected_naming_its_field(self, field, name, value):
+        # NaN passed the old "not negative" rules, and inf the move rules
+        with pytest.raises(InvalidSummary) as err:
+            _indicator(**{field: value})
+        assert (err.value.field, str(err.value)) == (name, f"X: {name}={value!r} is not finite")
+
     @pytest.mark.parametrize("kwargs,field", [
         ({"delta_f": -1.0}, "delta_f_max"), ({"delta_p": -1.0}, "delta_p_max"),
         ({"f_bar": 90.0}, "f_bar"), ({"q_g": 0.6, "q_f": 0.5}, "q_g"), ({"q_f": -0.1}, "q_g"),

@@ -132,6 +132,23 @@ class TestVolatilityAggregateRules:
             VolatilityAggregate("X", *args)
         assert (err.value.field, str(err.value)) == (field, message)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["avg_vol", "max_vol", "max_volume", "max_mcap"])
+    def test_a_non_finite_number_is_rejected_naming_its_field(self, field, value):
+        # NaN passed the old "not negative" size rules, and inf every rule
+        kwargs = {"avg_vol": 0.1, "max_vol": 0.2, "max_volume": 1.0, "max_mcap": 2.0, field: value}
+        with pytest.raises(InvalidSummary) as err:
+            VolatilityAggregate("X", **kwargs)
+        assert (err.value.field, str(err.value)) == (field, f"X: {field}={value!r} is not finite")
+
+    @pytest.mark.parametrize("highs,lows,closes", [
+        ([111, 112, 113], [89, 88, 87], [1e-320, 102, 100]),  # one day's range over the close is inf
+        ([1.5e308] * 3, [1.0] * 3, [1.0] * 3),  # finite days whose sum overflows math.fsum
+    ], ids=["inf_day", "sum_overflow"])
+    def test_aggregate_of_extreme_bars_is_rejected_not_inf(self, highs, lows, closes):
+        with pytest.raises(InvalidSummary, match=r"^X: avg_vol=inf is not finite$"):
+            aggregate(make_series("X", highs=highs, lows=lows, closes=closes))
+
     def test_zero_sizes_are_accepted(self):
         assert VolatilityAggregate("X", 0.0, 0.0, 0.0, -0.0).max_volume == 0.0
 
