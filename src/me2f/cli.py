@@ -12,18 +12,21 @@ Report schemas, by top-level key:
 - ``warn`` writes warnings.json with params, warnings, flags,
   joint_events, buckets.
 
-Both files hold the bytes of ``json.dumps(doc, indent=2)`` plus a newline:
-two spaces per nesting level, ASCII-only strings (``\\uXXXX`` escapes),
-floats in ``repr`` form with ``NaN``/``Infinity``/``-Infinity``, and each
-object's keys in the fixed order of its ``_Object`` below.
+Each object of both schemas is stated once, as an ``_Object`` below: it
+builds the object's dict from values in key order and writes it. Both files
+hold the bytes of ``json.dumps(doc, indent=2)`` plus a newline: two spaces
+per nesting level, ASCII-only strings (``\\uXXXX`` escapes), floats in
+``repr`` form with ``NaN``/``Infinity``/``-Infinity``, and each object's keys
+in the fixed order of its ``_Object``.
 """
 from __future__ import annotations
 
 import math
 import sys
 from collections import defaultdict
+from dataclasses import astuple, fields
 from datetime import date as Date
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -34,7 +37,7 @@ import click
 
 from . import ingest, scoring
 from .domain import FrameworkParams, TokenSeries
-from .errors import ConfigError, DataError, Me2fError, NonMonotonicDates
+from .errors import ConfigError, DataError, NonMonotonicDates
 from .ingest import HISTORY_HEADER, MarketDataClient
 from .scoring import FragilityReport, TokenReport
 from .warning import (
@@ -49,107 +52,18 @@ from .warning import (
 
 ABSENT = "—"  # rendered for missing scores in tabular output
 
-_METRIC_COLORS = {"vds": "#2a9d8f", "wds": "#3a6ea5", "sas": "#e76f51"}
 _SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # chart text as XML character data
 # each metric's and bucket's name, read once rather than through ``.value`` per item
 _NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 
 
 # --- serialization -------------------------------------------------------
-
-def _round_or_none(value: float | None, digits: int) -> float | None:
-    return None if value is None else round(value, digits)
-
-
-def _window_dict(window: tuple[Date, Date] | None) -> dict | None:
-    if window is None:
-        return None
-    return {"start": window[0].isoformat(), "end": window[1].isoformat()}
-
-
-def _token_entry(t: TokenReport) -> dict:
-    inputs = t.inputs
-    if inputs.role.is_standalone:
-        role = {"kind": "standalone"}
-    else:
-        role = {"kind": "hosted", "base": inputs.role.base}
-    volatility = None
-    if inputs.volatility is not None:
-        volatility = {
-            "avg_vol_pct": round(inputs.volatility.avg_vol * 100, 2),
-            "max_vol_pct": round(inputs.volatility.max_vol * 100, 2),
-            "max_volume": inputs.volatility.max_volume,
-            "max_mcap": inputs.volatility.max_mcap,
-        }
-    concentration = None
-    if t.concentration is not None:
-        concentration = {
-            "top_share_pct": round(t.concentration.c * 100, 2),
-            "hhi": t.concentration.h,
-            "internal": t.concentration.n_internal,
-        }
-    fgi = None
-    if inputs.fgi is not None:
-        fgi = {
-            "f_bar": inputs.fgi.f_bar,
-            "f_max": inputs.fgi.f_max,
-            "f_min": inputs.fgi.f_min,
-            "r_f": inputs.fgi.r_f,
-            "q_g_pct": round(inputs.fgi.q_g * 100, 2),
-            "q_f_pct": round(inputs.fgi.q_f * 100, 2),
-            "delta_f_max": inputs.fgi.delta_f_max,
-            "delta_p_max_pct": round(inputs.fgi.delta_p_max * 100, 2),
-        }
-    return {
-        "id": t.token_id,
-        "role": role,
-        "vds": _round_or_none(t.vds, 3),
-        "wds": _round_or_none(t.wds, 3),
-        "sas": _round_or_none(t.sas, 3),
-        "raw": {"vds": t.vds, "wds": t.wds, "sas": t.sas},
-        "inputs": {"volatility": volatility, "concentration": concentration, "fgi": fgi},
-        "window": _window_dict(inputs.window),
-        "warnings": list(t.warnings),
-    }
-
-
-def report_to_dict(report: FragilityReport) -> dict:
-    p = report.params
-    return {
-        "params": {
-            "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-            "delta": p.delta, "n": p.n, "scale_unit": p.scale_unit,
-        },
-        "window": _window_dict(report.window),
-        "tokens": [_token_entry(t) for t in report.tokens],
-        "warnings": list(report.warnings),
-    }
-
-
-def report_table(report: FragilityReport) -> str:
-    """Fixed-width fragility summary, one row per token, ascending VDS."""
-
-    def cell(value: float | None) -> str:
-        return ABSENT if value is None else f"{value:.3f}"
-
-    lines = [f"{'Token':<10}{'VDS':>8}{'WDS':>8}{'SAS':>8}"]
-    lines.append(f"{'-----':<10}{'---':>8}{'---':>8}{'---':>8}")
-    for t in report.tokens:
-        lines.append(f"{t.token_id:<10}{cell(t.vds):>8}{cell(t.wds):>8}{cell(t.sas):>8}")
-    if report.window is not None:
-        lines.append("")
-        lines.append(f"window: {report.window[0]} .. {report.window[1]}")
-    for note in report.warnings:
-        lines.append(f"warning: {note}")
-    for t in report.tokens:
-        for note in t.warnings:
-            lines.append(f"warning [{t.token_id}]: {note}")
-    return "\n".join(lines) + "\n"
-
-
-# The JSON writers below emit exactly the bytes of ``json.dumps(doc, indent=2)``,
-# whose encoder runs only in pure Python once ``indent`` is set. Each object
-# of the two report schemas is one template of its keys, in order, with its
+#
+# Each object of the two report schemas is stated once, as an ``_Object`` of
+# its keys in order: its ``dict`` builds the object that ``report_to_dict`` and
+# ``warn`` put in their documents, and its template writes it. The JSON writers
+# emit exactly the bytes of ``json.dumps(doc, indent=2)``, whose encoder runs
+# only in pure Python once ``indent`` is set. Each template has its
 # indentation fixed; scalars are encoded by type, as ``json`` encodes them.
 # A score token is filled in by one ``%`` on the template of its shape (its
 # role kind, and which of its volatility, concentration, fgi and window are
@@ -184,7 +98,9 @@ def _encode(values) -> list[str]:
 
 
 class _Object:
-    """An object of fixed keys at nesting ``depth``, one ``%s`` per value."""
+    """An object of fixed keys at nesting ``depth``, the one statement of
+    them: ``dict(*values)`` builds it from its values in key order, and its
+    template writes it, one ``%s`` per value."""
 
     def __init__(self, depth: int, *keys: str):
         pad = "  " * (depth + 1)
@@ -206,6 +122,93 @@ class _Object:
         at = self.keys.index(key) + 1
         return "%s".join(pieces[:at]), "%s".join(pieces[at:])
 
+    @cached_property
+    def dict(self):
+        """``dict(*values)``: a dict display compiled from the key list on first
+        use (not at import), as ``namedtuple`` compiles its ``__new__``, so a
+        call costs what the written-out literal costs. The keys are the
+        constants below, never input."""
+        names = [f"v{i}" for i in range(len(self.keys))]
+        return eval(f"lambda {', '.join(names)}: {{"
+                    + ", ".join(f"{key!r}: {name}" for key, name in zip(self.keys, names)) + "}")
+
+
+_SCORE = _Object(0, "params", "window", "tokens", "warnings")
+_SCORE_PARAMS = _Object(1, *(f.name for f in fields(FrameworkParams)))
+_REPORT_WINDOW = _Object(1, "start", "end")
+_TOKEN = _Object(2, "id", "role", "vds", "wds", "sas", "raw", "inputs", "window", "warnings")
+_STANDALONE = _Object(3, "kind")
+_HOSTED = _Object(3, "kind", "base")
+_RAW = _Object(3, "vds", "wds", "sas")
+_INPUTS = _Object(3, "volatility", "concentration", "fgi")
+_TOKEN_WINDOW = _Object(3, *_REPORT_WINDOW.keys)
+_VOLATILITY = _Object(4, "avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap")
+_CONCENTRATION = _Object(4, "top_share_pct", "hhi", "internal")
+_FGI = _Object(4, "f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct", "delta_f_max",
+               "delta_p_max_pct")
+_SECTIONS = (_VOLATILITY, _CONCENTRATION, _FGI, _TOKEN_WINDOW)  # a token's nullable objects
+
+_WARN = _Object(0, "params", "warnings", "flags", "joint_events", "buckets")
+_WARN_PARAMS = _Object(1, "window_days", "threshold", "x_days")
+_FLAG = _Object(2, "token", "metric", "date", "value", "window_percentile")
+_JOINT_EVENT = _Object(2, "token", "date", "metrics")
+_BUCKET = _Object(2, "token", "date", "bucket", "metrics")
+
+
+def _window(window: tuple[Date, Date] | None) -> dict | None:
+    return None if window is None else _REPORT_WINDOW.dict(*map(Date.isoformat, window))
+
+
+def _token_entry(t: TokenReport) -> dict:
+    inputs, vds, wds, sas = t.inputs, t.vds, t.wds, t.sas
+    role, volatility, concentration, fgi = inputs.role, inputs.volatility, t.concentration, inputs.fgi
+    return _TOKEN.dict(
+        t.token_id,
+        _STANDALONE.dict("standalone") if role.is_standalone else _HOSTED.dict("hosted", role.base),
+        None if vds is None else round(vds, 3),
+        None if wds is None else round(wds, 3),
+        None if sas is None else round(sas, 3),
+        _RAW.dict(vds, wds, sas),
+        _INPUTS.dict(
+            None if volatility is None else _VOLATILITY.dict(
+                round(volatility.avg_vol * 100, 2), round(volatility.max_vol * 100, 2),
+                volatility.max_volume, volatility.max_mcap),
+            None if concentration is None else _CONCENTRATION.dict(
+                round(concentration.c * 100, 2), concentration.h, concentration.n_internal),
+            None if fgi is None else _FGI.dict(
+                fgi.f_bar, fgi.f_max, fgi.f_min, fgi.r_f, round(fgi.q_g * 100, 2),
+                round(fgi.q_f * 100, 2), fgi.delta_f_max, round(fgi.delta_p_max * 100, 2)),
+        ),
+        _window(inputs.window),
+        list(t.warnings),
+    )
+
+
+def report_to_dict(report: FragilityReport) -> dict:
+    return _SCORE.dict(_SCORE_PARAMS.dict(*astuple(report.params)), _window(report.window),
+                       [_token_entry(t) for t in report.tokens], list(report.warnings))
+
+
+def report_table(report: FragilityReport) -> str:
+    """Fixed-width fragility summary, one row per token, ascending VDS."""
+
+    def cell(value: float | None) -> str:
+        return ABSENT if value is None else f"{value:.3f}"
+
+    lines = [f"{'Token':<10}{'VDS':>8}{'WDS':>8}{'SAS':>8}"]
+    lines.append(f"{'-----':<10}{'---':>8}{'---':>8}{'---':>8}")
+    for t in report.tokens:
+        lines.append(f"{t.token_id:<10}{cell(t.vds):>8}{cell(t.wds):>8}{cell(t.sas):>8}")
+    if report.window is not None:
+        lines.append("")
+        lines.append(f"window: {report.window[0]} .. {report.window[1]}")
+    for note in report.warnings:
+        lines.append(f"warning: {note}")
+    for t in report.tokens:
+        for note in t.warnings:
+            lines.append(f"warning [{t.token_id}]: {note}")
+    return "\n".join(lines) + "\n"
+
 
 def _brackets(depth: int) -> tuple[str, str, str]:
     """An array's opening, separator and closing at nesting ``depth``."""
@@ -223,28 +226,6 @@ def _array(texts: list[str], depth: int) -> str:
 
 def _strings(values: list[str], depth: int) -> str:
     return _array(_encode(values), depth)
-
-
-_SCORE = _Object(0, "params", "window", "tokens", "warnings")
-_SCORE_PARAMS = _Object(1, "alpha", "beta", "gamma", "delta", "n", "scale_unit")
-_REPORT_WINDOW = _Object(1, "start", "end")
-_TOKEN = _Object(2, "id", "role", "vds", "wds", "sas", "raw", "inputs", "window", "warnings")
-_STANDALONE = _Object(3, "kind")
-_HOSTED = _Object(3, "kind", "base")
-_RAW = _Object(3, "vds", "wds", "sas")
-_INPUTS = _Object(3, "volatility", "concentration", "fgi")
-_TOKEN_WINDOW = _Object(3, "start", "end")
-_VOLATILITY = _Object(4, "avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap")
-_CONCENTRATION = _Object(4, "top_share_pct", "hhi", "internal")
-_FGI = _Object(4, "f_bar", "f_max", "f_min", "r_f", "q_g_pct", "q_f_pct", "delta_f_max",
-               "delta_p_max_pct")
-_SECTIONS = (_VOLATILITY, _CONCENTRATION, _FGI, _TOKEN_WINDOW)  # a token's nullable objects
-
-_WARN = _Object(0, "params", "warnings", "flags", "joint_events", "buckets")
-_WARN_PARAMS = _Object(1, "window_days", "threshold", "x_days")
-_FLAG = _Object(2, "token", "metric", "date", "value", "window_percentile")
-_JOINT_EVENT = _Object(2, "token", "date", "metrics")
-_BUCKET = _Object(2, "token", "date", "bucket", "metrics")
 
 
 @cache
@@ -352,15 +333,18 @@ def bars_to_csv(series: TokenSeries) -> str:
 
 # --- charts ----------------------------------------------------------------
 
+_METRIC_COLORS = dict(zip(_RAW.keys, ("#2a9d8f", "#3a6ea5", "#e76f51")))
+
+
 def _nice_ceiling(value: float) -> float:
     if value <= 0:
         return 1.0
     exp = math.floor(math.log10(value))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         candidate = mult * 10.0**exp
         if candidate >= value * (1 - 1e-12):
             return candidate
-    return 10.0 ** (exp + 1)  # unreachable
+    return 10.0 * 10.0**exp
 
 
 def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9d8f") -> str:
@@ -434,7 +418,7 @@ def _csv_field(text: str) -> str:
 def write_charts(doc: dict, out_dir: Path) -> list[str]:
     """One SVG per score plus a CSV sidecar; skips all-absent scores."""
     notices = []
-    for metric in ("vds", "wds", "sas"):
+    for metric in _RAW.keys:
         pairs = [
             (t["id"], t[metric]) for t in doc.get("tokens", []) if t.get(metric) is not None
         ]
@@ -458,9 +442,6 @@ def _execute(action) -> None:
     except (ConfigError, DataError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2 if isinstance(exc, ConfigError) else 3)
-    except Me2fError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(4)
     except Exception as exc:  # the exit-code contract holds for defects too
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(4)
@@ -532,9 +513,9 @@ def _is_score(value) -> bool:
 def _report_tokens(path: Path, doc: dict) -> list[dict]:
     """A report's token entries, checked for ``plot`` and ``warn`` alike.
 
-    ``tokens`` must be a list of objects, each with a string ``id``; every
-    score, at the top level or under ``raw``, must be null or a finite JSON
-    number >= 0.
+    ``tokens`` must be a list of objects, each with a string ``id`` that
+    keeps the token-id rule; every score, at the top level or under ``raw``,
+    must be null or a finite JSON number >= 0.
     """
     tokens = doc.get("tokens", [])
     if not isinstance(tokens, list):
@@ -553,6 +534,8 @@ def _report_tokens(path: Path, doc: dict) -> list[dict]:
                         f"{path}: token {t['id']!r} has {metric.value} score {value!r}; "
                         "scores must be finite numbers >= 0"
                     )
+    if fault := ingest.token_id_fault([t["id"] for t in tokens]):
+        raise DataError(f"{path}: {fault}")
     return tokens
 
 
@@ -620,44 +603,20 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
             events.extend(joint_spike(token_flags, x_days))
             buckets.extend(assign_buckets(token_flags, x_days))
 
-        doc = {
-            "params": {"window_days": window_days, "threshold": threshold, "x_days": x_days},
-            "warnings": [],
-            "flags": [
-                {
-                    "token": f.token_id,
-                    "metric": _NAMES[f.metric],
-                    "date": f.date.isoformat(),
-                    "value": f.value,
-                    "window_percentile": f.window_percentile,
-                }
-                for f in all_flags
-            ],
-            "joint_events": [
-                {
-                    "token": e.token_id,
-                    "date": e.date.isoformat(),
-                    "metrics": [_NAMES[m] for m in e.metrics],
-                }
-                for e in events
-            ],
-            "buckets": [
-                {
-                    "token": b.token_id,
-                    "date": b.date.isoformat(),
-                    "bucket": _NAMES[b.bucket],
-                    "metrics": [_NAMES[m] for m in b.metrics],
-                }
-                for b in buckets
-            ],
-        }
+        doc = _WARN.dict(
+            _WARN_PARAMS.dict(window_days, threshold, x_days),
+            [],
+            [_FLAG.dict(f.token_id, _NAMES[f.metric], f.date.isoformat(), f.value,
+                        f.window_percentile) for f in all_flags],
+            [_JOINT_EVENT.dict(e.token_id, e.date.isoformat(), [_NAMES[m] for m in e.metrics])
+             for e in events],
+            [_BUCKET.dict(b.token_id, b.date.isoformat(), _NAMES[b.bucket],
+                          [_NAMES[m] for m in b.metrics]) for b in buckets],
+        )
         out = ingest.make_dir(out_dir, "--out")
         (out / "warnings.json").write_text(_dumps(doc), encoding="utf-8")
-        click.echo(
-            f"{len(doc['flags'])} flag(s), {len(doc['joint_events'])} joint event(s) "
-            f"-> {out / 'warnings.json'}",
-            err=True,
-        )
+        click.echo(f"{len(all_flags)} flag(s), {len(events)} joint event(s) "
+                   f"-> {out / 'warnings.json'}", err=True)
 
     _execute(run)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 import time
 from collections import defaultdict, deque
@@ -135,6 +136,21 @@ def iso_days(cells: Sequence[str]) -> list[Date]:
     if not aligned or joined[4::11] != "-" * n or joined[7::11] != "-" * n:
         raise ValueError("not YYYY-MM-DD dates")
     return list(map(Date.fromisoformat, cells))
+
+
+# The token-id rule: every character of an id is one that XML 1.0 can hold
+# (ids are chart text) and UTF-8 can encode (ids are written to UTF-8 files):
+# no lone surrogate, no U+FFFE or U+FFFF, and no C0 control but tab, LF and CR.
+_ID_FORBIDDEN = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"  # compiled on first use
+
+
+def token_id_fault(ids: Sequence[str]) -> str | None:
+    """Why the first of ``ids`` that breaks the token-id rule breaks it; None
+    when none does, found by one search over all of them."""
+    if re.search(_ID_FORBIDDEN, "".join(ids)) is None:
+        return None
+    tid, char = next((t, m.group()) for t in ids if (m := re.search(_ID_FORBIDDEN, t)))
+    return f"token id {tid!r} holds {char!r}, which XML 1.0 cannot hold or UTF-8 cannot encode"
 
 
 def _token_id_for(path: Path, token_id: str | None) -> str:
@@ -258,10 +274,12 @@ def _first_repeat(keys: Iterable) -> int:
 
 
 def _tokens(cells: list[str]) -> list[str]:
-    """A table's stripped token cells; an empty or repeated one is a row error."""
+    """A table's stripped token cells; an empty, repeated or ill-formed one is a row error."""
     tokens = list(map(str.strip, cells))
     if not all(tokens):
         raise _RowError("token", "empty token id")
+    if fault := token_id_fault(tokens):
+        raise _RowError("token", fault)
     if len(set(tokens)) != len(tokens):
         raise _RowError("token", f"duplicate row for token {tokens[_first_repeat(tokens)]!r}")
     return tokens
@@ -391,10 +409,13 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
         for i, key in enumerate(zip(tokens, names)):
             groups[key].append(i)
         if not all(token and token == token.strip() and name in _METRICS
-                   for token, name in groups):  # a padded, empty or unknown key
+                   for token, name in groups) or token_id_fault([t for t, _ in groups]):
+            # a padded, empty or unknown key, or one that breaks the token-id rule
             tokens, names = list(map(str.strip, tokens)), list(map(str.strip, names))
             if not all(tokens):
                 raise _RowError("token", "empty token id")
+            if fault := token_id_fault(tokens):
+                raise _RowError("token", fault)
             for name in names:
                 if name not in _METRICS:
                     raise _RowError("metric", f"unknown metric {name!r}")
@@ -490,6 +511,8 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             raise ConfigError(f"{where}: token entry {number} needs a non-empty string 'id'")
         if tid in files:
             raise ConfigError(f"{where}: token entry {number} repeats the id {tid!r}")
+        if fault := token_id_fault([tid]):
+            raise ConfigError(f"{where}: token entry {number}: {fault}")
         owner = f"token {tid!r}: "
         reject_unknown_keys(entry, UNIVERSE_TOKEN_KEYS, owner)
         exclude = entry.get("exclude_addresses", [])
@@ -534,8 +557,9 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 _URL_PLACEHOLDERS = ("token", "start", "end", "page", "page_size")
 
 
-def _check_template(key: str, template: str) -> None:
-    """A ``path`` or ``query`` value fills in only bare ``_URL_PLACEHOLDERS``."""
+def _check_template(key: str, template: str) -> list[str]:
+    """The placeholder names of a ``path`` or ``query`` value, which fills in
+    only bare ``_URL_PLACEHOLDERS`` (a doubled brace is a literal one)."""
     from string import Formatter  # here: it slows CLI start-up
 
     try:
@@ -546,6 +570,7 @@ def _check_template(key: str, template: str) -> None:
     if any(name not in _URL_PLACEHOLDERS or spec or conversion for name, spec, conversion in fields):
         allowed = ", ".join(f"{{{name}}}" for name in _URL_PLACEHOLDERS)
         raise ConfigError(f"{key}={template!r} may use only the placeholders {allowed}")
+    return [name for name, _, _ in fields]
 
 
 @dataclass(frozen=True)
@@ -580,9 +605,7 @@ class ProviderEndpointSpec:
         for key, value in texts:
             if not isinstance(value, str):
                 raise ConfigError(f"{key}={value!r} must be a string")
-        _check_template("path", self.path)
-        for key, value in self.query.items():
-            _check_template(f"query.{key}", value)
+        self.placeholders()
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
         if not self.timeout > 0:  # NaN included
@@ -592,6 +615,13 @@ class ProviderEndpointSpec:
         missing = [f for f in BARS_HEADER if f not in self.fields]
         if missing:
             raise ConfigError(f"provider {self.name}: missing field paths for {missing}")
+
+    def placeholders(self) -> set[str]:
+        """The placeholder names that ``path`` and the ``query`` values use, each checked."""
+        names = set(_check_template("path", self.path))
+        for key, value in self.query.items():
+            names.update(_check_template(f"query.{key}", value))
+        return names
 
     def api_key_env(self) -> str:
         return "ME2F_API_KEY_" + "".join(
@@ -757,7 +787,10 @@ class MarketDataClient:
         return seconds if 0 <= seconds < math.inf else 1.0
 
     def _fetch_pages(self, token_id: str, start: Date, end: Date) -> list:
+        """Every item, page by page until a page is short; one page when no
+        template uses {page}, since each request would then be the same."""
         spec = self.provider
+        paged = "page" in spec.placeholders()
         items: list = []
         page = 1
         while True:
@@ -779,7 +812,7 @@ class MarketDataClient:
             if not isinstance(batch, list):
                 raise ParseError(f"{spec.name}: items path does not yield a list")
             items.extend(batch)
-            if len(batch) < spec.page_size:
+            if not paged or len(batch) < spec.page_size:
                 return items
             page += 1
 

@@ -340,6 +340,34 @@ class TestDeterminism:
             assert (charts1 / name).read_bytes() == (charts2 / name).read_bytes()
 
 
+GOLDEN_DIR = REFERENCE_DIR.parent / "golden"
+
+
+class TestGoldenOutputs:
+    """Every output file equals its recorded bytes. The universe holds hosted
+    and standalone tokens, each of volatility, concentration, fgi and window
+    present and absent, a per-token and a report-level warning, and an id
+    that JSON, the table, SVG and CSV each escape; the history gives flags,
+    joint events and buckets of one and of two metrics."""
+
+    def assert_golden(self, out: Path, expected: Path):
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_score(self, tmp_path):
+        result = run("score", "--universe", GOLDEN_DIR / "universe.json", "--out", tmp_path,
+                     "--format", "json,table,chart")
+        assert result.exit_code == 0, result.output
+        self.assert_golden(tmp_path, GOLDEN_DIR / "score")
+
+    def test_warn(self, tmp_path):
+        result = run("warn", "--history", GOLDEN_DIR / "history.csv", "--window", 3,
+                     "--threshold", 0.6, "--x-days", 1, "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        self.assert_golden(tmp_path, GOLDEN_DIR / "warn")
+
+
 class TestBarsCsvRoundTrip:
     def test_serialized_bars_reload_identically(self, tmp_path):
         from me2f.cli import bars_to_csv
@@ -424,15 +452,24 @@ class TestFetchCommand:
         assert result.stderr.startswith(f"error: cache directory {cache}")
         assert session.calls == []
 
-    def fetch_one_day(self, tmp_path, monkeypatch, out):
-        """``fetch --out out`` of one day served by a ``FakeSession``; the session."""
+    def fetch_one_day(self, tmp_path, monkeypatch, out=None):
+        """``fetch --out out`` (no ``--out`` for None) of one day served by a
+        ``FakeSession``; the session."""
         session = FakeSession([{"date": "2024-01-01", **dict.fromkeys(BARS_HEADER[1:], 1.0)}])
         monkeypatch.setattr(requests, "Session", lambda: session)
         config = tmp_path / "provider.json"
         config.write_text(json.dumps(PROVIDER | {"items_path": "data", "query": {"page": "{page}"}}))
         result = run("fetch", "--provider-config", config, "--token", "X", "--start", "2024-01-01",
-                     "--end", "2024-01-01", "--cache-dir", tmp_path / "cache", "--out", out(config))
+                     "--end", "2024-01-01", "--cache-dir", tmp_path / "cache",
+                     *(("--out", out(config)) if out else ()))
         return result, session
+
+    def test_without_out_only_caches(self, tmp_path, monkeypatch):
+        result, session = self.fetch_one_day(tmp_path, monkeypatch)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "1 bar(s) cached for X\n"
+        assert len(session.calls) == 1 and len(list((tmp_path / "cache").rglob("*.json"))) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "provider.json"]
 
     @pytest.mark.parametrize("out", [
         lambda config: config.parent,  # a directory
@@ -750,6 +787,66 @@ def write_universe(tmp_path, doc):
     universe = tmp_path / "u.json"
     universe.write_text(json.dumps(doc))
     return universe
+
+
+# A lone surrogate UTF-8 cannot encode, and a C0 control XML 1.0 cannot hold;
+# before the token-id rule the first made score exit 4 writing report.txt, and
+# the second wrote a vds.svg that XML parsers reject.
+BAD_IDS = [pytest.param("\ud800", id="lone_surrogate"), pytest.param("A\x01B", id="c0_control")]
+
+
+class TestTokenIdRule:
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_universe_id_exits_2_naming_file_and_entry(self, tmp_path, bad):
+        universe = write_universe(tmp_path, {"tokens": [{"id": "SOL", "role": "standalone"},
+                                                        {"id": bad, "role": "standalone"}]})
+        result = run("score", "--universe", universe, "--out", tmp_path / "o",
+                     "--format", "json,table,chart")
+        assert_clean_exit(result, 2)
+        assert f"universe file {universe}: token entry 2: token id {bad!r}" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("table", ["volatility", "fgi"])
+    def test_table_token_exits_3_at_its_line(self, tmp_path, table, bad):
+        vol_rows, fgi_rows = VOL_ROW, FGI_ROW
+        if table == "volatility":
+            vol_rows += VOL_ROW.replace("A,", f"{bad},")
+        else:
+            fgi_rows += FGI_ROW.replace("A,", f"{bad},")
+        (tmp_path / "v.csv").write_text(VOL_HEADER + vol_rows, errors="surrogatepass")
+        (tmp_path / "f.csv").write_text(FGI_HEADER + fgi_rows, errors="surrogatepass")
+        universe = write_universe(tmp_path, {"volatility_table": "v.csv", "fgi_table": "f.csv"})
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        path = tmp_path / f"{table[0]}.csv"
+        if bad == "\ud800":  # its bytes are not UTF-8: the file cannot be read as text
+            assert result.stderr.startswith(f"error: {path}: cannot read")
+        else:
+            assert f"{path}: line 3, column 'token'" in result.stderr and repr(bad) in result.stderr
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_history_token_exits_3_at_its_line(self, tmp_path, bad):
+        hist = tmp_path / "h.csv"
+        hist.write_text("date,token,metric,value\n2025-01-01,X,vds,1.0\n"
+                        f"2025-01-02,{bad},vds,2.0\n2025-01-02,X,vds,2.0\n", errors="surrogatepass")
+        result = run("warn", "--history", hist, "--window", 2, "--out", tmp_path / "w")
+        assert_clean_exit(result, 3)
+        if bad == "\ud800":
+            assert result.stderr.startswith(f"error: {hist}: cannot read")
+        else:
+            assert f"{hist}: line 3, column 'token'" in result.stderr and repr(bad) in result.stderr
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    @pytest.mark.parametrize("command", ["plot", "warn"])
+    def test_report_id_exits_3_naming_file_and_token(self, tmp_path, command, bad):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({**GOOD_REPORT, "tokens": [{"id": "X"}, {"id": bad}]}))
+        extra = ("--window", 2) if command == "warn" else ()
+        result = run(command, "--report", report, *extra, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr.startswith(f"error: {report}: token id {bad!r} holds")
+        assert not (tmp_path / "o").exists()
 
 
 class TestInputFileErrors:

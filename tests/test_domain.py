@@ -85,6 +85,11 @@ class TestTokenSeries:
         with pytest.raises(NonMonotonicDates):
             TokenSeries("X", (bar(2), bar(1)))
 
+    def test_columns_of_different_lengths(self):
+        with pytest.raises(DataError, match="X: columns differ in length"):
+            TokenSeries.from_columns("X", [date(2024, 1, 1), date(2024, 1, 2)], [110.0],
+                                     *([110.0, 110.0],) * 4)
+
     def test_validate_is_idempotent(self):
         series = TokenSeries("X", (bar(1), bar(2)))
         assert validate_series(validate_series(series)) is series

@@ -52,6 +52,9 @@ UNIVERSE = {
 NUMBERS = ["nan", "inf", "oops", "", "1e400", "-1", "0", "-0", "1e-320", "1e300", "150"]
 DATES = ["2024-13-01", "03/01/2024", "", "2024-02-30", "20240102", "2024-W01-2"]
 KEY_COLUMNS = {"token", "rank", "metric", "chain_role", "base"}
+# ids that break the token-id rule: UTF-8 cannot encode the first (a file holding it
+# is written with "surrogatepass", so it is not UTF-8), XML 1.0 cannot hold the second
+BAD_IDS = ["\ud800", "A\x01B"]
 
 
 @st.composite
@@ -70,6 +73,8 @@ def mutated_file(draw):
             values += DATES
         elif header[j] in KEY_COLUMNS:  # keys stay known: no base or role is invented
             values += ["", "  ", "VDS", "risk"] if header[j] == "metric" else ["", "  "]
+            if header[j] == "token":
+                values += BAD_IDS
         else:
             values += NUMBERS + ["-" + cells[j]]
         cells[j] = draw(st.sampled_from(values))
@@ -106,7 +111,7 @@ def test_one_mutation_keeps_the_cli_contract(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for file_name, content in (FILES | {name: text}).items():
-            (workdir / file_name).write_text(content, encoding="utf-8")
+            (workdir / file_name).write_text(content, encoding="utf-8", errors="surrogatepass")
         (workdir / "universe.json").write_text(json.dumps(UNIVERSE), encoding="utf-8")
         first, second = run_in(workdir, name, "a"), run_in(workdir, name, "b")
         for result in (first, second):
@@ -167,7 +172,8 @@ def mutated_document(draw):
             if isinstance(parent, dict) and draw(st.booleans()):
                 parent[key + "_"] = value  # renamed, not dropped
         else:
-            parent[key] = draw(st.sampled_from(JSON_VALUES)) if kind == "value" else "\u0000hole"
+            values = JSON_VALUES + BAD_IDS if key == "id" else JSON_VALUES
+            parent[key] = draw(st.sampled_from(values)) if kind == "value" else "\u0000hole"
     data = json.dumps(doc).encode()
     if kind == "truncate":
         data = data[:draw(st.integers(min_value=0, max_value=len(data) - 1))]

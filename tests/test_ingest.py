@@ -57,6 +57,7 @@ from me2f.ingest import (
     load_sentiment_csv,
     load_universe,
     load_volatility_table,
+    token_id_fault,
 )
 from me2f.sentiment import FgiIndicators
 from me2f.volatility import VolatilityAggregate
@@ -246,6 +247,17 @@ class TestSummaryTables:
             load_volatility_table(write(tmp_path, "v.csv", text))
 
 
+class TestTokenIdRule:
+    # tab, CR and LF are the C0 characters XML 1.0 holds; DEL and astral characters it holds too
+    def test_ids_xml_and_utf8_can_carry_pass(self):
+        assert token_id_fault(["A", "E\r\nF", "a\tb", "\x7f", "\U0001f600", "\ufffd"]) is None
+
+    @pytest.mark.parametrize("bad", ["\ud800", "\udfff", "\ufffe", "\uffff", "\x00", "\x0b", "\x1f"])
+    def test_ids_either_cannot_carry_are_named(self, bad):
+        assert token_id_fault(["A", f"x{bad}", "B"]) == (
+            f"token id {'x' + bad!r} holds {bad!r}, which XML 1.0 cannot hold or UTF-8 cannot encode")
+
+
 class TestLoadUniverse:
     def test_reference_universe(self, reference_universe_path):
         inputs = load_universe(reference_universe_path, PARAMS)
@@ -345,6 +357,29 @@ class TestMarketDataClient:
         assert len(series.bars) == 5
         assert len(session.calls) == 3  # pages of 2, 2, 1
         assert session.calls[0]["url"] == "https://api.fake/bars/DOGE"
+
+    @pytest.mark.parametrize("page", ["", "{{page}}"])  # a doubled brace is a literal one
+    def test_config_without_page_placeholder_requests_one_page(self, tmp_path, page):
+        class SamePage:  # serves a full page whatever the parameters
+            calls = 0
+
+            def get(self, url, params=None, headers=None, timeout=None):
+                self.calls += 1
+                assert self.calls <= 3, "paging never stops"
+                return FakeResponse(payload={"data": day_records(date(2024, 3, 1), 2)})
+
+        session = SamePage()
+        provider = replace(make_provider(), query={"start": "{start}", "end": "{end}", "p": page})
+        client, _ = make_client(tmp_path, session, provider)
+        series = client.fetch_daily("DOGE", self.START, self.START + timedelta(days=1))
+        assert session.calls == 1
+        assert len(series.dates) == 2
+
+    def test_inverted_range_rejected_before_any_request(self, tmp_path):
+        client, _ = make_client(tmp_path, ExplodingSession())
+        with pytest.raises(ConfigError, match="date range 2024-03-01..2024-02-29 is inverted"):
+            client.fetch_daily("DOGE", self.START, self.START - timedelta(days=1))
+        assert not (tmp_path / "cache").exists()
 
     def test_cache_round_trip_zero_network(self, tmp_path):
         session = FakeSession(day_records(self.START, 5))
@@ -505,6 +540,13 @@ class TestProviderConfig:
         }
         spec = load_provider_config(write(tmp_path, "p.json", json.dumps(doc)))
         assert spec.rate_limit == 12 and spec.page_size == 50
+
+    def test_non_positive_rate_limit_rejected_naming_file(self, tmp_path):
+        doc = {"name": "p", "base_url": "https://x", "fields": {name: name for name in BARS_HEADER},
+               "rate_limit_per_minute": 0}
+        path = write(tmp_path, "p.json", json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: rate_limit=0 must be > 0")):
+            load_provider_config(path)
 
     def test_missing_fields_rejected(self, tmp_path):
         doc = {"name": "p", "base_url": "https://x", "fields": {"date": "d"}}
