@@ -1,7 +1,9 @@
 """Command-line surface: score, warn, plot, fetch.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-error. Diagnostics go to stderr; data goes to files.
+error. Diagnostics go to stderr; data goes to files, all of a command's at
+once through ``ingest.write_files``: an output directory or file that cannot
+be written exits 2 and leaves the files that were there.
 
 Report schemas, by top-level key:
 
@@ -415,9 +417,9 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def write_charts(doc: dict, out_dir: Path) -> list[str]:
-    """One SVG per score plus a CSV sidecar; skips all-absent scores."""
-    notices = []
+def chart_files(doc: dict) -> tuple[dict[str, str], list[str]]:
+    """Each score's SVG and CSV sidecar, by file name, and a notice per all-absent score."""
+    files, notices = {}, []
     for metric in _RAW.keys:
         pairs = [
             (t["id"], t[metric]) for t in doc.get("tokens", []) if t.get(metric) is not None
@@ -426,12 +428,10 @@ def write_charts(doc: dict, out_dir: Path) -> list[str]:
             notices.append(f"skipped {metric} chart: no values present")
             continue
         pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-        (out_dir / f"{metric}.svg").write_text(
-            bar_chart_svg(metric.upper(), pairs, _METRIC_COLORS[metric]), encoding="utf-8"
-        )
-        sidecar = "token,value\n" + "".join(f"{_csv_field(tok)},{val}\n" for tok, val in pairs)
-        (out_dir / f"{metric}.csv").write_text(sidecar, encoding="utf-8")
-    return notices
+        files[f"{metric}.svg"] = bar_chart_svg(metric.upper(), pairs, _METRIC_COLORS[metric])
+        files[f"{metric}.csv"] = "token,value\n" + "".join(
+            f"{_csv_field(tok)},{val}\n" for tok, val in pairs)
+    return files, notices
 
 
 # --- commands ----------------------------------------------------------------
@@ -485,18 +485,20 @@ def score(universe_path, out_dir, formats, **overrides):
         inputs = ingest.load_universe(universe_path, params)
         report = scoring.score_universe(scoring.build_context(inputs, params))
         doc = report_to_dict(report)
-        out = ingest.make_dir(out_dir, "--out")
-        written = []
+        files, notices, written = {}, [], []
         if "json" in wanted:
-            (out / "report.json").write_text(_dumps(doc), encoding="utf-8")
+            files["report.json"] = _dumps(doc)
             written.append("report.json")
         if "table" in wanted:
-            (out / "report.txt").write_text(report_table(report), encoding="utf-8")
+            files["report.txt"] = report_table(report)
             written.append("report.txt")
         if "chart" in wanted:
-            for notice in write_charts(doc, out):
-                click.echo(notice, err=True)
+            charts, notices = chart_files(doc)
+            files |= charts
             written.append("charts")
+        out = ingest.write_files(out_dir, files, "--out")
+        for notice in notices:
+            click.echo(notice, err=True)
         click.echo(f"scored {len(report.tokens)} token(s) -> {out} ({', '.join(written)})", err=True)
 
     _execute(run)
@@ -613,8 +615,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
             [_BUCKET.dict(b.token_id, b.date.isoformat(), _NAMES[b.bucket],
                           [_NAMES[m] for m in b.metrics]) for b in buckets],
         )
-        out = ingest.make_dir(out_dir, "--out")
-        (out / "warnings.json").write_text(_dumps(doc), encoding="utf-8")
+        out = ingest.write_files(out_dir, {"warnings.json": _dumps(doc)}, "--out")
         click.echo(f"{len(all_flags)} flag(s), {len(events)} joint event(s) "
                    f"-> {out / 'warnings.json'}", err=True)
 
@@ -631,8 +632,9 @@ def plot(report_path, out_dir):
         path = Path(report_path)
         doc = ingest.read_json_object(path, str(path), DataError)
         _report_tokens(path, doc)
-        out = ingest.make_dir(out_dir, "--out")
-        for notice in write_charts(doc, out):
+        files, notices = chart_files(doc)
+        out = ingest.write_files(out_dir, files, "--out")
+        for notice in notices:
             click.echo(notice, err=True)
         click.echo(f"charts -> {out}", err=True)
 
@@ -659,14 +661,11 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
         if out_path:  # before any request
             if Path(out_path).is_dir():
                 raise ConfigError(f"--out {out_path} is a directory")
-            ingest.make_dir(Path(out_path).parent, "--out")
+            ingest.write_files(Path(out_path).parent, {}, "--out")
         client = MarketDataClient(provider, cache_dir)
         series = client.fetch_daily(token_id, start, end)
         if out_path:
-            try:
-                Path(out_path).write_text(bars_to_csv(series), encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"--out {out_path}: cannot write: {exc.strerror or exc}") from None
+            ingest.write_files(Path(out_path).parent, {Path(out_path).name: bars_to_csv(series)}, "--out")
             click.echo(f"{len(series.dates)} bar(s) -> {out_path}", err=True)
         else:
             click.echo(f"{len(series.dates)} bar(s) cached for {token_id}", err=True)

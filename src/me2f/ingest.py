@@ -273,14 +273,14 @@ def _first_repeat(keys: Iterable) -> int:
         seen.add(key)
 
 
-def _tokens(cells: list[str]) -> list[str]:
-    """A table's stripped token cells; an empty, repeated or ill-formed one is a row error."""
+def _tokens(cells: list[str], unique: bool = True) -> list[str]:
+    """A column's stripped token cells; an empty, bad or (if ``unique``) repeated one is a row error."""
     tokens = list(map(str.strip, cells))
     if not all(tokens):
         raise _RowError("token", "empty token id")
     if fault := token_id_fault(tokens):
         raise _RowError("token", fault)
-    if len(set(tokens)) != len(tokens):
+    if unique and len(set(tokens)) != len(tokens):
         raise _RowError("token", f"duplicate row for token {tokens[_first_repeat(tokens)]!r}")
     return tokens
 
@@ -411,11 +411,7 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
         if not all(token and token == token.strip() and name in _METRICS
                    for token, name in groups) or token_id_fault([t for t, _ in groups]):
             # a padded, empty or unknown key, or one that breaks the token-id rule
-            tokens, names = list(map(str.strip, tokens)), list(map(str.strip, names))
-            if not all(tokens):
-                raise _RowError("token", "empty token id")
-            if fault := token_id_fault(tokens):
-                raise _RowError("token", fault)
+            tokens, names = _tokens(tokens, unique=False), list(map(str.strip, names))
             for name in names:
                 if name not in _METRICS:
                     raise _RowError("metric", f"unknown metric {name!r}")
@@ -436,16 +432,30 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     return _located(path, numbers, columns, parse)
 
 
-def make_dir(path: str | Path, what: str) -> Path:
-    """``path`` as a directory, made with its parents where missing; a
-    ConfigError naming ``what`` and ``path`` where it cannot be (it, or a
-    parent, is a file)."""
-    path = Path(path)
+def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> Path:
+    """Write ``files`` (name: text) into ``directory``, made where missing, as UTF-8
+    bytes; the directory. The one output rule: each text goes to a temporary name and
+    all are renamed into place once all are written, so a failure, a ConfigError
+    naming ``what`` and the path, leaves the old files and no temporary one."""
+    directory = Path(directory)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{what} {path} cannot be made a directory: {exc.strerror or exc}") from None
-    return path
+        raise ConfigError(f"{what} {directory} cannot be made a directory: {exc.strerror or exc}") from None
+    temporaries = {directory / name: directory / f".{name}.{os.getpid()}.tmp" for name in files}
+    try:
+        for (target, temporary), text in zip(temporaries.items(), files.values()):
+            if target.is_dir():  # else renaming onto it would fail after others were renamed
+                raise IsADirectoryError("Is a directory")
+            temporary.write_bytes(text.encode("utf-8"))
+        for target, temporary in temporaries.items():
+            os.replace(temporary, target)
+    except OSError as exc:
+        for temporary in temporaries.values():
+            with suppress(OSError):  # renamed already, or never made
+                temporary.unlink()
+        raise ConfigError(f"{what} {target}: cannot write: {exc.strerror or exc}") from None
+    return directory
 
 
 # --- universe files ------------------------------------------------------
@@ -531,14 +541,18 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
     roles = {tid: role for tid, (_, role) in vol_table.items()} | roles
+    for tid, (_, role) in vol_table.items():  # where a row gives the role, its base is data
+        if roles[tid] is role and not roles.get(role.base, role).is_standalone:
+            raise DataError(f"{vol_path}: token {tid!r} names base {role.base!r}, not a standalone token")
     token_ids = sorted(set(vol_table) | set(fgi_table) | set(files))
     if not token_ids:
         raise EmptyUniverse(f"{where} names no tokens")
 
     universe: dict[str, TokenInputs] = {}
     for tid in token_ids:
-        if tid not in roles:
-            raise ConfigError(f"{where}: no chain role known for {tid}")
+        if tid not in roles:  # a token of the universe file, or of the fgi table alone
+            error, source = (ConfigError, where) if tid in files else (DataError, fgi_path)
+            raise error(f"{source}: no chain role known for {tid}")
         bars, holders, sentiment, exclude = files.get(tid, (None, None, None, ()))
         universe[tid] = TokenInputs(
             role=roles[tid],
@@ -712,15 +726,11 @@ class MarketDataClient:
         self._sleep = sleep
         self.limiter = RateLimiter(provider.rate_limit, clock=clock, sleep=sleep)
 
-    # cache layout: <cache_dir>/<provider>/<token>/<kind>/<range>.json (+ .sha256)
-    def _cache_path(self, token_id: str, kind: str, start: Date, end: Date) -> Path:
-        return self.cache_dir / self.provider.name / token_id / kind / f"{start}_{end}.json"
-
     def _cache_read(self, path: Path) -> list[dict] | None:
         import hashlib  # here: it slows CLI start-up
 
         sidecar = path.with_suffix(path.suffix + ".sha256")
-        if not path.exists() or not sidecar.exists():
+        if not path.is_file() or not sidecar.is_file():  # a directory is no cache entry
             return None
         payload = path.read_bytes()
         if hashlib.sha256(payload).hexdigest() != sidecar.read_text().strip():
@@ -730,15 +740,9 @@ class MarketDataClient:
     def _cache_write(self, path: Path, records: list[dict]) -> None:
         import hashlib  # here: it slows CLI start-up
 
-        payload = json.dumps(
-            {"fetched_at": self._clock(), "records": records}, indent=2
-        ).encode("utf-8")
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-        path.with_suffix(path.suffix + ".sha256").write_text(
-            hashlib.sha256(payload).hexdigest() + "\n"
-        )
+        payload = json.dumps({"fetched_at": self._clock(), "records": records}, indent=2)
+        sidecar = hashlib.sha256(payload.encode("utf-8")).hexdigest() + "\n"
+        write_files(path.parent, {path.name: payload, f"{path.name}.sha256": sidecar}, "cache directory")
 
     def _get(self, url: str, params: dict[str, str]):
         headers = {}
@@ -824,8 +828,8 @@ class MarketDataClient:
         """
         if end < start:
             raise ConfigError(f"date range {start}..{end} is inverted")
-        cache_path = self._cache_path(token_id, "bars", start, end)
-        make_dir(cache_path.parent, "cache directory")  # before any request
+        cache_path = self.cache_dir / self.provider.name / token_id / "bars" / f"{start}_{end}.json"
+        write_files(cache_path.parent, {}, "cache directory")  # before any request
         records = self._cache_read(cache_path)
         from_cache = records is not None
         if records is None:
@@ -843,12 +847,8 @@ class MarketDataClient:
             records.sort(key=lambda r: r["date"])
 
         got = {r["date"] for r in records}
-        expected = []
-        day = start
-        while day <= end:
-            expected.append(day)
-            day += timedelta(days=1)
-        missing = [d for d in expected if d.isoformat() not in got]
+        days = (start + timedelta(days=i) for i in range((end - start).days + 1))
+        missing = [d for d in days if d.isoformat() not in got]
         if missing:
             raise PartialRange(token_id, missing)
 

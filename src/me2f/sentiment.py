@@ -13,7 +13,7 @@ from enum import Enum
 from operator import add, le, sub
 from typing import Iterable
 
-from .domain import Checked, Rule, SentimentSeries, finite_in
+from .domain import Checked, Rule, SentimentPoint, SentimentSeries, finite_in
 from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
@@ -35,7 +35,7 @@ def classify_fgi(value: float) -> FgiBand:
     Bands are half-open at 20/40/60/80 so real-valued indices classify
     unambiguously; 100 belongs to extreme greed.
     """
-    if not math.isfinite(value) or not 0 <= value <= 100:
+    if not SentimentPoint.rules[0].holds({"fgi": (value,)}):  # its FGI range rule
         raise OutOfRange(f"fgi={value!r} outside [0, 100]")
     if value < _EXTREME_FEAR_BELOW:
         return FgiBand.EXTREME_FEAR

@@ -60,7 +60,7 @@ class NormalizedVolatility:
 
 def daily_range_volatility(bar: DailyBar, prev_close: float) -> float:
     """(high - low) / previous close for one day."""
-    if not math.isfinite(prev_close) or prev_close <= 0:
+    if not DailyBar.rules[2].holds({"close": (prev_close,)}):  # its positive-close rule
         raise ZeroPrevClose(f"prev_close={prev_close!r} on {bar.date}")
     return (bar.high - bar.low) / prev_close
 

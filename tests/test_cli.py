@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -491,17 +492,60 @@ class TestFetchCommand:
         assert len(session.calls) == 1
 
     def test_a_failed_out_write_exits_2_naming_it(self, tmp_path, monkeypatch):
-        out, write_text = tmp_path / "bars.csv", Path.write_text
+        out, replace = tmp_path / "bars.csv", os.replace
 
-        def failing_write(path, *args, **kwargs):
-            if path == out:
+        def failing_replace(source, target):  # the rename that puts each written file in place
+            if Path(target) == out:
                 raise PermissionError(13, "Permission denied")
-            return write_text(path, *args, **kwargs)
+            return replace(source, target)
 
-        monkeypatch.setattr(Path, "write_text", failing_write)
+        monkeypatch.setattr(os, "replace", failing_replace)
         result, _ = self.fetch_one_day(tmp_path, monkeypatch, lambda config: out)
         assert_clean_exit(result, 2)
         assert result.stderr == f"error: --out {out}: cannot write: Permission denied\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "provider.json"]
+
+
+CHARTS = [f"{metric}.{ext}" for metric in ("vds", "wds", "sas") for ext in ("svg", "csv")]
+WRITTEN = {  # every file each command writes, in the directory it writes them
+    "score": ["report.json", "report.txt", *CHARTS],
+    "warn": ["warnings.json"],
+    "plot": CHARTS,
+    "fetch": ["2024-01-01_2024-01-01.json", "2024-01-01_2024-01-01.json.sha256"],
+}
+
+
+def inputs_of(tmp_path, command) -> tuple:
+    """Input arguments on which ``score``, ``warn`` or ``plot`` writes every file of ``WRITTEN``."""
+    if command == "plot":
+        return "--report", score_reference(tmp_path, "scored") / "report.json"
+    if command == "warn":
+        write_history(tmp_path / "h.csv", [float(i) for i in range(1, 121)])
+        return "--history", tmp_path / "h.csv"
+    return "--universe", REFERENCE_DIR / "universe.json", "--format", "json,table,chart"
+
+
+@pytest.mark.parametrize("command,target", [
+    ("score", "report.txt"), ("score", "vds.svg"), ("warn", "warnings.json"), ("plot", "vds.svg"),
+    ("fetch", "2024-01-01_2024-01-01.json"),
+], ids=["score report.txt", "score vds.svg", "warn", "plot", "fetch cache"])
+def test_an_output_file_that_is_a_directory_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, command, target):
+    out = tmp_path / "cache" / "prov" / "X" / "bars" if command == "fetch" else tmp_path / "out"
+    out.mkdir(parents=True)
+    for name in WRITTEN[command]:  # an older set of outputs, with the target a directory
+        (out / name).write_text(f"old {name}\n")
+    (out / target).unlink()
+    (out / target).mkdir()
+    (out / target / "kept").write_text("kept\n")
+    before = {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}
+    if command == "fetch":
+        result, what = TestFetchCommand().fetch_one_day(tmp_path, monkeypatch)[0], "cache directory"
+    else:
+        result, what = run(command, *inputs_of(tmp_path, command), "--out", out), "--out"
+    assert_clean_exit(result, 2)
+    assert result.stderr.startswith(f"error: {what} {out / target}: cannot write: ")
+    assert {path: path.is_file() and path.read_bytes() for path in out.rglob("*")} == before
 
 
 class TestWarnInputErrors:
@@ -631,6 +675,19 @@ class TestSummaryTableRowErrors:
         result = score_tables(tmp_path, VOL_ROW, "A,50,90,10,60,50,50,10\n")
         assert_clean_exit(result, 3)
         assert "f.csv: line 2, column 'q_g_pct'" in result.stderr
+
+    def test_fgi_row_without_a_volatility_row_exits_3_naming_the_fgi_table(self, tmp_path):
+        # no table row and no universe entry gives B a chain role
+        result = score_tables(tmp_path, VOL_ROW, FGI_ROW + FGI_ROW.replace("A,", "B,"))
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {tmp_path / 'f.csv'}: no chain role known for B\n"
+
+    @pytest.mark.parametrize("base", ["ZZZ", "B"], ids=["not in the universe", "hosted"])
+    def test_base_that_is_not_a_standalone_token_exits_3_naming_the_table(self, tmp_path, base):
+        result = score_tables(tmp_path, VOL_ROW + f"B,5,40,10,20,hosted,A\nC,5,40,10,20,hosted,{base}\n")
+        assert_clean_exit(result, 3)
+        assert result.stderr == (f"error: {tmp_path / 'v.csv'}: token 'C' names base {base!r}, "
+                                 "not a standalone token\n")
 
     def test_repeated_volatility_row_exits_3(self, tmp_path):
         # the first row would score with zero volume; a later row must not hide it

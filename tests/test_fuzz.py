@@ -3,7 +3,10 @@
 Each CSV example changes one cell or one line of the reference summary
 tables or of a small bars, holders, sentiment or history file, then runs
 ``score`` or ``warn`` twice. Bad data exits 3 and good data 0, with one line
-on stderr and no traceback, and both runs write the same bytes.
+on stderr and no traceback, and both runs write the same bytes. Each CSV
+byte example instead changes the file's bytes: a BOM (which exits 3), a NUL
+or 0xFF byte, CRLF line ends (which, like a missing final newline, write the
+bytes of the unchanged file), a header column or a dropped line.
 
 Each JSON example changes the bytes or one value or key of a universe file
 (``score``), a report (``plot`` and ``warn --report``) or a provider config
@@ -21,7 +24,7 @@ import pytest
 import requests
 
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_DIR, FakeResponse
@@ -113,21 +116,93 @@ def test_one_mutation_keeps_the_cli_contract(mutation):
         for file_name, content in (FILES | {name: text}).items():
             (workdir / file_name).write_text(content, encoding="utf-8", errors="surrogatepass")
         (workdir / "universe.json").write_text(json.dumps(UNIVERSE), encoding="utf-8")
-        first, second = run_in(workdir, name, "a"), run_in(workdir, name, "b")
-        for result in (first, second):
-            assert result.exit_code in (0, 3), result.output
-            assert result.stderr.count("\n") == 1, result.stderr
-            assert "Traceback" not in result.output
-        assert second.exit_code == first.exit_code
-        outputs = sorted(p.name for p in (workdir / "a").glob("*")) if first.exit_code == 0 else []
-        assert outputs == sorted(p.name for p in (workdir / "b").glob("*"))
-        for output in outputs:
-            assert (workdir / "a" / output).read_bytes() == (workdir / "b" / output).read_bytes()
-        if "report.json" in outputs:  # a summary that overflowed once wrote NaN here with exit 0
-            report = (workdir / "a" / "report.json").read_text()
-            assert "NaN" not in report and "Infinity" not in report
-        if first.exit_code == 3:
-            assert first.stderr == second.stderr
+        assert_csv_contract(workdir, run_in(workdir, name, "a"), run_in(workdir, name, "b"))
+
+
+def assert_csv_contract(workdir: Path, first, second) -> None:
+    """Both runs exit 0 or 3 alike, with one line on stderr and no traceback,
+    and write the same bytes (under ``a`` and ``b``)."""
+    for result in (first, second):
+        assert result.exit_code in (0, 3), result.output
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "Traceback" not in result.output
+    assert second.exit_code == first.exit_code
+    outputs = sorted(p.name for p in (workdir / "a").glob("*")) if first.exit_code == 0 else []
+    assert outputs == sorted(p.name for p in (workdir / "b").glob("*"))
+    for output in outputs:
+        assert (workdir / "a" / output).read_bytes() == (workdir / "b" / output).read_bytes()
+    if "report.json" in outputs:  # a summary that overflowed once wrote NaN here with exit 0
+        report = (workdir / "a" / "report.json").read_text()
+        assert "NaN" not in report and "Infinity" not in report
+    if first.exit_code == 3:
+        assert first.stderr == second.stderr
+
+
+# --- CSV bytes -----------------------------------------------------------------
+
+@st.composite
+def mutated_bytes(draw):
+    """One input file's name, the kind of change and its bytes: a BOM, a NUL
+    or 0xFF byte at a drawn offset, CRLF line ends, no final newline, one
+    header column renamed, swapped, duplicated, added or dropped, or one
+    line dropped."""
+    name = draw(st.sampled_from(sorted(FILES)))
+    kind = draw(st.sampled_from(["bom", "byte", "crlf", "no_final_newline", "header", "drop_line"]))
+    text, lines = FILES[name], FILES[name].splitlines()
+    if kind == "header":
+        header = lines[0].split(",")
+        j = draw(st.integers(min_value=0, max_value=len(header) - 1))
+        change = draw(st.sampled_from(["rename", "swap", "duplicate", "add", "drop"]))
+        if change == "rename":
+            header[j] += "_"
+        elif change == "swap":
+            k = (j + draw(st.integers(min_value=1, max_value=len(header) - 1))) % len(header)
+            header[j], header[k] = header[k], header[j]
+        elif change in ("duplicate", "add"):
+            header.insert(j, header[j] if change == "duplicate" else "extra")
+        else:
+            del header[j]
+        kind += f" {change}"
+        text = "\n".join([",".join(header), *lines[1:]]) + "\n"
+    elif kind == "drop_line":
+        del lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+        text = "\n".join(lines) + "\n"
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no_final_newline":
+        text = text.removesuffix("\n")
+    data = text.encode()
+    if kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "byte":
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x00", b"\xff"])) + data[at:]
+    return name, kind, data
+
+
+@given(mutation=mutated_bytes())
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_byte_mutation_keeps_the_cli_contract(mutation):
+    name, kind, data = mutation
+    event(kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for file_name, content in FILES.items():
+            (workdir / file_name).write_text(content, encoding="utf-8")
+        (workdir / name).write_bytes(data)
+        (workdir / "universe.json").write_text(json.dumps(UNIVERSE), encoding="utf-8")
+        first = run_in(workdir, name, "a")
+        assert_csv_contract(workdir, first, run_in(workdir, name, "b"))
+        if kind == "bom":  # not stripped: the header does not match
+            assert first.exit_code == 3
+        if kind in ("crlf", "no_final_newline"):  # the same as the unchanged file
+            (workdir / name).write_text(FILES[name], encoding="utf-8")
+            assert first.exit_code == run_in(workdir, name, "c").exit_code == 0, first.output
+            written = sorted((workdir / "a").iterdir())
+            assert [p.name for p in written] == sorted(p.name for p in (workdir / "c").iterdir())
+            for path in written:
+                assert path.read_bytes() == (workdir / "c" / path.name).read_bytes()
 
 
 # --- JSON documents ----------------------------------------------------------
@@ -163,7 +238,12 @@ def mutated_document(draw):
     doc = json.loads(json.dumps(DOCUMENTS[name]))  # a deep copy
     kind = draw(st.sampled_from(["truncate", "bom", "byte", "value", "key", *RAW]))
     if kind not in ("truncate", "bom", "byte"):
-        path, key = draw(st.sampled_from(list(json_paths(doc))))
+        paths = list(json_paths(doc))
+        # uniform paths seldom land on an id: half the values go to a token's id, and are bad
+        aimed = kind == "value" and "tokens" in doc and draw(st.booleans())
+        if aimed:
+            paths = [(path, key) for path, key in paths if path[:1] == ("tokens",) and key == "id"]
+        path, key = draw(st.sampled_from(paths))
         parent = doc
         for step in path:
             parent = parent[step]
@@ -172,7 +252,7 @@ def mutated_document(draw):
             if isinstance(parent, dict) and draw(st.booleans()):
                 parent[key + "_"] = value  # renamed, not dropped
         else:
-            values = JSON_VALUES + BAD_IDS if key == "id" else JSON_VALUES
+            values = BAD_IDS if aimed else JSON_VALUES + BAD_IDS if key == "id" else JSON_VALUES
             parent[key] = draw(st.sampled_from(values)) if kind == "value" else "\u0000hole"
     data = json.dumps(doc).encode()
     if kind == "truncate":
@@ -224,6 +304,9 @@ COMMANDS = {"universe.json": ["score"], "report.json": ["plot", "warn"], "provid
           suppress_health_check=[HealthCheck.too_slow])
 def test_one_json_mutation_keeps_the_cli_contract(mutation):
     name, kind, data = mutation
+    for bad in BAD_IDS:
+        if json.dumps(bad).encode() in data:
+            event(f"token id {bad!r}")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for file_name, content in FILES.items():
