@@ -2,7 +2,11 @@
 
 All types are frozen dataclasses that validate their invariants at
 construction time, so a value that exists is a value that is valid. They
-are safe to share across threads.
+are safe to share across threads. Like every value type of the package they
+are slotted (``slots=True``): an instance holds its fields and no
+``__dict__``, which keeps a universe of them small. ``Checked.many`` builds
+values without the constructor, setting each field with
+``object.__setattr__`` as the frozen ``__init__`` does.
 
 Each checked type states its row invariants once, in one table of
 ``Rule`` values. ``check_rows`` runs a table over whole columns in bulk,
@@ -14,10 +18,10 @@ loaders run it once over all their columns. Rules that span rows stay code.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from datetime import date as Date
-from itertools import compress, pairwise
+from itertools import compress, pairwise, repeat
 from operator import attrgetter, ge, le, lt
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -74,24 +78,23 @@ class Checked:
     """A frozen dataclass whose constructor checks its ``rules`` on one-row
     columns, and whose ``many`` checks whole columns and builds unchecked."""
 
+    __slots__ = ()
     rules: tuple[Rule, ...] = ()
 
     def __post_init__(self):
-        check_rows(self.rules, {name: (value,) for name, value in vars(self).items()})
+        check_rows(self.rules, {f.name: (getattr(self, f.name),) for f in fields(self)})
 
     @classmethod
     def many(cls, columns: Mapping[str, Sequence]) -> list:
         """One value per row of ``columns``, every field by name in field order."""
         check_rows(cls.rules, columns)
-        names, built = list(columns), []
-        for row in zip(*columns.values()):
-            value = object.__new__(cls)
-            value.__dict__.update(zip(names, row))
-            built.append(value)
+        built = list(map(object.__new__, repeat(cls, len(next(iter(columns.values()))))))
+        for name, column in columns.items():  # one field of every value, as the frozen __init__ sets it
+            deque(map(object.__setattr__, built, repeat(name), column), maxlen=0)
         return built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DailyBar(Checked):
     """One day of trading: intraday extremes, close, volume, market cap (USD)."""
 
@@ -118,7 +121,7 @@ class DailyBar(Checked):
 _Series = TypeVar("_Series", bound="_DailySeries")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class _DailySeries:
     """Date-ascending daily rows under key fields, one tuple per column.
 
@@ -179,7 +182,7 @@ class _DailySeries:
         return self.dates[0], self.dates[-1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class TokenSeries(_DailySeries):
     """Date-ascending daily bars for one token: ``TokenSeries(token_id, bars)``."""
 
@@ -206,7 +209,7 @@ def validate_series(series: _Series) -> _Series:
     return series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HolderSnapshot:
     """Top holder ownership shares (fractions of total supply), descending.
 
@@ -236,7 +239,7 @@ class HolderSnapshot:
             raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentPoint(Checked):
     """Daily fear-and-greed index value with that day's absolute price return.
 
@@ -257,7 +260,7 @@ class SentimentPoint(Checked):
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class SentimentSeries(_DailySeries):
     """Date-ascending FGI observations for one token: ``SentimentSeries(token_id, points)``."""
 
@@ -271,7 +274,7 @@ class SentimentSeries(_DailySeries):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameworkParams:
     """Scoring parameters.
 
@@ -301,7 +304,7 @@ class FrameworkParams:
             raise ConfigError(f"n={self.n!r} must be an integer >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainRole:
     """Standalone chain, or token hosted on a standalone base chain."""
 

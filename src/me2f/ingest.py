@@ -50,6 +50,7 @@ from .errors import (
     HttpError,
     InvalidShares,
     MalformedRow,
+    MissingBaseChain,
     NonMonotonicDates,
     ParseError,
     PartialRange,
@@ -264,6 +265,14 @@ def _dates(cells: list[str]) -> list[Date]:
     return days
 
 
+def _indices_by_key(keys: Iterable) -> dict[object, list[int]]:
+    """Each distinct key of ``keys`` with the indices it occurs at, in order of first occurrence."""
+    groups = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return groups
+
+
 def _first_repeat(keys: Iterable) -> int:
     """The index of the first key equal to an earlier one (there must be one)."""
     seen: set = set()
@@ -405,9 +414,7 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
 
     def parse(columns: list[list[str]]) -> list[ScoreSeries]:
         days, tokens, names = _dates(columns[0]), columns[1], columns[2]
-        groups: dict[tuple[str, str], list[int]] = defaultdict(list)
-        for i, key in enumerate(zip(tokens, names)):
-            groups[key].append(i)
+        groups = _indices_by_key(zip(tokens, names))
         if not all(token and token == token.strip() and name in _METRICS
                    for token, name in groups) or token_id_fault([t for t, _ in groups]):
             # a padded, empty or unknown key, or one that breaks the token-id rule
@@ -415,7 +422,7 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
             for name in names:
                 if name not in _METRICS:
                     raise _RowError("metric", f"unknown metric {name!r}")
-            return parse([columns[0], tokens, names, columns[3]])
+            groups = _indices_by_key(zip(tokens, names))
         values = _floats("value", columns[3])
         series = []
         for (token, name), indices in sorted(groups.items()):
@@ -486,7 +493,9 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     tables; relative paths resolve against the universe file's directory.
     A token's table rows pass through beside its files: ``build_context``
     lets a raw series replace its summary. Every entry is checked before
-    any data file is read; a bad or repeated entry is a ``ConfigError``.
+    any data file is read; a bad or repeated entry is a ``ConfigError``. An
+    entry's base must be a standalone token of the universe, which is known
+    once the tables are read, before any per-token file is.
     """
     path = Path(path)
     where = f"universe file {path}"
@@ -513,7 +522,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     if not isinstance(entries, list):
         raise ConfigError(f"{where}: 'tokens' must be a list")
 
-    roles: dict[str, ChainRole] = {}
+    entry_roles: dict[str, ChainRole] = {}
     files: dict[str, tuple] = {}
     for number, entry in enumerate(entries, start=1):
         tid = entry.get("id") if isinstance(entry, dict) else None
@@ -536,15 +545,24 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
                 check_rows(ChainRole.text_rules, {"token_id": (tid,), "role": (role,), "base": (base,)})
             except DataError as exc:
                 raise ConfigError(f"{where}: {owner}{exc.field!r}: {exc}") from None
-            roles[tid] = ChainRole(base or None)
+            entry_roles[tid] = ChainRole(base or None)
 
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
-    roles = {tid: role for tid, (_, role) in vol_table.items()} | roles
+    roles = {tid: role for tid, (_, role) in vol_table.items()} | entry_roles
     for tid, (_, role) in vol_table.items():  # where a row gives the role, its base is data
         if roles[tid] is role and not roles.get(role.base, role).is_standalone:
             raise DataError(f"{vol_path}: token {tid!r} names base {role.base!r}, not a standalone token")
-    token_ids = sorted(set(vol_table) | set(fgi_table) | set(files))
+    universe_ids = set(vol_table) | set(fgi_table) | set(files)
+    for tid, role in entry_roles.items():  # where an entry gives the role, its base is configuration
+        if role.base is not None and role.base not in universe_ids:
+            fault = "not in universe"
+        elif role.base in roles and not roles[role.base].is_standalone:
+            fault = "is itself hosted"
+        else:
+            continue
+        raise MissingBaseChain(f"{where}: token {tid!r}: 'base': base chain {role.base!r} {fault}")
+    token_ids = sorted(universe_ids)
     if not token_ids:
         raise EmptyUniverse(f"{where} names no tokens")
 
@@ -587,7 +605,7 @@ def _check_template(key: str, template: str) -> list[str]:
     return [name for name, _, _ in fields]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderEndpointSpec:
     """Declarative description of one market-data provider.
 

@@ -24,7 +24,7 @@ from .domain import (
 from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenInputs:
     """Everything supplied for one token; unset inputs disable the
     corresponding score. In a ``ScoringContext`` ``volatility`` and ``fgi``
@@ -46,14 +46,14 @@ class TokenInputs:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoringContext:
     params: FrameworkParams
     members: dict[str, TokenInputs]
     sent_maxima: sent.SentimentMaxima | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenReport:
     token_id: str
     inputs: TokenInputs
@@ -64,7 +64,7 @@ class TokenReport:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragilityReport:
     params: FrameworkParams
     tokens: tuple[TokenReport, ...]

@@ -48,7 +48,7 @@ def classify_fgi(value: float) -> FgiBand:
     return FgiBand.EXTREME_GREED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FgiIndicators(Checked):
     """Summary indicators of one token's FGI history.
 
@@ -115,7 +115,7 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentMaxima:
     """Cross-sectional maxima used to normalize U and K components."""
 

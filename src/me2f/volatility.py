@@ -24,7 +24,7 @@ from .errors import (
 _STANDALONE = ChainRole.standalone()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolatilityAggregate(Checked):
     """Per-token volatility and scale summary.
 
@@ -49,7 +49,7 @@ class VolatilityAggregate(Checked):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedVolatility:
     """Average and maximum volatility as ratios to the universe maxima."""
 

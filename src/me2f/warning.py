@@ -33,7 +33,7 @@ class ActionBucket(str, Enum):
     STANDARD_MONITORING = "standard_monitoring"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScorePoint(Checked):
     date: Date
     value: float
@@ -43,7 +43,7 @@ class ScorePoint(Checked):
     )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ScoreSeries(_DailySeries):
     """Date-ascending history of one score: ``ScoreSeries(token_id, metric, points)``."""
 
@@ -54,7 +54,7 @@ class ScoreSeries(_DailySeries):
     row_type = ScorePoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WarningFlag:
     token_id: str
     metric: Metric
@@ -63,7 +63,7 @@ class WarningFlag:
     window_percentile: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointSpike:
     """Two metrics flagged within x days of each other; dated at the later flag."""
 
@@ -72,7 +72,7 @@ class JointSpike:
     metrics: tuple[Metric, Metric]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BucketAssignment:
     token_id: str
     date: Date

@@ -1,7 +1,9 @@
-"""Shared fixtures: the reference universe, synthetic data builders and a
-fake provider session."""
+"""Shared fixtures: the reference universe, synthetic data builders, a
+fake provider session, and a guard that every test leaves the cyclic
+garbage collector on."""
 from __future__ import annotations
 
+import gc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from me2f.domain import DailyBar, TokenSeries
 from me2f.ingest import load_universe
 
 REFERENCE_DIR = Path(__file__).parent / "fixtures" / "reference"
+GOLDEN_DIR = REFERENCE_DIR.parent / "golden"
 
 # Published scores the engine must reproduce from the reference tables.
 EXPECTED_VDS = {
@@ -107,3 +110,13 @@ class FakeSession:
         size = int(params.get("limit", self.page_size))
         start = (page - 1) * size
         return FakeResponse(payload={"data": self.records[start : start + size]})
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that leaves the cyclic garbage collector disabled: each CLI
+    command pauses it and must give it back on every exit."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

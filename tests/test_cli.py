@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -20,7 +21,14 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXPECTED_SAS, EXPECTED_VDS, REFERENCE_DIR, FakeSession, random_series
+from conftest import (
+    EXPECTED_SAS,
+    EXPECTED_VDS,
+    GOLDEN_DIR,
+    REFERENCE_DIR,
+    FakeSession,
+    random_series,
+)
 import me2f
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
 from me2f.cli import _dumps, main, report_to_dict
@@ -341,7 +349,9 @@ class TestDeterminism:
             assert (charts1 / name).read_bytes() == (charts2 / name).read_bytes()
 
 
-GOLDEN_DIR = REFERENCE_DIR.parent / "golden"
+GOLDEN_SCORE = ("score", "--universe", GOLDEN_DIR / "universe.json", "--format", "json,table,chart")
+GOLDEN_WARN = ("warn", "--history", GOLDEN_DIR / "history.csv", "--window", 3,
+               "--threshold", 0.6, "--x-days", 1)
 
 
 class TestGoldenOutputs:
@@ -357,16 +367,78 @@ class TestGoldenOutputs:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_score(self, tmp_path):
-        result = run("score", "--universe", GOLDEN_DIR / "universe.json", "--out", tmp_path,
-                     "--format", "json,table,chart")
+        result = run(*GOLDEN_SCORE, "--out", tmp_path)
         assert result.exit_code == 0, result.output
         self.assert_golden(tmp_path, GOLDEN_DIR / "score")
 
     def test_warn(self, tmp_path):
-        result = run("warn", "--history", GOLDEN_DIR / "history.csv", "--window", 3,
-                     "--threshold", 0.6, "--x-days", 1, "--out", tmp_path)
+        result = run(*GOLDEN_WARN, "--out", tmp_path)
         assert result.exit_code == 0, result.output
         self.assert_golden(tmp_path, GOLDEN_DIR / "warn")
+
+
+def invoke(*args) -> int:
+    """Run the CLI in this process as a caller of ``main`` does, without
+    CliRunner's wrappers (which may make reference cycles of their own); the exit code."""
+    try:
+        main.main(args=[str(a) for a in args], prog_name="me2f")
+    except SystemExit as exc:
+        return exc.code or 0
+    return 0
+
+
+class TestCollectorPolicy:
+    """A command runs with the cyclic garbage collector paused, and gives the
+    caller's state back on every exit; the library never touches it."""
+
+    @pytest.mark.parametrize("command", [GOLDEN_SCORE, GOLDEN_WARN], ids=["score", "warn"])
+    def test_paused_while_the_command_runs(self, tmp_path, monkeypatch, command):
+        from me2f import ingest
+
+        seen, write_files = [], ingest.write_files
+
+        def probe(*args):
+            seen.append(gc.isenabled())
+            return write_files(*args)
+
+        monkeypatch.setattr(ingest, "write_files", probe)
+        assert invoke(*command, "--out", tmp_path) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_back_on_after_every_exit_code(self, tmp_path, monkeypatch):
+        from me2f import ingest
+
+        bad_history = tmp_path / "h.csv"
+        write_history(bad_history, [1.0, -1.0])
+        assert invoke(*GOLDEN_SCORE, "--out", tmp_path / "0") == 0
+        assert gc.isenabled()
+        assert invoke("score", "--universe", tmp_path / "missing.json", "--out", tmp_path / "2") == 2
+        assert gc.isenabled()
+        assert invoke("warn", "--history", bad_history, "--out", tmp_path / "3") == 3
+        assert gc.isenabled()
+
+        def explode(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ingest, "write_files", explode)
+        assert invoke(*GOLDEN_SCORE, "--out", tmp_path / "4") == 4
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", [GOLDEN_SCORE, GOLDEN_WARN], ids=["score", "warn"])
+    def test_a_paused_caller_stays_paused_and_the_command_leaves_no_cycles(self, tmp_path, command):
+        gc.disable()
+        try:
+            gc.collect()
+            assert invoke(*command, "--out", tmp_path) == 0
+            assert not gc.isenabled()
+            assert gc.collect() == 0  # so the one collection at the end frees nothing of the command's
+        finally:
+            gc.enable()
+
+    def test_only_the_cli_imports_gc(self):
+        modules = Path(me2f.__file__).parent.glob("*.py")
+        assert [m.name for m in modules if "import gc" in m.read_text(encoding="utf-8")] == ["cli.py"]
 
 
 class TestBarsCsvRoundTrip:
@@ -941,6 +1013,11 @@ class TestUniverseEntryErrors:
         # the missing bars file is never read: the misspelt key is named first
         ([{"id": "DOGE", "role": "standalone", "bars": "missing.csv", "bar": "nope.csv"}],
          "token 'DOGE': unknown key 'bar'"),
+        # a base is checked once the table is read, before any token's own file
+        ([{"id": "A", "role": "hosted", "base": "ZZZ", "bars": "missing.csv"}],
+         "token 'A': 'base': base chain 'ZZZ' not in universe"),
+        ([{"id": "A", "role": "hosted", "base": "SHIB", "bars": "missing.csv"}],
+         "token 'A': 'base': base chain 'SHIB' is itself hosted"),
     ])
     def test_bad_entry_exits_2_naming_file_and_entry(self, tmp_path, tokens, entry):
         universe = write_universe(tmp_path, {

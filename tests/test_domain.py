@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from dataclasses import FrozenInstanceError, astuple, fields, is_dataclass, replace
 from datetime import date, timedelta
 from itertools import pairwise
 
@@ -9,6 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GOLDEN_DIR
+from me2f import (
+    build_context,
+    domain,
+    ingest,
+    score_universe,
+    scoring,
+    sentiment,
+    volatility,
+    warning,
+    whale,
+)
 from me2f.domain import (
     ChainRole,
     DailyBar,
@@ -251,6 +265,87 @@ class TestChainRole:
     def test_empty_base_rejected(self):
         with pytest.raises(ConfigError):
             ChainRole.hosted_on("")
+
+
+# --- slotted value types -------------------------------------------------------
+
+ME2F_MODULES = (domain, ingest, scoring, sentiment, volatility, warning, whale)
+VALUE_TYPES = [value for module in ME2F_MODULES for value in vars(module).values()
+               if isinstance(value, type) and is_dataclass(value)
+               and value.__module__ == module.__name__]
+
+
+def dataclass_values(value):
+    """Every dataclass instance reachable from ``value`` through fields and containers."""
+    if is_dataclass(value):
+        yield value
+        value = [getattr(value, f.name) for f in fields(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from dataclass_values(item)
+
+
+def golden_values() -> list:
+    """The values that scoring the golden universe and warning on its history make."""
+    report = score_universe(build_context(
+        ingest.load_universe(GOLDEN_DIR / "universe.json", FrameworkParams()), FrameworkParams()))
+    histories = ingest.load_history_csv(GOLDEN_DIR / "history.csv")
+    flags = defaultdict(dict)
+    for history in histories:
+        flags[history.token_id][history.metric] = warning.rolling_flags(history, 3, 0.6)
+    warned = [(warning.joint_spike(f, 1), warning.assign_buckets(f, 1)) for f in flags.values()]
+    rows = [row for t in report.tokens for series in (t.inputs.series, t.inputs.sentiment)
+            if series is not None for row in series._rows()]
+    return list(dataclass_values([report, histories, flags, warned, rows]))
+
+
+class TestSlottedValues:
+    def test_no_value_type_gives_its_instances_a_dict(self):
+        assert len(VALUE_TYPES) >= 20
+        for cls in VALUE_TYPES:  # a class without __slots__ anywhere in its bases adds a __dict__
+            assert all("__slots__" in vars(base) for base in cls.__mro__[:-1]), cls
+
+    def test_no_built_value_has_a_dict(self):
+        values = golden_values()
+        built = {type(value) for value in values}
+        assert {DailyBar, SentimentPoint, TokenSeries, HolderSnapshot, VolatilityAggregate,
+                FgiIndicators, scoring.TokenReport, warning.WarningFlag,
+                warning.JointSpike, warning.BucketAssignment} <= built
+        assert [value for value in values if hasattr(value, "__dict__")] == []
+
+    @pytest.mark.parametrize("row_type,columns", [
+        (VolatilityAggregate, {"token_id": ["A", "B"], "avg_vol": [0.1, 0.0], "max_vol": [0.2, 0.5],
+                               "max_volume": [1.0, 0.0], "max_mcap": [2.0, 3.5]}),
+        (FgiIndicators, {"token_id": ["A", "B"], "f_bar": [50.0, 20.0], "f_max": [90.0, 20.0],
+                         "f_min": [10.0, 20.0], "q_g": [0.1, 0.0], "q_f": [0.2, 1.0],
+                         "delta_f_max": [40.0, 0.0], "delta_p_max": [0.3, 0.0]}),
+    ])
+    def test_many_equals_the_row_constructor(self, row_type, columns):
+        built = row_type.many(columns)
+        rows = [row_type(*row) for row in zip(*columns.values())]
+        assert built == rows and list(map(hash, built)) == list(map(hash, rows))
+        assert [astuple(value) for value in built] == list(zip(*columns.values()))
+        assert row_type.many({name: [] for name in columns}) == []
+
+    def test_replace_builds_a_new_value(self):
+        inputs = scoring.TokenInputs(role=ChainRole.standalone())
+        fgi = FgiIndicators("A", 50.0, 90.0, 10.0, 0.1, 0.2, 40.0, 0.3)
+        changed = replace(inputs, fgi=fgi)
+        assert changed.fgi is fgi and changed.role is inputs.role and inputs.fgi is None
+
+    @pytest.mark.parametrize("value,name", [
+        (bar(1), "high"),
+        (VolatilityAggregate.many({"token_id": ["A"], "avg_vol": [0.1], "max_vol": [0.2],
+                                   "max_volume": [1.0], "max_mcap": [2.0]})[0], "avg_vol"),
+        (TokenSeries("X", (bar(1), bar(2))), "close"),
+        (scoring.TokenInputs(role=ChainRole.standalone()), "fgi"),
+        (FrameworkParams(), "alpha"),
+    ])
+    def test_a_field_cannot_be_assigned(self, value, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 # --- the bulk check of a rule table against its row check ---------------------
