@@ -493,25 +493,35 @@ def score(universe_path, out_dir, formats, **overrides):
         unknown = wanted - {"json", "table", "chart"}
         if unknown:
             raise ConfigError(f"unknown output format(s): {', '.join(sorted(unknown))}")
+        if not wanted:
+            raise ConfigError(f"--format {formats!r} names no output format; "
+                              "choose from json, table, chart")
         params = FrameworkParams(**{name: v for name, v in overrides.items() if v is not None})
-        inputs = ingest.load_universe(universe_path, params)
-        report = scoring.score_universe(scoring.build_context(inputs, params))
+        # One copy of the report at a time: each stage's input is dropped once its
+        # last reader is done (the report's tokens hold their inputs, so no local
+        # keeps load_universe's result), and the document goes before the write.
+        report = scoring.score_universe(
+            scoring.build_context(ingest.load_universe(universe_path, params), params))
+        table = report_table(report) if "table" in wanted else None
+        scored = len(report.tokens)
         doc = report_to_dict(report)
+        del report
         files, notices, written = {}, [], []
         if "json" in wanted:
             files["report.json"] = _dumps(doc)
             written.append("report.json")
-        if "table" in wanted:
-            files["report.txt"] = report_table(report)
+        if table is not None:
+            files["report.txt"] = table
             written.append("report.txt")
         if "chart" in wanted:
             charts, notices = chart_files(doc)
             files |= charts
             written.append("charts")
+        del doc
         out = ingest.write_files(out_dir, files, "--out")
         for notice in notices:
             click.echo(notice, err=True)
-        click.echo(f"scored {len(report.tokens)} token(s) -> {out} ({', '.join(written)})", err=True)
+        click.echo(f"scored {scored} token(s) -> {out} ({', '.join(written)})", err=True)
 
     _execute(run)
 

@@ -439,11 +439,17 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     return _located(path, numbers, columns, parse)
 
 
+_WRITE_SLICE = 1 << 16  # characters of a text encoded and written at a time
+
+
 def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> Path:
     """Write ``files`` (name: text) into ``directory``, made where missing, as UTF-8
     bytes; the directory. The one output rule: each text goes to a temporary name and
     all are renamed into place once all are written, so a failure, a ConfigError
-    naming ``what`` and the path, leaves the old files and no temporary one."""
+    naming ``what`` and the path, leaves the old files and no temporary one. A text
+    is encoded and written ``_WRITE_SLICE`` characters at a time, so no UTF-8 copy
+    of a whole text is made beside it; a slice of code points never splits a
+    character's bytes."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -454,7 +460,9 @@ def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> P
         for (target, temporary), text in zip(temporaries.items(), files.values()):
             if target.is_dir():  # else renaming onto it would fail after others were renamed
                 raise IsADirectoryError("Is a directory")
-            temporary.write_bytes(text.encode("utf-8"))
+            with temporary.open("wb") as file:
+                for start in range(0, len(text), _WRITE_SLICE):
+                    file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
     except OSError as exc:

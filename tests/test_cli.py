@@ -97,6 +97,15 @@ class TestScore:
                      "--out", tmp_path / "o", "--format", "pdf")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("formats", ["", ","])
+    def test_format_naming_no_output_exits_2(self, tmp_path, formats):
+        result = run("score", "--universe", REFERENCE_DIR / "universe.json",
+                     "--out", tmp_path / "o", "--format", formats)
+        assert_clean_exit(result, 2)
+        assert result.stderr == (f"error: --format {formats!r} names no output format; "
+                                 "choose from json, table, chart\n")
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_data_exits_3(self, tmp_path):
         bars = tmp_path / "x.csv"
         bars.write_text("date,high,low,close,volume_usd,market_cap_usd\n2024-01-01,90,110,100,1,1\n")
@@ -439,6 +448,44 @@ class TestCollectorPolicy:
     def test_only_the_cli_imports_gc(self):
         modules = Path(me2f.__file__).parent.glob("*.py")
         assert [m.name for m in modules if "import gc" in m.read_text(encoding="utf-8")] == ["cli.py"]
+
+
+class TestOneCopyOfTheReport:
+    """``score`` drops the report before rendering report.json and the
+    document before writing, so no two of them are alive at once."""
+
+    @pytest.mark.parametrize("formats", ["json,table", "json,table,chart"])
+    def test_each_stage_frees_what_it_was_made_from(self, tmp_path, monkeypatch, formats):
+        from me2f import cli, ingest, scoring
+
+        def alive() -> dict[str, int]:
+            objects = gc.get_objects()
+            return {
+                "reports": sum(isinstance(o, (scoring.TokenReport, scoring.TokenInputs))
+                               for o in objects),
+                "token dicts": sum(type(o) is dict and "raw" in o and "inputs" in o
+                                   for o in objects),
+            }
+
+        seen, dumps, write_files = {}, cli._dumps, ingest.write_files
+
+        def dumps_probe(doc):
+            seen["_dumps"] = alive()
+            return dumps(doc)
+
+        def write_probe(*args):
+            seen["write_files"] = alive()
+            return write_files(*args)
+
+        monkeypatch.setattr(cli, "_dumps", dumps_probe)
+        monkeypatch.setattr(ingest, "write_files", write_probe)
+        gc.collect()  # what is left is reachable: a baseline the command must return to
+        before = alive()
+        assert invoke("score", "--universe", GOLDEN_DIR / "universe.json",
+                      "--format", formats, "--out", tmp_path) == 0
+        assert seen["_dumps"]["reports"] == before["reports"]
+        assert seen["_dumps"]["token dicts"] > before["token dicts"]  # the document it renders
+        assert seen["write_files"] == before
 
 
 class TestBarsCsvRoundTrip:

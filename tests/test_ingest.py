@@ -1,6 +1,7 @@
 """Loaders, universe assembly, caching, rate limiting, and remote fetch."""
 from __future__ import annotations
 
+import errno
 import json
 import math
 import random
@@ -12,9 +13,12 @@ from pathlib import Path
 
 import pytest
 import requests
+from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from me2f import ingest
+from me2f.cli import main
 from me2f.domain import (
     _SHARE_SUM_TOLERANCE,
     ChainRole,
@@ -58,6 +62,7 @@ from me2f.ingest import (
     load_universe,
     load_volatility_table,
     token_id_fault,
+    write_files,
 )
 from me2f.sentiment import FgiIndicators
 from me2f.volatility import VolatilityAggregate
@@ -245,6 +250,57 @@ class TestSummaryTables:
                 "X,1,2,3,4,hosted,\n")
         with pytest.raises(MalformedRow):
             load_volatility_table(write(tmp_path, "v.csv", text))
+
+
+class FailingSecondWrite:
+    """A file whose second ``write`` is refused, as by a full disk."""
+
+    def __init__(self, file):
+        self.file, self.writes = file, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data: bytes) -> int:
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.file.write(data)
+
+
+class TestWriteFiles:
+    """A text is encoded and written one slice at a time."""
+
+    def test_slices_give_the_bytes_of_the_whole_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
+        text = "abcÆ" "—deÆ" "—Æ—f" "Æ\n"  # multi-byte characters on every slice boundary
+        write_files(tmp_path, {"t.txt": text}, "--out")
+        assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
+        assert list(tmp_path.iterdir()) == [tmp_path / "t.txt"]
+
+    def test_a_refused_second_slice_exits_2_and_keeps_the_old_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        old = {"report.json": "old json\n", "report.txt": "old table\n"}
+        for name, text in old.items():
+            (out / name).write_text(text, encoding="utf-8")
+        monkeypatch.setattr(ingest, "_WRITE_SLICE", 64)
+        open_path = Path.open
+
+        def open_failing(self, *args, **kwargs):
+            file = open_path(self, *args, **kwargs)
+            return FailingSecondWrite(file) if self.name.endswith(".tmp") else file
+
+        monkeypatch.setattr(Path, "open", open_failing)
+        result = CliRunner().invoke(main, ["score", "--universe", str(REFERENCE_DIR / "universe.json"),
+                                           "--out", str(out), "--format", "json,table"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: --out {out / 'report.json'}: cannot write: "
+                                 "No space left on device\n")
+        assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == old
 
 
 class TestTokenIdRule:
