@@ -580,6 +580,22 @@ def _load_report_scores(path: Path) -> Iterator[tuple[tuple[str, Metric], tuple[
                 yield (t["id"], metric), (day, float(score))
 
 
+def _flag_stages(series: dict[tuple[str, Metric], ScoreSeries], window_days: int,
+                 threshold: float, x_days: int) -> tuple[list, list, list]:
+    """The flags, joint events and buckets of every series in ``series``, which
+    is emptied: each series is dropped once it is flagged. Series run in
+    (token, metric) order and each stage returns date-ordered lists per token,
+    so every list is already in its output order."""
+    flags, events, buckets = [], [], []
+    for _, group in groupby(sorted(series), key=itemgetter(0)):
+        token_flags = {metric: rolling_flags(series.pop((token, metric)), window_days, threshold)
+                       for token, metric in group}
+        flags.extend(f for metric_flags in token_flags.values() for f in metric_flags)
+        events.extend(joint_spike(token_flags, x_days))
+        buckets.extend(assign_buckets(token_flags, x_days))
+    return flags, events, buckets
+
+
 @main.command()
 @click.option("--history", "history_path", type=click.Path(), default=None,
               help=f"score history CSV ({','.join(HISTORY_HEADER)})")
@@ -616,30 +632,25 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                 series[key] = ScoreSeries.from_columns(*key, *zip(*sorted(points)))
             except NonMonotonicDates as exc:
                 raise NonMonotonicDates(f"{key[0]} {key[1].value}: {exc}") from None
-
-        # Series run in (token, metric) order and each stage returns date-ordered
-        # lists per token, so every output list below is already in its order.
-        all_flags, events, buckets = [], [], []
-        for _, group in groupby(sorted(series.items()), key=lambda item: item[0][0]):
-            token_flags = {metric: rolling_flags(history, window_days, threshold)
-                           for (_, metric), history in group}
-            all_flags.extend(f for flags in token_flags.values() for f in flags)
-            events.extend(joint_spike(token_flags, x_days))
-            buckets.extend(assign_buckets(token_flags, x_days))
-
+        flags, events, buckets = _flag_stages(series, window_days, threshold, x_days)
         doc = _WARN.dict(
             _WARN_PARAMS.dict(window_days, threshold, x_days),
             [],
             [_FLAG.dict(f.token_id, _NAMES[f.metric], f.date.isoformat(), f.value,
-                        f.window_percentile) for f in all_flags],
+                        f.window_percentile) for f in flags],
             [_JOINT_EVENT.dict(e.token_id, e.date.isoformat(), [_NAMES[m] for m in e.metrics])
              for e in events],
             [_BUCKET.dict(b.token_id, b.date.isoformat(), _NAMES[b.bucket],
                           [_NAMES[m] for m in b.metrics]) for b in buckets],
         )
-        out = ingest.write_files(out_dir, {"warnings.json": _dumps(doc)}, "--out")
-        click.echo(f"{len(all_flags)} flag(s), {len(events)} joint event(s) "
-                   f"-> {out / 'warnings.json'}", err=True)
+        # as in score, one copy at a time: the stages' objects go once the document
+        # holds them, and the document once it is rendered
+        summary = f"{len(flags)} flag(s), {len(events)} joint event(s)"
+        del flags, events, buckets
+        files = {"warnings.json": _dumps(doc)}
+        del doc
+        out = ingest.write_files(out_dir, files, "--out")
+        click.echo(f"{summary} -> {out / 'warnings.json'}", err=True)
 
     _execute(run)
 

@@ -78,7 +78,11 @@ FGI_TABLE_HEADER = [
 
 # --- CSV plumbing --------------------------------------------------------
 
-def _read_columns(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+_CHUNK = 1 << 12  # data lines split at a time when a column's cells repeat
+
+
+def _read_columns(path: Path, *headers: list[str],
+                  shared: Sequence[str] = ()) -> tuple[Sequence[int], list[list[str]]]:
     """Physical line numbers of a CSV file's data rows, and its cells by column.
 
     Blank lines are skipped but counted, so a number is the line an editor
@@ -88,8 +92,13 @@ def _read_columns(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[
     they use. A file that cannot be read as UTF-8 text is a ``DataError``.
 
     Once every row holds ``width - 1`` commas, the rows joined by commas
-    split into ``width`` cells per row, in order, so the body is split
-    once and no list is built per row.
+    split into ``width`` cells per row, in order, so no list is built per
+    row. Without ``shared`` columns the body is split once: with no
+    repeats to free, chunks would only add work. The cells of each
+    ``shared`` column (one whose texts repeat) go through one dict per
+    column, so equal texts are one ``str``; the body is then split
+    ``_CHUNK`` lines at a time, and a chunk's repeated cells are freed
+    before the next is split.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -115,9 +124,19 @@ def _read_columns(path: Path, *headers: list[str]) -> tuple[Sequence[int], list[
         i = next(i for i, count in enumerate(commas) if count != width - 1)
         raise MalformedRow(path, numbers[i + 1], header[0],
                            f"expected {width} cells, got {commas[i] + 1}")
-    cells = ",".join(lines).split(",")
-    del lines
-    return numbers[1:], [cells[j::width] for j in range(width)]
+    if not shared:
+        cells = ",".join(lines).split(",")
+        del lines
+        return numbers[1:], [cells[j::width] for j in range(width)]
+    memos = [{} if name in shared else None for name in header]
+    columns: list[list[str]] = [[] for _ in header]
+    for start in range(0, len(lines), _CHUNK):
+        cells = ",".join(lines[start:start + _CHUNK]).split(",")
+        for j, (column, memo) in enumerate(zip(columns, memos)):
+            part = cells[j::width]
+            column += part if memo is None else map(memo.setdefault, part, part)
+        del cells, part  # the chunk's repeated cells go before the next split
+    return numbers[1:], columns
 
 
 def iso_days(cells: Sequence[str]) -> list[Date]:
@@ -168,7 +187,8 @@ def _by_date(dates: list[Date], *columns: list) -> list:
 
 # --- loaders -------------------------------------------------------------
 #
-# Every CSV is read as columns, with one split per file (_read_columns).
+# Every CSV is read as columns (_read_columns), with one split per file, or
+# one per chunk of lines in a history, whose repeated cells are shared.
 # Each loader has one parse of those columns. It checks the cells' text
 # (numbers, dates and tokens) by column, raising a _RowError that names the
 # column, and leaves every invariant of the values to the rule table of the
@@ -408,12 +428,19 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     (token, metric, date) may appear on one row only. Like every loader,
     the file is parsed once, by column; an error names the first bad line
     in file order, a repeat at its later line.
+
+    A history repeats each date, token and metric on many rows, so those
+    columns are read shared (see ``_read_columns``) and each distinct date
+    text is parsed once, into one ``date`` that every series holding that
+    day shares.
     """
     path = Path(path)
-    numbers, columns = _read_columns(path, HISTORY_HEADER)
+    numbers, columns = _read_columns(path, HISTORY_HEADER, shared=HISTORY_HEADER[:3])
 
     def parse(columns: list[list[str]]) -> list[ScoreSeries]:
-        days, tokens, names = _dates(columns[0]), columns[1], columns[2]
+        texts = list(dict.fromkeys(columns[0]))  # in order of first occurrence
+        day_of = dict(zip(texts, _dates(texts)))
+        days, tokens, names = list(map(day_of.__getitem__, columns[0])), columns[1], columns[2]
         groups = _indices_by_key(zip(tokens, names))
         if not all(token and token == token.strip() and name in _METRICS
                    for token, name in groups) or token_id_fault([t for t, _ in groups]):
@@ -446,9 +473,10 @@ def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> P
     """Write ``files`` (name: text) into ``directory``, made where missing, as UTF-8
     bytes; the directory. The one output rule: each text goes to a temporary name and
     all are renamed into place once all are written, so a failure, a ConfigError
-    naming ``what`` and the path, leaves the old files and no temporary one. A text
-    is encoded and written ``_WRITE_SLICE`` characters at a time, so no UTF-8 copy
-    of a whole text is made beside it; a slice of code points never splits a
+    naming ``what`` and the path, leaves the old files and no temporary one; any
+    other exception, an interrupt too, leaves them the same and goes on unchanged.
+    A text is encoded and written ``_WRITE_SLICE`` characters at a time, so no UTF-8
+    copy of a whole text is made beside it; a slice of code points never splits a
     character's bytes."""
     directory = Path(directory)
     try:
@@ -465,11 +493,13 @@ def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> P
                     file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
-    except OSError as exc:
+    except BaseException as exc:  # an interrupt too leaves no temporary file
         for temporary in temporaries.values():
             with suppress(OSError):  # renamed already, or never made
                 temporary.unlink()
-        raise ConfigError(f"{what} {target}: cannot write: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(f"{what} {target}: cannot write: {exc.strerror or exc}") from None
+        raise
     return directory
 
 

@@ -488,6 +488,47 @@ class TestOneCopyOfTheReport:
         assert seen["write_files"] == before
 
 
+class TestWarnHoldsOneCopy:
+    """``warn`` drops each series once it is flagged, the flags, events and
+    buckets once the document holds them, and the document before writing."""
+
+    def test_each_stage_frees_what_it_was_made_from(self, tmp_path, monkeypatch, capsys):
+        from me2f import cli, ingest, warning
+
+        def alive() -> dict[str, int]:
+            objects = gc.get_objects()
+            return {
+                "stage objects": sum(isinstance(o, (warning.ScoreSeries, warning.WarningFlag))
+                                     for o in objects),
+                # a dict of strings and floats is not tracked by the collector: count the lists' items
+                "flag dicts": sum(type(d) is dict and "window_percentile" in d
+                                  for o in objects if type(o) is list for d in o),
+            }
+
+        seen, dumps, write_files = {}, cli._dumps, ingest.write_files
+
+        def dumps_probe(doc):
+            seen["_dumps"] = alive()
+            return dumps(doc)
+
+        def write_probe(*args):
+            seen["write_files"] = alive()
+            return write_files(*args)
+
+        monkeypatch.setattr(cli, "_dumps", dumps_probe)
+        monkeypatch.setattr(ingest, "write_files", write_probe)
+        gc.collect()  # what is left is reachable: a baseline the command must return to
+        before = alive()
+        assert invoke(*GOLDEN_WARN, "--out", tmp_path) == 0
+        assert seen["_dumps"]["stage objects"] == before["stage objects"]
+        assert seen["_dumps"]["flag dicts"] > before["flag dicts"]  # the document it renders
+        assert seen["write_files"]["flag dicts"] == before["flag dicts"]
+        golden = json.loads((GOLDEN_DIR / "warn" / "warnings.json").read_text(encoding="utf-8"))
+        assert capsys.readouterr().err == (
+            f"{len(golden['flags'])} flag(s), {len(golden['joint_events'])} joint event(s) "
+            f"-> {tmp_path / 'warnings.json'}\n")
+
+
 class TestBarsCsvRoundTrip:
     def test_serialized_bars_reload_identically(self, tmp_path):
         from me2f.cli import bars_to_csv

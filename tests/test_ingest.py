@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from collections import defaultdict
 from dataclasses import replace
@@ -267,8 +268,18 @@ class FailingSecondWrite:
     def write(self, data: bytes) -> int:
         self.writes += 1
         if self.writes == 2:
-            raise OSError(errno.ENOSPC, "No space left on device")
+            self.fail()
         return self.file.write(data)
+
+    def fail(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class InterruptedSecondWrite(FailingSecondWrite):
+    """A file whose second ``write`` is interrupted, as by Ctrl-C."""
+
+    def fail(self):
+        raise KeyboardInterrupt
 
 
 class TestWriteFiles:
@@ -301,6 +312,25 @@ class TestWriteFiles:
         assert result.stderr == (f"error: --out {out / 'report.json'}: cannot write: "
                                  "No space left on device\n")
         assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == old
+
+    def test_an_interrupted_second_slice_propagates_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        old = {"report.json": "old json\n", "report.txt": "old table\n"}
+        for name, text in old.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
+        open_path = Path.open
+
+        def open_interrupted(self, *args, **kwargs):
+            file = open_path(self, *args, **kwargs)
+            return InterruptedSecondWrite(file) if self.name.endswith(".tmp") else file
+
+        monkeypatch.setattr(Path, "open", open_interrupted)
+        # report.json's one slice is written whole; report.txt's second slice is interrupted
+        with pytest.raises(KeyboardInterrupt):
+            write_files(tmp_path, {"report.json": "new\n", "report.txt": "new table\n"}, "--out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)  # no .tmp file
+        monkeypatch.undo()
+        assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in old} == old
 
 
 class TestTokenIdRule:
@@ -984,6 +1014,63 @@ class TestHistoryLoaderMatchesRowOracle:
         with pytest.raises(MalformedRow) as err:
             load_history_csv(write(tmp_path, "h.csv", text))
         assert (err.value.line, err.value.column) == (4, "date")
+
+
+class TestHistoryLoaderAcrossChunks:
+    """The history oracle tests again, two data lines to a chunk: every file
+    then crosses chunk boundaries, so blank lines, a width error, a repeated
+    key and a bad date each land in a later chunk than the first."""
+
+    @pytest.fixture(autouse=True)
+    def two_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK", 2)
+
+    @given(text=history_csv())
+    @FILE_SETTINGS
+    def test_history(self, tmp_path, text):
+        path = write(tmp_path, "history.csv", text)
+        assert outcome(lambda p, _: load_history_csv(p), path) == outcome(oracle_load_history, path)
+
+    def test_repeat_is_named_before_a_later_bad_cell(self, tmp_path):
+        TestHistoryLoaderMatchesRowOracle.test_repeat_is_named_before_a_later_bad_cell(self, tmp_path)
+
+
+class TestHistoryLoaderMemory:
+    """A history repeats each date, token and metric on many rows; the
+    loader holds one text of each and one ``date`` per day."""
+
+    DAYS = 300
+
+    @pytest.fixture
+    def history(self, tmp_path) -> Path:
+        """12 tokens x 3 metrics x 300 days, date-major, as the benchmark writes it."""
+        rng = random.Random(0)
+        lines = ["date,token,metric,value"]
+        for d in range(self.DAYS):
+            day = date(2019, 1, 1) + timedelta(days=d)
+            lines += [f"{day},H{t:02d},{m.value},{rng.uniform(0.01, 2.0):.6f}"
+                      for t in range(12) for m in Metric]
+        return write(tmp_path, "history.csv", "\n".join(lines) + "\n")
+
+    def test_traced_peak_stays_under_ten_times_the_file(self, history):
+        load_history_csv(history)  # first-use allocations (compiled patterns) are not the loader's
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            series = load_history_csv(history)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(series) == 36
+        assert peak < 10 * history.stat().st_size
+
+    def test_each_day_is_one_date_object(self, history):
+        series = load_history_csv(history)
+        assert len({id(d) for s in series for d in s.dates}) == self.DAYS
 
 
 # --- row-by-row oracles for the table and holder loaders --------------------
