@@ -538,15 +538,19 @@ def _report_tokens(path: Path, doc: dict) -> list[dict]:
     """A report's token entries, checked for ``plot`` and ``warn`` alike.
 
     ``tokens`` must be a list of objects, each with a string ``id`` that
-    keeps the token-id rule; every score, at the top level or under ``raw``,
-    must be null or a finite JSON number >= 0.
+    keeps the token-id rule and no earlier entry holds; every score, at the
+    top level or under ``raw``, must be null or a finite JSON number >= 0.
     """
     tokens = doc.get("tokens", [])
     if not isinstance(tokens, list):
         raise DataError(f"{path}: 'tokens' must be a list of token objects")
+    ids = set()
     for number, t in enumerate(tokens, start=1):
         if not isinstance(t, dict) or not isinstance(t.get("id"), str):
             raise DataError(f"{path}: token entry {number} needs a string 'id'")
+        if t["id"] in ids:
+            raise DataError(f"{path}: token entry {number} repeats the id {t['id']!r}")
+        ids.add(t["id"])
         raw = t.get("raw", {})
         if not isinstance(raw, dict):
             raise DataError(f"{path}: token {t['id']!r} has a 'raw' that is not an object")
@@ -618,20 +622,29 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
             raise ConfigError(f"--x-days {x_days} must be >= 0")
         if history_path is None and not report_paths:
             raise ConfigError("provide --history and/or --report inputs")
+
+        def repeated(key, day, later, earlier) -> NonMonotonicDates:
+            return NonMonotonicDates(
+                f"{later}: {key[0]} {key[1].value}: duplicate date {day}, also in {earlier}")
+
         series = {}
         if history_path is not None:
             series = {(s.token_id, s.metric): s for s in ingest.load_history_csv(history_path)}
-        added = defaultdict(list)
+        added = defaultdict(dict)  # each (token, metric)'s report scores: {day: (score, report)}
         for rp in report_paths:
-            for key, point in _load_report_scores(Path(rp)):
-                added[key].append(point)
-        for key, points in added.items():
+            for key, (day, score) in _load_report_scores(Path(rp)):
+                if day in added[key]:
+                    raise repeated(key, day, rp, added[key][day][1])
+                added[key][day] = score, rp
+        for key, scores in added.items():
+            points = [(day, score) for day, (score, _) in scores.items()]
             if key in series:
                 points += zip(series[key].dates, series[key].value)
             try:
                 series[key] = ScoreSeries.from_columns(*key, *zip(*sorted(points)))
-            except NonMonotonicDates as exc:
-                raise NonMonotonicDates(f"{key[0]} {key[1].value}: {exc}") from None
+            except NonMonotonicDates:  # a report's day is in the history too
+                day = next(day for day in series[key].dates if day in scores)
+                raise repeated(key, day, scores[day][1], f"--history {history_path}") from None
         flags, events, buckets = _flag_stages(series, window_days, threshold, x_days)
         doc = _WARN.dict(
             _WARN_PARAMS.dict(window_days, threshold, x_days),

@@ -57,9 +57,8 @@ def check_rows(rules: Sequence[Rule], columns: Mapping[str, Sequence]) -> None:
         row = {name: column[i:i + 1] for name, column in columns.items()}
         for rule in rules:
             if not rule.holds(row):
-                error = rule.error(rule.message.format(**{k: v for k, (v,) in row.items()}))
-                error.field = rule.field
-                raise error
+                raise rule.error(rule.message.format(**{k: v for k, (v,) in row.items()}),
+                                 field=rule.field)
 
 
 def positive(name: str) -> Callable:

@@ -18,7 +18,9 @@ class ConfigError(Me2fError):
 class DataError(Me2fError):
     """Input data violates a contract (file content, series invariants, ...)."""
 
-    field: str | None = None  # the field named by a broken row rule (``domain.Rule``)
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field  # what broke: a row rule's field (``domain.Rule``) or a bad cell's column
 
 
 # --- domain invariants -------------------------------------------------

@@ -26,7 +26,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 from datetime import timedelta, timezone
 from itertools import compress, repeat
@@ -190,10 +190,11 @@ def _by_date(dates: list[Date], *columns: list) -> list:
 # Every CSV is read as columns (_read_columns), with one split per file, or
 # one per chunk of lines in a history, whose repeated cells are shared.
 # Each loader has one parse of those columns. It checks the cells' text
-# (numbers, dates and tokens) by column, raising a _RowError that names the
-# column, and leaves every invariant of the values to the rule table of the
-# type it builds (of a chain role's text, ChainRole.text_rules), run once over
-# whole columns; a broken rule's field maps to its CSV column. _located runs the parse once on the
+# (numbers, dates and tokens) by column, and leaves every invariant of the
+# values to the rule table of the type it builds (of a chain role's text,
+# ChainRole.text_rules), run once over whole columns. Either way a bad row
+# raises a DataError whose field names the column, or the broken rule's field,
+# which maps to its CSV column. _located runs the parse once on the
 # file and, only if it fails, bisects over row prefixes to find the first
 # bad row in file order, whose line the MalformedRow names.
 
@@ -203,43 +204,36 @@ _VOLATILITY_COLUMNS = dict(zip([*(f.name for f in fields(VolatilityAggregate)), 
 _FGI_COLUMNS = dict(zip([f.name for f in fields(FgiIndicators)], FGI_TABLE_HEADER))
 
 
-class _RowError(Exception):
-    """A cell check failed: ``(column, reason)``; ``_located`` adds the line."""
-
-
 def _located(path: Path, numbers: Sequence[int], columns: list[list[str]], parse,
              column_of: Mapping[str, str] | None = None):
     """``parse(columns)``, or the ``MalformedRow`` of the first bad row in file order.
 
-    A bad row raises a ``_RowError``, or a broken rule's error, whose field
-    ``column_of`` maps to its column. A prefix of the rows fails to parse
-    exactly when it holds a bad row (a repeat counts at its later line), so
-    the shortest failing prefix ends at the first bad row, and its parse
-    raises that row's error. The search is a bisection: O(log n) parses,
-    and none when the file is good.
+    A bad row raises a ``DataError`` whose ``field`` names a column, or a
+    field that ``column_of`` maps to one; an error without a field goes on
+    unchanged. A prefix of the rows fails to parse exactly when it holds a
+    bad row (a repeat counts at its later line), so the shortest failing
+    prefix ends at the first bad row, and its parse raises that row's error.
+    The search is a bisection: O(log n) parses, and none when the file is good.
     """
-    def checked(columns: list[list[str]]):
-        try:
-            return parse(columns)
-        except DataError as exc:  # a broken rule, unless it names no field
-            if exc.field is None:
-                raise
-            raise _RowError((column_of or {}).get(exc.field, exc.field), str(exc)) from None
-
     try:
-        return checked(columns)
-    except _RowError as exc:
+        return parse(columns)
+    except DataError as exc:
+        if exc.field is None:
+            raise
         error = exc
     good, bad = 0, len(numbers)  # the first `good` rows parse, the first `bad` rows do not
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            checked([column[:mid] for column in columns])
-        except _RowError as exc:
+            parse([column[:mid] for column in columns])
+        except DataError as exc:
+            if exc.field is None:
+                raise
             bad, error = mid, exc
         else:
             good = mid
-    raise MalformedRow(path, numbers[bad - 1], *error.args) from None
+    column = (column_of or {}).get(error.field, error.field)
+    raise MalformedRow(path, numbers[bad - 1], column, str(error)) from None
 
 
 def _floats(column: str, cells: list[str], optional: bool = False) -> Sequence:
@@ -260,9 +254,9 @@ def _floats(column: str, cells: list[str], optional: bool = False) -> Sequence:
         try:
             values.append(None if optional and not raw else float(raw))
         except ValueError:
-            raise _RowError(column, f"not a number: {raw!r}") from None
+            raise DataError(f"not a number: {raw!r}", field=column) from None
         if not math.isfinite(values[-1] or 0.0):  # None is a blank, not a bad cell
-            raise _RowError(column, f"not finite: {raw!r}")
+            raise DataError(f"not finite: {raw!r}", field=column)
     return values
 
 
@@ -281,7 +275,7 @@ def _dates(cells: list[str]) -> list[Date]:
         try:
             days += iso_days([raw])
         except ValueError:
-            raise _RowError("date", f"not a YYYY-MM-DD date: {raw!r}") from None
+            raise DataError(f"not a YYYY-MM-DD date: {raw!r}", field="date") from None
     return days
 
 
@@ -302,15 +296,15 @@ def _first_repeat(keys: Iterable) -> int:
         seen.add(key)
 
 
-def _tokens(cells: list[str], unique: bool = True) -> list[str]:
-    """A column's stripped token cells; an empty, bad or (if ``unique``) repeated one is a row error."""
+def _tokens(cells: list[str]) -> list[str]:
+    """A column's stripped token cells; an empty, bad or repeated one is a row error."""
     tokens = list(map(str.strip, cells))
     if not all(tokens):
-        raise _RowError("token", "empty token id")
+        raise DataError("empty token id", field="token")
     if fault := token_id_fault(tokens):
-        raise _RowError("token", fault)
-    if unique and len(set(tokens)) != len(tokens):
-        raise _RowError("token", f"duplicate row for token {tokens[_first_repeat(tokens)]!r}")
+        raise DataError(fault, field="token")
+    if len(set(tokens)) != len(tokens):
+        raise DataError(f"duplicate row for token {tokens[_first_repeat(tokens)]!r}", field="token")
     return tokens
 
 
@@ -323,7 +317,7 @@ def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header:
         dates = _dates(columns[0])
         ascending = all(map(lt, dates, dates[1:]))
         if not ascending and len(set(dates)) != len(dates):
-            raise _RowError("date", f"duplicate date {dates[_first_repeat(dates)]}")
+            raise DataError(f"duplicate date {dates[_first_repeat(dates)]}", field="date")
         values = [_floats(name, column, name == "abs_return")
                   for name, column in zip(header[1:], columns[1:])]
         return series_type.from_columns(
@@ -388,9 +382,9 @@ def load_volatility_table(
 ) -> dict[str, tuple[VolatilityAggregate, ChainRole]]:
     """Load a pre-aggregated volatility summary table.
 
-    Percent columns become fractions; volume/market-cap columns are
-    already in scale units (USD billions). Tokens of one base share one
-    ``ChainRole``.
+    Percent columns become fractions; volume/market-cap columns stay in
+    USD billions, the default scale unit (``load_universe`` converts them
+    to any other). Tokens of one base share one ``ChainRole``.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
@@ -440,27 +434,25 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     def parse(columns: list[list[str]]) -> list[ScoreSeries]:
         texts = list(dict.fromkeys(columns[0]))  # in order of first occurrence
         day_of = dict(zip(texts, _dates(texts)))
-        days, tokens, names = list(map(day_of.__getitem__, columns[0])), columns[1], columns[2]
-        groups = _indices_by_key(zip(tokens, names))
-        if not all(token and token == token.strip() and name in _METRICS
-                   for token, name in groups) or token_id_fault([t for t, _ in groups]):
-            # a padded, empty or unknown key, or one that breaks the token-id rule
-            tokens, names = _tokens(tokens, unique=False), list(map(str.strip, names))
-            for name in names:
-                if name not in _METRICS:
-                    raise _RowError("metric", f"unknown metric {name!r}")
-            groups = _indices_by_key(zip(tokens, names))
+        days = list(map(day_of.__getitem__, columns[0]))
+        groups: dict[tuple[str, str], list[int]] = {}  # rows by stripped key, in row order
+        for (token, name), indices in _indices_by_key(zip(columns[1], columns[2])).items():
+            key = token.strip(), name.strip()  # padded variants of a key join
+            groups[key] = sorted(groups[key] + indices) if key in groups else indices
+        _tokens(list(dict.fromkeys(token for token, _ in groups)))  # each distinct one once
+        for name in dict.fromkeys(name for _, name in groups):
+            if name not in _METRICS:
+                raise DataError(f"unknown metric {name!r}", field="metric")
         values = _floats("value", columns[3])
         series = []
         for (token, name), indices in sorted(groups.items()):
+            key_days = list(map(days.__getitem__, indices))
             try:
                 series.append(ScoreSeries.from_columns(token, _METRICS[name], *_by_date(
-                    list(map(days.__getitem__, indices)), list(map(values.__getitem__, indices))
-                )))
+                    key_days, list(map(values.__getitem__, indices)))))
             except NonMonotonicDates:  # values were fine: a repeated date
-                i = _first_repeat(zip(tokens, names, days))
-                raise _RowError("date", f"duplicate row for token {tokens[i]!r}, "
-                                        f"{names[i]}, {days[i]}") from None
+                raise DataError(f"duplicate row for token {token!r}, {name}, "
+                                f"{key_days[_first_repeat(key_days)]}", field="date") from None
         return series
 
     return _located(path, numbers, columns, parse)
@@ -520,6 +512,7 @@ def read_json_object(path: Path, where: str, error: type[ConfigError] | type[Dat
     return doc
 
 
+_BUSD = 1e9  # USD in one unit of a volatility table's _busd columns
 UNIVERSE_KEYS = ("tokens", "volatility_table", "fgi_table")
 UNIVERSE_TOKEN_KEYS = ("id", "role", "base", "bars", "holders", "sentiment", "exclude_addresses")
 
@@ -586,6 +579,10 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             entry_roles[tid] = ChainRole(base or None)
 
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
+    if params.scale_unit != _BUSD:  # table sizes into the unit that bar sizes are divided by
+        vol_table = {tid: (replace(agg, max_volume=agg.max_volume * _BUSD / params.scale_unit,
+                                   max_mcap=agg.max_mcap * _BUSD / params.scale_unit), role)
+                     for tid, (agg, role) in vol_table.items()}
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
     roles = {tid: role for tid, (_, role) in vol_table.items()} | entry_roles
     for tid, (_, role) in vol_table.items():  # where a row gives the role, its base is data
@@ -643,6 +640,16 @@ def _check_template(key: str, template: str) -> list[str]:
     return [name for name, _, _ in fields]
 
 
+def _check_cache_name(what: str, name: str) -> None:
+    """A ``ConfigError`` unless ``name`` (a token id or a provider name) can be one
+    directory of a cache path: not empty, ``.`` or ``..``, without ``/`` or ``\\``,
+    and keeping the token-id rule, so no cache file lands outside the cache directory."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{what} {name!r} must name one directory under the cache directory")
+    if fault := token_id_fault([name]):
+        raise ConfigError(f"{what}: {fault}")
+
+
 @dataclass(frozen=True, slots=True)
 class ProviderEndpointSpec:
     """Declarative description of one market-data provider.
@@ -675,6 +682,7 @@ class ProviderEndpointSpec:
         for key, value in texts:
             if not isinstance(value, str):
                 raise ConfigError(f"{key}={value!r} must be a string")
+        _check_cache_name("provider name", self.name)
         self.placeholders()
         if self.rate_limit <= 0:
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
@@ -884,6 +892,7 @@ class MarketDataClient:
         """
         if end < start:
             raise ConfigError(f"date range {start}..{end} is inverted")
+        _check_cache_name("token", token_id)
         cache_path = self.cache_dir / self.provider.name / token_id / "bars" / f"{start}_{end}.json"
         write_files(cache_path.parent, {}, "cache directory")  # before any request
         records = self._cache_read(cache_path)

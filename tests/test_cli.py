@@ -148,6 +148,26 @@ class TestScore:
         assert d1["params"]["alpha"] == 0.5 and d2["params"]["alpha"] == 1.0
         assert d1 != d2
 
+    @pytest.mark.parametrize("unit", [None, 1e6], ids=["default", "1e6"])
+    def test_scale_unit_scales_table_sizes_as_bar_sizes(self, tmp_path, unit):
+        # A from bars and B from a table row have the same volatilities and the same
+        # maxima (2 and 5 USD billions); before, --scale-unit divided only A's sizes.
+        (tmp_path / "a.csv").write_text("date,high,low,close,volume_usd,market_cap_usd\n"
+                                        "2024-01-01,100,100,100,1e9,5e9\n"
+                                        "2024-01-02,125,100,100,2e9,4e9\n"
+                                        "2024-01-03,150,100,100,1e9,3e9\n")
+        (tmp_path / "v.csv").write_text(VOL_HEADER + "B,37.5,50,2,5,standalone,\n")
+        universe = write_universe(tmp_path, {
+            "volatility_table": "v.csv", "tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}],
+        })
+        result = run("score", "--universe", universe, "--out", tmp_path / "o",
+                     *(("--scale-unit", unit) if unit else ()))
+        assert result.exit_code == 0, result.output
+        a, b = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
+        assert (a["id"], b["id"]) == ("A", "B")
+        assert a["inputs"]["volatility"] == b["inputs"]["volatility"]
+        assert a["raw"]["vds"] == b["raw"]["vds"]
+
 
 class TestPlot:
     def test_charts_from_report(self, tmp_path):
@@ -555,6 +575,7 @@ BAD_PROVIDER_CONFIGS = {
         ("name", 5), ("base_url", None), ("query", {"page": 1}),
         ("path", "/b/{tok}"), ("path", "/b/{}"), ("path", "/b/{token!r}"),
         ("query", {"start": "{"}), ("query", {"end": "}"}), ("query", {"page": "{page:03}"}),
+        ("name", "../p"),  # its cache would lie outside --cache-dir
     ]},
 }
 
@@ -612,6 +633,21 @@ class TestFetchCommand:
         assert_clean_exit(result, 2)
         assert result.stderr.startswith(f"error: cache directory {cache}")
         assert session.calls == []
+
+    # each made a cache directory outside --cache-dir, before any request
+    @pytest.mark.parametrize("token", ["", ".", "..", "../../escaped", "a/b", "a\\b", "A\x01B"])
+    def test_token_that_leaves_the_cache_dir_exits_2_before_any_request(
+            self, tmp_path, monkeypatch, token):
+        session = FakeSession([])
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(PROVIDER))
+        result = run("fetch", "--provider-config", config, "--token", token,
+                     "--start", "2024-01-01", "--end", "2024-01-02",
+                     "--cache-dir", tmp_path / "c" / "cache")
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith("error: token")
+        assert session.calls == [] and list(tmp_path.rglob("*")) == [config]
 
     def fetch_one_day(self, tmp_path, monkeypatch, out=None):
         """``fetch --out out`` (no ``--out`` for None) of one day served by a
@@ -795,7 +831,18 @@ class TestWarnInputErrors:
         result = run("warn", "--history", hist, "--report", report, "--window", 2,
                      "--out", tmp_path / "w")
         self.assert_one_line_error(result, 3)
-        assert "PEPE vds" in result.stderr and "2025-01-03" in result.stderr
+        assert result.stderr == (f"error: {report}: PEPE vds: duplicate date 2025-01-03, "
+                                 f"also in --history {hist}\n")
+
+    def test_two_reports_on_the_same_day_name_both(self, tmp_path):
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        for report in (first, second):
+            report.write_text(json.dumps(GOOD_REPORT))
+        result = run("warn", "--report", first, "--report", second, "--window", 2,
+                     "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert result.stderr == (f"error: {second}: PEPE vds: duplicate date 2025-01-03, "
+                                 f"also in {first}\n")
 
 
 def assert_clean_exit(result, code):
@@ -936,6 +983,9 @@ class TestReportReadingErrors:
         pytest.param('[{"id": "PEPE", "raw": {"vds": true}}]', "'PEPE'", id="bool_score"),
         pytest.param('[{"id": "PEPE", "sas": NaN}]', "'PEPE'", id="nan_score"),
         pytest.param('[{"id": "PEPE", "wds": -0.25}]', "'PEPE'", id="negative_score"),
+        # plot charted the id twice, and warn named neither the file nor the entry
+        pytest.param('[{"id": "X", "vds": 0.5}, {"id": "X", "vds": 0.6}]', "token entry 2 repeats the id 'X'",
+                     id="repeated_id"),
     ])
     @pytest.mark.parametrize("command", ["plot", "warn"])
     def test_bad_report_tokens_exit_3_naming_file_and_token(self, tmp_path, command, tokens, named):
