@@ -704,6 +704,7 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
         except ValueError:
             raise ConfigError(f"--start {start_raw!r} and --end {end_raw!r} must be YYYY-MM-DD") from None
         provider = ingest.load_provider_config(provider_path)
+        ingest._check_cache_name("token", token_id)  # before --out makes any directory
         if out_path:  # before any request
             if Path(out_path).is_dir():
                 raise ConfigError(f"--out {out_path} is a directory")

@@ -287,13 +287,34 @@ def _indices_by_key(keys: Iterable) -> dict[object, list[int]]:
     return groups
 
 
-def _first_repeat(keys: Iterable) -> int:
-    """The index of the first key equal to an earlier one (there must be one)."""
+def _first_repeat(keys: Iterable) -> int | None:
+    """The index of the first key equal to an earlier one; None when none is."""
     seen: set = set()
     for i, key in enumerate(keys):
         if key in seen:
             return i
         seen.add(key)
+    return None
+
+
+def _stride(*columns: list[str]) -> int | None:
+    """The period k of rows that repeat one order of distinct keys (a key is
+    the row's cells in ``columns``) whole, at least twice, as a date-major
+    history's rows do: row i then holds the key of row i % k. None for any
+    other order, a single period included. One ``list.count`` per column
+    and key confirms it."""
+    k = _first_repeat(zip(*columns))
+    if k is None or len(columns[0]) % k:
+        return None
+    periods = len(columns[0]) // k
+    if all(column[j::k].count(column[j]) == periods for column in columns for j in range(k)):
+        return k
+    return None
+
+
+def _take(column: Sequence, rows: slice | list[int]) -> Sequence:
+    """The cells of ``column`` at ``rows``, a slice or row indices, in that order."""
+    return column[rows] if isinstance(rows, slice) else list(map(column.__getitem__, rows))
 
 
 def _tokens(cells: list[str]) -> list[str]:
@@ -426,7 +447,9 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     A history repeats each date, token and metric on many rows, so those
     columns are read shared (see ``_read_columns``) and each distinct date
     text is parsed once, into one ``date`` that every series holding that
-    day shares.
+    day shares. When the rows repeat one order of (token, metric) keys, as
+    a date-major history's do, each series is a stride of the columns and
+    no row index is built (``_stride``); any other order is grouped by key.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, HISTORY_HEADER, shared=HISTORY_HEADER[:3])
@@ -434,22 +457,27 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     def parse(columns: list[list[str]]) -> list[ScoreSeries]:
         texts = list(dict.fromkeys(columns[0]))  # in order of first occurrence
         day_of = dict(zip(texts, _dates(texts)))
-        days = list(map(day_of.__getitem__, columns[0]))
-        groups: dict[tuple[str, str], list[int]] = {}  # rows by stripped key, in row order
-        for (token, name), indices in _indices_by_key(zip(columns[1], columns[2])).items():
-            key = token.strip(), name.strip()  # padded variants of a key join
-            groups[key] = sorted(groups[key] + indices) if key in groups else indices
+        k = _stride(columns[1], columns[2])
+        # rows by stripped key, in row order: with a period k, each key's rows are a stride
+        groups: dict[tuple[str, str], slice | list[int]] = {} if k is None else {
+            (token.strip(), name.strip()): slice(j, None, k)
+            for j, (token, name) in enumerate(zip(columns[1][:k], columns[2][:k]))}
+        if len(groups) != k:  # no stride, or padded variants of a key that join
+            groups = {}
+            for (token, name), indices in _indices_by_key(zip(columns[1], columns[2])).items():
+                key = token.strip(), name.strip()  # padded variants of a key join
+                groups[key] = sorted(groups[key] + indices) if key in groups else indices
         _tokens(list(dict.fromkeys(token for token, _ in groups)))  # each distinct one once
         for name in dict.fromkeys(name for _, name in groups):
             if name not in _METRICS:
                 raise DataError(f"unknown metric {name!r}", field="metric")
         values = _floats("value", columns[3])
         series = []
-        for (token, name), indices in sorted(groups.items()):
-            key_days = list(map(days.__getitem__, indices))
+        for (token, name), rows in sorted(groups.items()):
+            key_days = tuple(map(day_of.__getitem__, _take(columns[0], rows)))  # kept as is
             try:
                 series.append(ScoreSeries.from_columns(token, _METRICS[name], *_by_date(
-                    key_days, list(map(values.__getitem__, indices)))))
+                    key_days, _take(values, rows))))
             except NonMonotonicDates:  # values were fine: a repeated date
                 raise DataError(f"duplicate row for token {token!r}, {name}, "
                                 f"{key_days[_first_repeat(key_days)]}", field="date") from None

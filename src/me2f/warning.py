@@ -7,7 +7,7 @@ to one of three action buckets.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
@@ -90,26 +90,29 @@ def rolling_flags(
     it; tied values share their group's percentile, so a constant series
     never flags. A flag is emitted when the percentile reaches
     ``threshold``. Nothing is flagged before a full window accumulates.
+
+    The percentile reaches ``threshold`` exactly when at least ``need`` of
+    the ``window_days - 1`` previous values lie below the observation, for
+    the least ``need`` with ``need / window_days >= threshold``. So one
+    order statistic of the sorted previous values decides each
+    observation, and only a flag's percentile takes a bisection.
     """
     if window_days < 2:
         raise WindowTooShort(f"window_days={window_days} must be >= 2")
     if not 0 < threshold < 1:
         raise ConfigError(f"threshold={threshold} must be in (0, 1)")
+    need = bisect_left(range(window_days + 1), threshold, key=lambda b: b / window_days)
+    values, dates = series.value, series.dates
     flags: list[WarningFlag] = []
-    window: list[float] = []
-    values = series.value
-    for i, value in enumerate(values):
-        if i >= window_days:
-            window.pop(bisect_left(window, values[i - window_days]))
-        below = bisect_left(window, value)  # the values strictly below, ties excluded
-        window.insert(below, value)
-        if i < window_days - 1:
-            continue
-        percentile = below / window_days
-        if percentile >= threshold:
-            flags.append(
-                WarningFlag(series.token_id, series.metric, series.dates[i], value, percentile)
-            )
+    if need >= window_days:  # never: the window holds window_days - 1 previous values
+        return flags
+    window = sorted(values[:window_days - 1])  # the previous values, ascending
+    for value, oldest, day in zip(values[window_days - 1:], values, dates[window_days - 1:]):
+        if window[need - 1] < value:
+            percentile = bisect_left(window, value) / window_days  # ties are not below
+            flags.append(WarningFlag(series.token_id, series.metric, day, value, percentile))
+        del window[bisect_left(window, oldest)]
+        insort(window, value)
     return flags
 
 
@@ -172,21 +175,29 @@ def assign_buckets(
     A metric counts as "high" at date d when it has a flag within the
     trailing x-day window [d - x_days, d], so that flags forming a joint
     spike escalate the bucket at the spike date. Expects flags for a
-    single token, like joint_spike. Like joint_spike, it sorts each
-    metric's flag dates once and answers each (date, metric) test with
-    one bisection: O(F log F) in the number of flags F.
+    single token, like joint_spike. Each metric's flag dates are sorted
+    once; then one pointer per metric moves forward once over the token's
+    flag dates, so the cost is that of the sorts, O(F log F) in the number
+    of flags F. Each set of high metrics takes its bucket from
+    ``action_bucket`` once.
     """
     if x_days < 0:
         raise ConfigError(f"x_days={x_days} must be >= 0")
-    all_flags = [f for flags in flags_by_metric.values() for f in flags]
-    if not all_flags:
+    days = [_flag_days(flags_by_metric.get(m, ())) for m in _METRICS]
+    merged = sorted(set().union(*days))
+    if not merged:
         return []
-    token_id = all_flags[0].token_id
-    days = {m: _flag_days(flags_by_metric.get(m, ())) for m in _METRICS}
-    assignments = []
-    for d in sorted({f.date.toordinal() for f in all_flags}):
-        active = tuple(m for m in _METRICS if _flagged_within(days[m], d, x_days))
-        assignments.append(
-            BucketAssignment(token_id, Date.fromordinal(d), action_bucket(active), active)
-        )
-    return assignments
+    token_id = next(f for flags in flags_by_metric.values() for f in flags).token_id
+    high = [0] * len(merged)  # per date, bit j set when _METRICS[j] is high
+    for j, metric_days in enumerate(days):
+        p, n = 0, len(metric_days)  # metric_days[p]: the first not before d - x_days
+        for i, d in enumerate(merged):
+            while p < n and metric_days[p] < d - x_days:
+                p += 1
+            if p < n and metric_days[p] <= d:
+                high[i] |= 1 << j
+    sets = [tuple(m for j, m in enumerate(_METRICS) if bits >> j & 1)
+            for bits in range(1 << len(_METRICS))]
+    buckets = [(action_bucket(active), active) for active in sets]
+    return [BucketAssignment(token_id, Date.fromordinal(d), *buckets[bits])
+            for d, bits in zip(merged, high)]

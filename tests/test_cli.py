@@ -649,6 +649,18 @@ class TestFetchCommand:
         assert result.stderr.startswith("error: token")
         assert session.calls == [] and list(tmp_path.rglob("*")) == [config]
 
+    def test_rejected_token_leaves_no_out_directories(self, tmp_path, monkeypatch):
+        session = FakeSession([])
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        config = tmp_path / "provider.json"
+        config.write_text(json.dumps(PROVIDER))
+        result = run("fetch", "--provider-config", config, "--token", "..",
+                     "--start", "2024-01-01", "--end", "2024-01-02",
+                     "--cache-dir", tmp_path / "cache", "--out", tmp_path / "new" / "sub" / "bars.csv")
+        assert_clean_exit(result, 2)
+        assert result.stderr.startswith("error: token '..'")
+        assert session.calls == [] and list(tmp_path.rglob("*")) == [config]
+
     def fetch_one_day(self, tmp_path, monkeypatch, out=None):
         """``fetch --out out`` (no ``--out`` for None) of one day served by a
         ``FakeSession``; the session."""

@@ -1035,6 +1035,84 @@ class TestHistoryLoaderAcrossChunks:
         TestHistoryLoaderMatchesRowOracle.test_repeat_is_named_before_a_later_bad_cell(self, tmp_path)
 
 
+# --- date-major histories: each series a stride of the columns --------------
+
+@st.composite
+def date_major_history(draw, mutate=True):
+    """Rows of whole days in any day order, each day the same order of k
+    distinct (token, metric) keys. With ``mutate``, then up to two mutations,
+    of which some keep the stride (a value or date cell, every row of a key
+    padded, two keys padded to one) and some break it (one padded cell, a
+    cut last day)."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["X", "PEPE", "B"]),
+                                   st.sampled_from([m.value for m in Metric])),
+                         min_size=1, max_size=6, unique=True))
+    days = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    rows = [[str(date(2024, 1, 1) + timedelta(days=d)), token, metric,
+             repr(draw(st.floats(0.0, 10.0)))] for d in days for token, metric in keys]
+    k = len(keys)
+    for _ in range(draw(st.integers(0, 2)) if mutate else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["value", "date", "repeat", "pad", "pad key", "join", "cut"]))
+        if kind == "value":
+            rows[i][3] = draw(st.sampled_from(["-0.5", "-0.0", *BAD_NUMBERS]))
+        elif kind == "date":
+            rows[i][0] = draw(st.sampled_from(BAD_DATES))
+        elif kind == "repeat":  # another row's day: a repeated date, or a day out of order
+            rows[i][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "pad":
+            rows[i][1] = f" {rows[i][1]}\t"
+        elif kind == "pad key":
+            for row in rows[j::k]:
+                row[2] = f"{row[2]}  "
+        elif kind == "join":  # key j's rows take a padded copy of another key's text
+            token, metric = rows[draw(st.integers(0, k - 1))][1:3]
+            for row in rows[j::k]:
+                row[1:3] = f"  {token}", f"{metric} "
+        else:
+            del rows[max(i, 1):]
+    return rows
+
+
+class TestDateMajorHistory:
+    """A date-major history is read by stride; it loads as the row oracle
+    loads it, and as the same rows in any order load."""
+
+    @staticmethod
+    def loads(path):
+        """``path`` loaded (or its error), the same at the default chunk size and at 2."""
+        outcomes = []
+        for size in (ingest._CHUNK, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_CHUNK", size)
+                outcomes.append(outcome(lambda p, _: load_history_csv(p), path))
+        assert all(o == outcomes[0] for o in outcomes)
+        return outcomes[0]
+
+    @given(data=st.data())
+    @settings(FILE_SETTINGS, derandomize=True)
+    def test_matches_row_oracle(self, tmp_path, data):
+        rows = data.draw(date_major_history())
+        path = write(tmp_path, "history.csv", csv_text(data.draw, HISTORY_HEADER, rows))
+        assert self.loads(path) == outcome(oracle_load_history, path)
+
+    def test_padded_keys_that_join_are_grouped(self, tmp_path):
+        # both strides hold X vds once stripped, so each day repeats
+        path = write(tmp_path, "history.csv", "date,token,metric,value\n2024-01-01,X,vds,1\n"
+                     "2024-01-01, X,vds ,2\n2024-01-02,X,vds,3\n2024-01-02, X,vds ,4\n")
+        assert self.loads(path) == outcome(oracle_load_history, path)
+        assert "line 3, column 'date': duplicate row for token 'X', vds" in self.loads(path)[1]
+
+    @given(data=st.data())
+    @settings(FILE_SETTINGS, derandomize=True)
+    def test_shuffled_rows_load_to_equal_series(self, tmp_path, data):
+        rows = data.draw(date_major_history(mutate=False))
+        shuffled = data.draw(st.permutations(rows))
+        major = write(tmp_path, "major.csv", "\n".join(map(",".join, [HISTORY_HEADER, *rows])))
+        mixed = write(tmp_path, "mixed.csv", "\n".join(map(",".join, [HISTORY_HEADER, *shuffled])))
+        assert self.loads(major) == self.loads(mixed) == outcome(oracle_load_history, major)
+
+
 class TestHistoryLoaderMemory:
     """A history repeats each date, token and metric on many rows; the
     loader holds one text of each and one ``date`` per day."""
@@ -1067,6 +1145,21 @@ class TestHistoryLoaderMemory:
                 tracemalloc.stop()
         assert len(series) == 36
         assert peak < 10 * history.stat().st_size
+
+    def test_date_major_file_builds_no_row_index(self, history, monkeypatch):
+        calls = []
+
+        def spy(keys):
+            calls.append(1)
+            return indices_by_key(keys)
+
+        indices_by_key = ingest._indices_by_key
+        monkeypatch.setattr(ingest, "_indices_by_key", spy)
+        assert len(load_history_csv(history)) == 36 and calls == []
+        lines = history.read_text().splitlines()
+        lines[1:] = random.Random(0).sample(lines[1:], len(lines) - 1)
+        shuffled = write(history.parent, "shuffled.csv", "\n".join(lines))
+        assert load_history_csv(shuffled) == load_history_csv(history) and calls == [1]
 
     def test_each_day_is_one_date_object(self, history):
         series = load_history_csv(history)

@@ -37,15 +37,25 @@ def flag_on_day(day_index, metric, token="X", value=1.0):
     return WarningFlag(token, metric, DAY0 + timedelta(days=day_index), value, 1.0)
 
 
-def brute_force_flag_days(values, window, threshold):
-    """Independent rank computation per window."""
+def brute_force_flags(values, window, threshold):
+    """Independent rank computation per window: the flags of ``series(values)``."""
     out = []
     for t in range(window - 1, len(values)):
         trailing = values[t - window + 1 : t + 1]
         percentile = sum(1 for v in trailing if v < values[t]) / window
         if percentile >= threshold:
-            out.append(t)
+            out.append(WarningFlag("X", Metric.VDS, DAY0 + timedelta(days=t), values[t], percentile))
     return out
+
+
+def exactly(flags):
+    """Flags as tuples whose floats compare by ``repr``, so -0.0 is not 0.0."""
+    return [(f.token_id, f.metric, f.date, repr(f.value), repr(f.window_percentile)) for f in flags]
+
+
+def assert_flags_match_brute_force(values, window, threshold):
+    assert exactly(rolling_flags(series(values), window, threshold)) == exactly(
+        brute_force_flags(values, window, threshold))
 
 
 class TestScoreSeries:
@@ -78,10 +88,8 @@ class TestRollingFlags:
 
     def test_one_to_twenty_matches_brute_force(self):
         values = [float(i) for i in range(1, 21)]
-        expected = brute_force_flag_days(values, 10, 0.9)
-        flags = rolling_flags(series(values), 10, 0.9)
-        assert [(f.date - DAY0).days for f in flags] == expected
-        assert expected == list(range(9, 20))
+        assert_flags_match_brute_force(values, 10, 0.9)
+        assert [(f.date - DAY0).days for f in brute_force_flags(values, 10, 0.9)] == list(range(9, 20))
 
     def test_no_flags_before_full_window(self):
         flags = rolling_flags(series([1.0, 2.0, 3.0]), 10, 0.9)
@@ -102,9 +110,41 @@ class TestRollingFlags:
             window = rng.randint(2, min(n, 30))
             threshold = rng.choice([0.5, 0.75, 0.9, 0.95])
             values = [rng.choice([0.0, 1.0, 2.0, rng.random() * 5]) for _ in range(n)]
-            expected = brute_force_flag_days(values, window, threshold)
-            got = [(f.date - DAY0).days for f in rolling_flags(series(values), window, threshold)]
-            assert got == expected
+            assert_flags_match_brute_force(values, window, threshold)
+
+    @pytest.mark.parametrize("values", [
+        [float(i) for i in range(1, 12)], [3.0, 1.0, 2.0, 5.0, 4.0, 6.0], [0.0, -0.0, 1.0, 2.0],
+    ], ids=["increasing", "mixed", "zeros"])
+    def test_a_threshold_above_every_percentile_never_flags(self, values):
+        # the least b with b / 2 >= 0.999 is 2, more than the one previous value
+        assert_flags_match_brute_force(values, 2, 0.999)
+        assert rolling_flags(series(values), 2, 0.999) == []
+
+    def test_thresholds_on_the_percentile_grid_match_brute_force(self):
+        # threshold == b / window exactly: the flag test is the same float comparison
+        rng = random.Random(5)
+        for window in range(2, 13):
+            values = [rng.choice([0.0, 1.0, 2.0, 3.0, rng.random()]) for _ in range(40)]
+            for b in range(1, window):
+                assert_flags_match_brute_force(values, window, b / window)
+
+    def test_ties_and_signed_zeros_match_brute_force(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            values = [rng.choice([0.0, -0.0, 1.0, -0.0, 1.0, 2.0]) for _ in range(rng.randint(2, 30))]
+            window = rng.randint(2, 8)
+            for threshold in (1 / 3, 0.5, 0.75, 0.999):
+                assert_flags_match_brute_force(values, window, threshold)
+
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 7.25]) | st.floats(0, 10),
+                 max_size=40),
+        st.integers(2, 12),
+        st.sampled_from([0.5, 0.9, 0.999, 1 / 3, 2 / 3]) | st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_whole_flags_match_brute_force(self, values, window, threshold):
+        assert_flags_match_brute_force(values, window, threshold)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=10, allow_nan=False), min_size=4, max_size=40),
