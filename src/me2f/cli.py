@@ -29,7 +29,7 @@ import sys
 from collections import defaultdict
 from dataclasses import astuple, fields
 from datetime import date as Date
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -70,11 +70,15 @@ _NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 # indentation fixed; scalars are encoded by type, as ``json`` encodes them.
 # A score token is filled in by one ``%`` on the template of its shape (its
 # role kind, and which of its volatility, concentration, fgi and window are
-# present), composed once from the object templates: at most 32 templates, one
-# ``_encode`` of all the token's scalars, and the tokens joined once into the
-# report's text. A warn array (flags, joint events, buckets) is rendered whole:
-# one ``_encode`` of all its items' scalars, one more of all their metrics
-# lists' items, and one ``%`` on its object template repeated once per item.
+# present), composed once from the object templates: at most 32 templates, and
+# one ``_encode`` of all the token's scalars. A warn array (flags, joint
+# events, buckets) is rendered ``_BATCH`` items at a time: one ``_encode`` of
+# all their scalars, one more of all their metrics lists' items, and one ``%``
+# on the object template repeated once per item. Each writer yields its file's
+# text in pieces, in order: report.json ``_BATCH`` tokens at a time, and
+# warnings.json one value, or one batch of an array, at a time.
+# ``ingest.write_files`` writes the pieces as they come, so no whole text of
+# either file is built.
 
 def _unencodable(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -263,26 +267,39 @@ def _token_json(t: dict) -> str:
     return _token_template(role_object, *(s is not None for s in sections)) % tuple(texts)
 
 
-def _score_json(doc: dict) -> str:
+_BATCH = 64  # items of an array at nesting 1 (score tokens, warn objects) rendered at a time
+_OPENING, _SEPARATOR, _CLOSING = _brackets(1)
+
+
+def _pieces(items: list, render) -> Iterator[str]:
+    """An array at nesting 1 of ``items``, in pieces: between its brackets,
+    ``render`` of each ``_BATCH`` items in turn, which joins them with
+    ``_SEPARATOR``."""
+    if not items:
+        yield "[]"
+        return
+    for start in range(0, len(items), _BATCH):
+        yield _SEPARATOR if start else _OPENING
+        yield render(items[start:start + _BATCH])
+    yield _CLOSING
+
+
+def _tokens_json(tokens: list[dict]) -> str:
+    return _SEPARATOR.join(map(_token_json, tokens))
+
+
+def _score_json(doc: dict) -> Iterator[str]:
     head, tail = _SCORE.split("tokens")
-    head %= (_SCORE_PARAMS.scalars(doc["params"]), _REPORT_WINDOW.scalars(doc["window"]))
-    tail = tail % _strings(doc["warnings"], 1) + "\n"
-    tokens = [_token_json(t) for t in doc["tokens"]]
-    if not tokens:
-        return head + "[]" + tail
-    opening, separator, closing = _brackets(1)
-    tokens[0] = head + opening + tokens[0]
-    tokens[-1] += closing + tail
-    return separator.join(tokens)
+    yield head % (_SCORE_PARAMS.scalars(doc["params"]), _REPORT_WINDOW.scalars(doc["window"]))
+    yield from _pieces(doc["tokens"], _tokens_json)
+    yield tail % _strings(doc["warnings"], 1) + "\n"
 
 
 def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
-    """An array at nesting 1 of ``obj`` items: one ``_encode`` of all their
-    scalars, gathered in key order, and one ``%`` on ``obj``'s template
-    repeated once per item. The string arrays under key ``listed`` get one
-    more ``_encode`` of all their items, then each is cut back by its length."""
-    if not items:
-        return "[]"
+    """``obj`` items at nesting 2, joined with ``_SEPARATOR``: one ``_encode`` of
+    all their scalars, gathered in key order, and one ``%`` on ``obj``'s
+    template repeated once per item. The string arrays under key ``listed`` get
+    one more ``_encode`` of all their items, then each is cut back by its length."""
     width = len(obj.keys)
     values = list(chain.from_iterable(map(obj.values, items)))
     if listed is not None:
@@ -295,28 +312,36 @@ def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
         opening, separator, closing = _brackets(3)
         texts[at::width] = [opening + separator.join(islice(strings, n)) + closing if n else "[]"
                             for n in map(len, lists)]
-    opening, separator, closing = _brackets(1)
-    return opening + (separator.join(repeat(obj.template, len(items))) % tuple(texts)) + closing
+    return _SEPARATOR.join(repeat(obj.template, len(items))) % tuple(texts)
 
 
-def _warn_json(doc: dict) -> str:
-    return (_WARN.template + "\n") % (
-        _WARN_PARAMS.scalars(doc["params"]),
-        _strings(doc["warnings"], 1),
-        _objects(_FLAG, doc["flags"]),
-        _objects(_JOINT_EVENT, doc["joint_events"], "metrics"),
-        _objects(_BUCKET, doc["buckets"], "metrics"),
-    )
+_WARN_LITERALS = (_WARN.template + "\n").split("%s")  # the text around its five values
+_WARN_PARTS = (  # the pieces of each value, in the order of ``_WARN.keys``
+    lambda params: (_WARN_PARAMS.scalars(params),),
+    lambda warnings: (_strings(warnings, 1),),
+    lambda flags: _pieces(flags, partial(_objects, _FLAG)),
+    lambda events: _pieces(events, partial(_objects, _JOINT_EVENT, listed="metrics")),
+    lambda buckets: _pieces(buckets, partial(_objects, _BUCKET, listed="metrics")),
+)
+
+
+def _warn_json(doc: dict) -> Iterator[str]:
+    for literal, pieces, value in zip(_WARN_LITERALS, _WARN_PARTS, doc.values()):
+        yield literal
+        yield from pieces(value)
+    yield _WARN_LITERALS[-1]
 
 
 _WRITERS = {_SCORE.keys: _score_json, _WARN.keys: _warn_json}
 
 
-def _dumps(doc: dict) -> str:
-    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, plus a newline.
+def _dumps(doc: dict) -> Iterator[str]:
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, plus a newline, as
+    text pieces in order: their concatenation is that text.
 
     ``doc`` is a ``score`` or a ``warn`` document, told apart by its
-    top-level keys.
+    top-level keys; any other raises ``TypeError`` here, while an unencodable
+    value raises it as its piece is made.
     """
     writer = _WRITERS.get(tuple(doc))
     if writer is None:
@@ -499,7 +524,8 @@ def score(universe_path, out_dir, formats, **overrides):
         params = FrameworkParams(**{name: v for name, v in overrides.items() if v is not None})
         # One copy of the report at a time: each stage's input is dropped once its
         # last reader is done (the report's tokens hold their inputs, so no local
-        # keeps load_universe's result), and the document goes before the write.
+        # keeps load_universe's result). The document lives on in report.json's
+        # pieces, which are rendered as they are written.
         report = scoring.score_universe(
             scoring.build_context(ingest.load_universe(universe_path, params), params))
         table = report_table(report) if "table" in wanted else None
@@ -657,7 +683,7 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                           [_NAMES[m] for m in b.metrics]) for b in buckets],
         )
         # as in score, one copy at a time: the stages' objects go once the document
-        # holds them, and the document once it is rendered
+        # holds them, and the document is rendered as it is written
         summary = f"{len(flags)} flag(s), {len(events)} joint event(s)"
         del flags, events, buckets
         files = {"warnings.json": _dumps(doc)}

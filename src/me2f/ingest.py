@@ -489,15 +489,16 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
 _WRITE_SLICE = 1 << 16  # characters of a text encoded and written at a time
 
 
-def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> Path:
+def write_files(directory: str | Path, files: Mapping[str, str | Iterable[str]], what: str) -> Path:
     """Write ``files`` (name: text) into ``directory``, made where missing, as UTF-8
-    bytes; the directory. The one output rule: each text goes to a temporary name and
-    all are renamed into place once all are written, so a failure, a ConfigError
-    naming ``what`` and the path, leaves the old files and no temporary one; any
-    other exception, an interrupt too, leaves them the same and goes on unchanged.
-    A text is encoded and written ``_WRITE_SLICE`` characters at a time, so no UTF-8
-    copy of a whole text is made beside it; a slice of code points never splits a
-    character's bytes."""
+    bytes; the directory. A text is a ``str`` or an iterable of ``str`` pieces, written
+    as they come, so a generator renders its file as it is written. The one output
+    rule: each text goes to a temporary name and all are renamed into place once all
+    are written, so a failure, a ConfigError naming ``what`` and the path, leaves the
+    old files and no temporary one; any other exception, from a piece's generator or
+    an interrupt too, leaves them the same and goes on unchanged. A piece is encoded
+    and written ``_WRITE_SLICE`` characters at a time, so no UTF-8 copy of a whole
+    text is made beside it; a slice of code points never splits a character's bytes."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -509,8 +510,9 @@ def write_files(directory: str | Path, files: Mapping[str, str], what: str) -> P
             if target.is_dir():  # else renaming onto it would fail after others were renamed
                 raise IsADirectoryError("Is a directory")
             with temporary.open("wb") as file:
-                for start in range(0, len(text), _WRITE_SLICE):
-                    file.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
+                for piece in (text,) if isinstance(text, str) else text:
+                    for start in range(0, len(piece), _WRITE_SLICE):
+                        file.write(piece[start:start + _WRITE_SLICE].encode("utf-8"))
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
     except BaseException as exc:  # an interrupt too leaves no temporary file

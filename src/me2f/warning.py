@@ -101,9 +101,11 @@ def rolling_flags(
         raise WindowTooShort(f"window_days={window_days} must be >= 2")
     if not 0 < threshold < 1:
         raise ConfigError(f"threshold={threshold} must be in (0, 1)")
-    need = bisect_left(range(window_days + 1), threshold, key=lambda b: b / window_days)
     values, dates = series.value, series.dates
     flags: list[WarningFlag] = []
+    if window_days > len(values):  # no full window fills, however large window_days is
+        return flags
+    need = bisect_left(range(window_days + 1), threshold, key=lambda b: b / window_days)
     if need >= window_days:  # never: the window holds window_days - 1 previous values
         return flags
     window = sorted(values[:window_days - 1])  # the previous values, ascending

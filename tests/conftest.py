@@ -4,6 +4,7 @@ garbage collector on."""
 from __future__ import annotations
 
 import gc
+import random
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -72,6 +73,44 @@ def random_series(rng, token_id: str, n_bars: int | None = None) -> TokenSeries:
         price = close
         day += timedelta(days=rng.randint(1, 3))
     return TokenSeries(token_id, tuple(bars))
+
+
+def write_tables_universe(directory: Path, tokens: int, seed: int = 0) -> Path:
+    """A universe given only as volatility and FGI summary tables, one random row
+    of each per token, every fifth token hosted on the standalone token before
+    it; the universe file."""
+    rng = random.Random(seed)
+    ids = [f"T{i:05d}" for i in range(tokens)]
+    vol = ["token,avg_vol_pct,max_vol_pct,max_volume_busd,max_mcap_busd,chain_role,base"]
+    fgi = ["token,f_bar,f_max,f_min,q_g_pct,q_f_pct,delta_f_max,delta_p_max_pct"]
+    for i, tid in enumerate(ids):
+        avg, volume = rng.uniform(1.0, 20.0), rng.uniform(0.01, 100.0)
+        role = f"hosted,{ids[i - 1]}" if i % 5 == 4 else "standalone,"
+        vol.append(f"{tid},{avg:.2f},{avg * rng.uniform(2.0, 8.0):.2f},{volume:.6g},"
+                   f"{volume * rng.uniform(0.5, 20.0):.6g},{role}")
+        f_min, f_max = rng.uniform(0.0, 30.0), rng.uniform(70.0, 100.0)
+        fgi.append(f"{tid},{rng.uniform(f_min, f_max):.2f},{f_max:.2f},{f_min:.2f},"
+                   f"{rng.uniform(0.0, 3.0):.2f},{rng.uniform(0.0, 3.0):.2f},"
+                   f"{rng.uniform(10.0, 70.0):.2f},{rng.uniform(1.0, 40.0):.2f}")
+    for name, lines in (("volatility.csv", vol), ("fgi.csv", fgi)):
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    universe = directory / "universe.json"
+    universe.write_text('{"volatility_table": "volatility.csv", "fgi_table": "fgi.csv"}\n',
+                        encoding="utf-8")
+    return universe
+
+
+def write_date_major_history(path: Path, tokens: int, days: int, seed: int = 0) -> Path:
+    """A score history of ``tokens`` tokens x 3 metrics x ``days`` days of random
+    values, date-major, as the benchmark writes it; ``path``."""
+    rng = random.Random(seed)
+    lines = ["date,token,metric,value"]
+    for d in range(days):
+        day = date(2019, 1, 1) + timedelta(days=d)
+        lines += [f"{day},H{t:02d},{m},{rng.uniform(0.01, 2.0):.6f}"
+                  for t in range(tokens) for m in ("vds", "wds", "sas")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 # --- remote fetch ----------------------------------------------------------

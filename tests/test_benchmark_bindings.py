@@ -4,8 +4,10 @@
 on the ``me2f`` module that defines it. A missing name makes every traced
 benchmark operation fail, so this checks the map against the package
 without running the benchmark. The benchmark's self-test replaces
-``cli._dumps`` to prove that a corrupted report is caught; that proof holds
-only while ``score`` and ``warn`` write exactly what ``_dumps`` returns.
+``cli._dumps`` with a function that returns one ``str`` to prove that a
+corrupted report is caught; that proof holds only while ``score`` and
+``warn`` write exactly the concatenation of the pieces ``_dumps`` returns,
+where a ``str`` is one piece.
 """
 from __future__ import annotations
 
@@ -48,13 +50,14 @@ def test_every_traced_name_is_a_callable_on_its_module(monkeypatch):
 SENTINEL = "what _dumps returned\n"
 
 
-def sentinel_dumps(monkeypatch) -> list[dict]:
-    """Make ``cli._dumps`` return ``SENTINEL``; the documents it is given."""
+def sentinel_dumps(monkeypatch, pieces: bool = False) -> list[dict]:
+    """Make ``cli._dumps`` return ``SENTINEL``, whole or in pieces; the
+    documents it is given."""
     docs = []
 
     def dumps(doc):
         docs.append(doc)
-        return SENTINEL
+        return iter(SENTINEL.partition("_dumps")) if pieces else SENTINEL
 
     monkeypatch.setattr(cli, "_dumps", dumps)
     return docs
@@ -84,3 +87,11 @@ def test_warn_writes_exactly_what_dumps_returns(monkeypatch, tmp_path):
     assert [list(doc) for doc in docs] == [["params", "warnings", "flags", "joint_events",
                                             "buckets"]]
     assert docs[0]["flags"]
+
+
+def test_score_writes_the_pieces_that_dumps_returns_joined(monkeypatch, tmp_path):
+    sentinel_dumps(monkeypatch, pieces=True)
+    result = CliRunner().invoke(cli.main, ["score", "--universe", str(REFERENCE_DIR / "universe.json"),
+                                           "--out", str(tmp_path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "report.json").read_bytes() == SENTINEL.encode()

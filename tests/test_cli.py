@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from itertools import count, product
@@ -28,6 +29,8 @@ from conftest import (
     REFERENCE_DIR,
     FakeSession,
     random_series,
+    write_date_major_history,
+    write_tables_universe,
 )
 import me2f
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
@@ -279,6 +282,16 @@ class TestWarn:
         buckets = {b["date"]: b["bucket"] for b in doc["buckets"]}
         assert buckets[event["date"]] == "tighten_risk"
 
+    @pytest.mark.parametrize("window", [2**63 - 2, 2**63 - 1, 2**63])
+    def test_a_window_beyond_every_series_exits_0_with_no_flags(self, tmp_path, window):
+        hist = tmp_path / "h.csv"
+        write_history(hist, [float(i) for i in range(1, 121)])
+        out = tmp_path / "w"
+        result = run("warn", "--history", hist, "--window", window, "--out", out)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == f"0 flag(s), 0 joint event(s) -> {out / 'warnings.json'}\n"
+        assert json.loads((out / "warnings.json").read_text())["params"]["window_days"] == window
+
     def test_no_inputs_exits_2(self, tmp_path):
         result = run("warn", "--out", tmp_path / "w")
         assert result.exit_code == 2
@@ -471,8 +484,9 @@ class TestCollectorPolicy:
 
 
 class TestOneCopyOfTheReport:
-    """``score`` drops the report before rendering report.json and the
-    document before writing, so no two of them are alive at once."""
+    """``score`` drops the report before rendering report.json, and the
+    document lives only until report.json, rendered as it is written, is
+    written, so no two of them are alive at once."""
 
     @pytest.mark.parametrize("formats", ["json,table", "json,table,chart"])
     def test_each_stage_frees_what_it_was_made_from(self, tmp_path, monkeypatch, formats):
@@ -495,7 +509,9 @@ class TestOneCopyOfTheReport:
 
         def write_probe(*args):
             seen["write_files"] = alive()
-            return write_files(*args)
+            out = write_files(*args)
+            seen["written"] = alive()
+            return out
 
         monkeypatch.setattr(cli, "_dumps", dumps_probe)
         monkeypatch.setattr(ingest, "write_files", write_probe)
@@ -505,12 +521,16 @@ class TestOneCopyOfTheReport:
                       "--format", formats, "--out", tmp_path) == 0
         assert seen["_dumps"]["reports"] == before["reports"]
         assert seen["_dumps"]["token dicts"] > before["token dicts"]  # the document it renders
-        assert seen["write_files"] == before
+        assert seen["write_files"]["reports"] == before["reports"]
+        # report.json's pieces are rendered from the document as they are written
+        assert seen["write_files"]["token dicts"] == seen["_dumps"]["token dicts"]
+        assert seen["written"] == before
 
 
 class TestWarnHoldsOneCopy:
     """``warn`` drops each series once it is flagged, the flags, events and
-    buckets once the document holds them, and the document before writing."""
+    buckets once the document holds them, and the document once
+    warnings.json, rendered as it is written, is written."""
 
     def test_each_stage_frees_what_it_was_made_from(self, tmp_path, monkeypatch, capsys):
         from me2f import cli, ingest, warning
@@ -533,7 +553,9 @@ class TestWarnHoldsOneCopy:
 
         def write_probe(*args):
             seen["write_files"] = alive()
-            return write_files(*args)
+            out = write_files(*args)
+            seen["written"] = alive()
+            return out
 
         monkeypatch.setattr(cli, "_dumps", dumps_probe)
         monkeypatch.setattr(ingest, "write_files", write_probe)
@@ -542,11 +564,62 @@ class TestWarnHoldsOneCopy:
         assert invoke(*GOLDEN_WARN, "--out", tmp_path) == 0
         assert seen["_dumps"]["stage objects"] == before["stage objects"]
         assert seen["_dumps"]["flag dicts"] > before["flag dicts"]  # the document it renders
-        assert seen["write_files"]["flag dicts"] == before["flag dicts"]
+        assert seen["write_files"]["stage objects"] == before["stage objects"]
+        # warnings.json's pieces are rendered from the document as they are written
+        assert seen["write_files"]["flag dicts"] == seen["_dumps"]["flag dicts"]
+        assert seen["written"] == before
         golden = json.loads((GOLDEN_DIR / "warn" / "warnings.json").read_text(encoding="utf-8"))
         assert capsys.readouterr().err == (
             f"{len(golden['flags'])} flag(s), {len(golden['joint_events'])} joint event(s) "
             f"-> {tmp_path / 'warnings.json'}\n")
+
+
+class TestOutputsAreRenderedAsTheyAreWritten:
+    """No whole text of report.json or warnings.json is built: from entering
+    ``_dumps`` to ``write_files`` returning, the traced peak stays under half
+    of the written file. A writer that builds the text first holds it at
+    least twice, as its parts and as their join."""
+
+    def traced_peak(self, monkeypatch, *command) -> int:
+        from me2f import cli, ingest
+
+        seen, dumps, write_files = {}, cli._dumps, ingest.write_files
+
+        def dumps_probe(doc):
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            return dumps(doc)
+
+        def write_probe(*args):
+            out = write_files(*args)
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+            return out
+
+        monkeypatch.setattr(cli, "_dumps", dumps_probe)
+        monkeypatch.setattr(ingest, "write_files", write_probe)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            assert invoke(*command) == 0
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return seen["peak"]
+
+    def test_score_on_2000_table_tokens(self, tmp_path, monkeypatch):
+        universe = write_tables_universe(tmp_path, 2000)
+        out = tmp_path / "out"
+        peak = self.traced_peak(monkeypatch, "score", "--universe", universe, "--format", "json",
+                                "--out", out)
+        assert peak < (out / "report.json").stat().st_size / 2
+
+    def test_warn_on_a_300_day_history(self, tmp_path, monkeypatch):
+        history = write_date_major_history(tmp_path / "history.csv", 12, 300)
+        out = tmp_path / "out"
+        peak = self.traced_peak(monkeypatch, "warn", "--history", history, "--window", 30,
+                                "--threshold", 0.9, "--out", out)
+        assert peak < (out / "warnings.json").stat().st_size / 2
 
 
 class TestBarsCsvRoundTrip:
@@ -1372,12 +1445,17 @@ WARN_CASES = {
 }
 
 
+def dumped(doc: dict) -> str:
+    """The text that ``_dumps`` yields in pieces."""
+    return "".join(_dumps(doc))
+
+
 class TestJsonWriters:
-    """``_dumps`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+    """``_dumps`` yields the text of ``json.dumps(doc, indent=2)`` plus a newline."""
 
     @pytest.mark.parametrize("doc", WARN_CASES.values(), ids=list(WARN_CASES))
     def test_warn_cases_match_json_dumps(self, doc):
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("array", ["flags", "joint_events", "buckets"])
     def test_unencodable_warn_values_raise_jsons_error(self, array):
@@ -1390,17 +1468,17 @@ class TestJsonWriters:
                     kept = holder[at]
                     holder[at] = object()
                     with pytest.raises(TypeError) as ours:
-                        _dumps(doc)
+                        dumped(doc)
                     with pytest.raises(TypeError) as theirs:
                         json.dumps(doc, indent=2)
                     assert str(ours.value) == str(theirs.value)
                     holder[at] = kept
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("shape", TOKEN_SHAPES, ids=SHAPE_IDS)
     def test_every_token_shape_matches_json_dumps(self, shape):
         doc = shaped_report(*shape)
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
         token = doc["tokens"][0]
         nested = [token["role"], token["raw"], *filter(None, token["inputs"].values()),
                   token["window"], token["warnings"]]
@@ -1409,14 +1487,29 @@ class TestJsonWriters:
                 kept = section[key]
                 for value in (math.nan, math.inf, -math.inf):
                     section[key] = value
-                    assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+                    assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
                 section[key] = object()
                 with pytest.raises(TypeError) as ours:
-                    _dumps(doc)
+                    dumped(doc)
                 with pytest.raises(TypeError) as theirs:
                     json.dumps(doc, indent=2)
                 assert str(ours.value) == str(theirs.value)
                 section[key] = kept
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_pieces_of_any_batch_size_join_to_json_dumps(self, monkeypatch, batch):
+        from me2f import cli
+
+        monkeypatch.setattr(cli, "_BATCH", batch)
+        tokens = [{**shaped_report(*shape)["tokens"][0], "id": f"T{i}"}
+                  for i, shape in enumerate(TOKEN_SHAPES)]
+        docs = [{**shaped_report(*TOKEN_SHAPES[0]), "tokens": tokens[:n]}
+                for n in (0, 1, batch, batch + 1, len(tokens))]
+        docs += WARN_CASES.values()
+        docs.append(warn_doc(flags=[(n / 8, 0.9) for n in range(7)], events=EQUAL_METRICS * 2,
+                             buckets=EQUAL_METRICS * 2))
+        for doc in docs:
+            assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
 
     @settings(derandomize=True, max_examples=300)
     @given(doc=SCORE_DOCS | WARN_DOCS)
@@ -1429,7 +1522,7 @@ class TestJsonWriters:
     @example(doc={"params": {"window_days": 90, "threshold": 0.9, "x_days": 3},
                   "warnings": [], "flags": [], "joint_events": [], "buckets": []})
     def test_matches_json_dumps(self, doc):
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_matches_json_dumps_on_a_scored_report(self, reference_inputs):
         # the writers' key lists agree with report_to_dict's, every section present
@@ -1441,7 +1534,7 @@ class TestJsonWriters:
         doge = next(t for t in doc["tokens"] if t["id"] == "DOGE")
         assert doge["window"] and doge["inputs"]["concentration"]
         assert any(t["role"]["kind"] == "hosted" for t in doc["tokens"])
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumped(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_unknown_documents_and_scalars_are_rejected(self):
         with pytest.raises(TypeError, match="no JSON writer"):
@@ -1449,4 +1542,4 @@ class TestJsonWriters:
         doc = {"params": {"window_days": 90, "threshold": 0.9, "x_days": 3}, "warnings": [object()],
                "flags": [], "joint_events": [], "buckets": []}
         with pytest.raises(TypeError, match="object is not JSON serializable"):
-            _dumps(doc)
+            dumped(doc)

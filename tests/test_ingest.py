@@ -68,7 +68,7 @@ from me2f.ingest import (
 from me2f.sentiment import FgiIndicators
 from me2f.volatility import VolatilityAggregate
 from me2f.warning import Metric, ScorePoint, ScoreSeries
-from conftest import REFERENCE_DIR, FakeResponse, FakeSession
+from conftest import REFERENCE_DIR, FakeResponse, FakeSession, write_date_major_history
 
 PARAMS = FrameworkParams()
 
@@ -283,7 +283,7 @@ class InterruptedSecondWrite(FailingSecondWrite):
 
 
 class TestWriteFiles:
-    """A text is encoded and written one slice at a time."""
+    """A text, or each of its pieces, is encoded and written one slice at a time."""
 
     def test_slices_give_the_bytes_of_the_whole_text(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
@@ -291,6 +291,62 @@ class TestWriteFiles:
         write_files(tmp_path, {"t.txt": text}, "--out")
         assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
         assert list(tmp_path.iterdir()) == [tmp_path / "t.txt"]
+
+    def test_pieces_give_the_bytes_of_the_joined_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
+        # multi-byte characters on piece boundaries, and on slice boundaries within a piece
+        pieces = ["Æ", "abcÆ" "—deÆ" "—", "Æ—f", "", "Æ\n—", "—"]
+        write_files(tmp_path, {"t.txt": iter(pieces), "u.txt": pieces}, "--out")
+        for name in ("t.txt", "u.txt"):
+            assert (tmp_path / name).read_bytes() == "".join(pieces).encode("utf-8")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "t.txt", tmp_path / "u.txt"]
+
+    def test_no_pieces_write_an_empty_file(self, tmp_path):
+        (tmp_path / "t.txt").write_text("old\n", encoding="utf-8")
+        write_files(tmp_path, {"t.txt": iter(())}, "--out")
+        assert (tmp_path / "t.txt").read_bytes() == b""
+        assert list(tmp_path.iterdir()) == [tmp_path / "t.txt"]
+
+    @pytest.mark.parametrize("failure", [TypeError("Object of type object is not JSON serializable"),
+                                         KeyboardInterrupt()], ids=["TypeError", "KeyboardInterrupt"])
+    def test_a_piece_generator_that_raises_leaves_the_old_files(self, tmp_path, failure):
+        old = {"report.json": "old json\n", "report.txt": "old table\n"}
+        for name, text in old.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+
+        def pieces():
+            yield "first piece\n"
+            raise failure
+
+        for files in ({"report.json": pieces(), "report.txt": "new table\n"},
+                      {"report.txt": "new table\n", "report.json": pieces()}):
+            with pytest.raises(type(failure)) as raised:
+                write_files(tmp_path, files, "--out")
+            assert raised.value is failure
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)  # no .tmp file
+            assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in old} == old
+
+    def test_an_unencodable_score_exits_4_and_keeps_the_old_report(self, tmp_path, monkeypatch):
+        from me2f import cli
+
+        old = "old json\n"
+        (tmp_path / "report.json").write_text(old, encoding="utf-8")
+        report_to_dict = cli.report_to_dict
+
+        def with_an_unencodable_warning(report):
+            doc = report_to_dict(report)
+            doc["tokens"][-1]["warnings"].append(object())  # after the first tokens' pieces
+            return doc
+
+        monkeypatch.setattr(cli, "report_to_dict", with_an_unencodable_warning)
+        monkeypatch.setattr(cli, "_BATCH", 1)
+        result = CliRunner().invoke(main, ["score", "--universe", str(REFERENCE_DIR / "universe.json"),
+                                           "--out", str(tmp_path), "--format", "json,table"])
+        assert result.exit_code == 4, result.output
+        assert result.stderr == ("internal error: TypeError: "
+                                 "Object of type object is not JSON serializable\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == old
 
     def test_a_refused_second_slice_exits_2_and_keeps_the_old_files(self, tmp_path, monkeypatch):
         out = tmp_path / "o"
@@ -1122,13 +1178,7 @@ class TestHistoryLoaderMemory:
     @pytest.fixture
     def history(self, tmp_path) -> Path:
         """12 tokens x 3 metrics x 300 days, date-major, as the benchmark writes it."""
-        rng = random.Random(0)
-        lines = ["date,token,metric,value"]
-        for d in range(self.DAYS):
-            day = date(2019, 1, 1) + timedelta(days=d)
-            lines += [f"{day},H{t:02d},{m.value},{rng.uniform(0.01, 2.0):.6f}"
-                      for t in range(12) for m in Metric]
-        return write(tmp_path, "history.csv", "\n".join(lines) + "\n")
+        return write_date_major_history(tmp_path / "history.csv", 12, self.DAYS)
 
     def test_traced_peak_stays_under_ten_times_the_file(self, history):
         load_history_csv(history)  # first-use allocations (compiled patterns) are not the loader's

@@ -95,6 +95,12 @@ class TestRollingFlags:
         flags = rolling_flags(series([1.0, 2.0, 3.0]), 10, 0.9)
         assert flags == []
 
+    @pytest.mark.parametrize("window", [4, 2**63 - 1, 2**63, 10**100])
+    def test_a_window_longer_than_the_series_flags_nothing(self, window):
+        assert rolling_flags(series([1.0, 2.0, 3.0]), window, 0.9) == []
+        with pytest.raises(ConfigError):  # the threshold is still checked first
+            rolling_flags(series([1.0, 2.0, 3.0]), window, 1.0)
+
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             rolling_flags(series([1.0, 2.0]), 1, 0.9)
