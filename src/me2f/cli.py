@@ -74,9 +74,10 @@ _NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 # one ``_encode`` of all the token's scalars. A warn array (flags, joint
 # events, buckets) is rendered ``_BATCH`` items at a time: one ``_encode`` of
 # all their scalars, one more of all their metrics lists' items, and one ``%``
-# on the object template repeated once per item. Each writer yields its file's
-# text in pieces, in order: report.json ``_BATCH`` tokens at a time, and
-# warnings.json one value, or one batch of an array, at a time.
+# on the object template repeated once per item. One loop, ``_document``,
+# yields either file's text in pieces, in order: each literal of its top-level
+# template, then the pieces of the next value as ``_DOCUMENTS`` states them, an
+# object of scalars as one piece and an array ``_BATCH`` items at a time.
 # ``ingest.write_files`` writes the pieces as they come, so no whole text of
 # either file is built.
 
@@ -117,17 +118,9 @@ class _Object:
         self.template = ("{\n" + ",\n".join(f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
                          + "\n" + "  " * depth + "}")
 
-    def scalars(self, obj: dict | None) -> str:
-        """``obj`` when every value is a scalar; ``null`` for None."""
-        if obj is None:
-            return "null"
-        return self.template % tuple(_encode(self.values(obj)))
-
-    def split(self, key: str) -> tuple[str, str]:
-        """The template before ``key``'s value and after it."""
-        pieces = self.template.split("%s")
-        at = self.keys.index(key) + 1
-        return "%s".join(pieces[:at]), "%s".join(pieces[at:])
+    def scalars(self, obj: dict | None) -> tuple[str]:
+        """``obj`` as one piece, when every value is a scalar; ``null`` for None."""
+        return ("null" if obj is None else self.template % tuple(_encode(self.values(obj))),)
 
     @cached_property
     def dict(self):
@@ -231,10 +224,6 @@ def _array(texts: list[str], depth: int) -> str:
     return opening + separator.join(texts) + closing
 
 
-def _strings(values: list[str], depth: int) -> str:
-    return _array(_encode(values), depth)
-
-
 @cache
 def _token_template(role: _Object, *present: bool) -> str:
     """A token's template for its shape: ``role``, and which of ``_SECTIONS``
@@ -271,7 +260,7 @@ _BATCH = 64  # items of an array at nesting 1 (score tokens, warn objects) rende
 _OPENING, _SEPARATOR, _CLOSING = _brackets(1)
 
 
-def _pieces(items: list, render) -> Iterator[str]:
+def _pieces(render, items: list) -> Iterator[str]:
     """An array at nesting 1 of ``items``, in pieces: between its brackets,
     ``render`` of each ``_BATCH`` items in turn, which joins them with
     ``_SEPARATOR``."""
@@ -288,11 +277,8 @@ def _tokens_json(tokens: list[dict]) -> str:
     return _SEPARATOR.join(map(_token_json, tokens))
 
 
-def _score_json(doc: dict) -> Iterator[str]:
-    head, tail = _SCORE.split("tokens")
-    yield head % (_SCORE_PARAMS.scalars(doc["params"]), _REPORT_WINDOW.scalars(doc["window"]))
-    yield from _pieces(doc["tokens"], _tokens_json)
-    yield tail % _strings(doc["warnings"], 1) + "\n"
+def _strings_json(strings: list[str]) -> str:
+    return _SEPARATOR.join(_encode(strings))
 
 
 def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
@@ -315,24 +301,24 @@ def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
     return _SEPARATOR.join(repeat(obj.template, len(items))) % tuple(texts)
 
 
-_WARN_LITERALS = (_WARN.template + "\n").split("%s")  # the text around its five values
-_WARN_PARTS = (  # the pieces of each value, in the order of ``_WARN.keys``
-    lambda params: (_WARN_PARAMS.scalars(params),),
-    lambda warnings: (_strings(warnings, 1),),
-    lambda flags: _pieces(flags, partial(_objects, _FLAG)),
-    lambda events: _pieces(events, partial(_objects, _JOINT_EVENT, listed="metrics")),
-    lambda buckets: _pieces(buckets, partial(_objects, _BUCKET, listed="metrics")),
-)
+_DOCUMENTS = {  # by top-level keys: the document's object, and each value's pieces in key order
+    _SCORE.keys: (_SCORE, (_SCORE_PARAMS.scalars, _REPORT_WINDOW.scalars, partial(_pieces, _tokens_json),
+                           partial(_pieces, _strings_json))),
+    _WARN.keys: (_WARN, (_WARN_PARAMS.scalars, partial(_pieces, _strings_json),
+                         partial(_pieces, partial(_objects, _FLAG)),
+                         partial(_pieces, partial(_objects, _JOINT_EVENT, listed="metrics")),
+                         partial(_pieces, partial(_objects, _BUCKET, listed="metrics")))),
+}
 
 
-def _warn_json(doc: dict) -> Iterator[str]:
-    for literal, pieces, value in zip(_WARN_LITERALS, _WARN_PARTS, doc.values()):
+def _document(obj: _Object, parts: tuple, doc: dict) -> Iterator[str]:
+    """``doc`` in pieces: the literals of ``obj``'s template, each followed by
+    the pieces of the next value."""
+    literals = (obj.template + "\n").split("%s")
+    for literal, pieces, value in zip(literals, parts, doc.values()):
         yield literal
         yield from pieces(value)
-    yield _WARN_LITERALS[-1]
-
-
-_WRITERS = {_SCORE.keys: _score_json, _WARN.keys: _warn_json}
+    yield literals[-1]
 
 
 def _dumps(doc: dict) -> Iterator[str]:
@@ -343,10 +329,10 @@ def _dumps(doc: dict) -> Iterator[str]:
     top-level keys; any other raises ``TypeError`` here, while an unencodable
     value raises it as its piece is made.
     """
-    writer = _WRITERS.get(tuple(doc))
-    if writer is None:
+    document = _DOCUMENTS.get(tuple(doc))
+    if document is None:
         raise TypeError(f"no JSON writer for a document with keys {list(doc)}")
-    return writer(doc)
+    return _document(*document, doc)
 
 
 def bars_to_csv(series: TokenSeries) -> str:
@@ -683,7 +669,8 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
                           [_NAMES[m] for m in b.metrics]) for b in buckets],
         )
         # as in score, one copy at a time: the stages' objects go once the document
-        # holds them, and the document is rendered as it is written
+        # holds them, and the document, rendered as it is written, goes with its
+        # last piece (before the rename), since only the pieces' generator holds it
         summary = f"{len(flags)} flag(s), {len(events)} joint event(s)"
         del flags, events, buckets
         files = {"warnings.json": _dumps(doc)}
@@ -729,6 +716,8 @@ def fetch(provider_path, token_id, start_raw, end_raw, cache_dir, out_path):
             start, end = ingest.iso_days([start_raw, end_raw])
         except ValueError:
             raise ConfigError(f"--start {start_raw!r} and --end {end_raw!r} must be YYYY-MM-DD") from None
+        if end < start:  # before --out makes any directory; fetch_daily checks it for library callers
+            raise ConfigError(f"date range {start}..{end} is inverted")
         provider = ingest.load_provider_config(provider_path)
         ingest._check_cache_name("token", token_id)  # before --out makes any directory
         if out_path:  # before any request

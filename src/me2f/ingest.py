@@ -60,7 +60,7 @@ from .errors import (
 )
 from .scoring import TokenInputs
 from .sentiment import FgiIndicators
-from .volatility import VolatilityAggregate
+from .volatility import VolatilityAggregate, in_scale_units
 from .warning import Metric, ScoreSeries
 
 BARS_HEADER = ["date", "high", "low", "close", "volume_usd", "market_cap_usd"]
@@ -486,9 +486,6 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     return _located(path, numbers, columns, parse)
 
 
-_WRITE_SLICE = 1 << 16  # characters of a text encoded and written at a time
-
-
 def write_files(directory: str | Path, files: Mapping[str, str | Iterable[str]], what: str) -> Path:
     """Write ``files`` (name: text) into ``directory``, made where missing, as UTF-8
     bytes; the directory. A text is a ``str`` or an iterable of ``str`` pieces, written
@@ -496,9 +493,8 @@ def write_files(directory: str | Path, files: Mapping[str, str | Iterable[str]],
     rule: each text goes to a temporary name and all are renamed into place once all
     are written, so a failure, a ConfigError naming ``what`` and the path, leaves the
     old files and no temporary one; any other exception, from a piece's generator or
-    an interrupt too, leaves them the same and goes on unchanged. A piece is encoded
-    and written ``_WRITE_SLICE`` characters at a time, so no UTF-8 copy of a whole
-    text is made beside it; a slice of code points never splits a character's bytes."""
+    an interrupt too, leaves them the same and goes on unchanged. Each piece is
+    encoded and written whole."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -511,8 +507,7 @@ def write_files(directory: str | Path, files: Mapping[str, str | Iterable[str]],
                 raise IsADirectoryError("Is a directory")
             with temporary.open("wb") as file:
                 for piece in (text,) if isinstance(text, str) else text:
-                    for start in range(0, len(piece), _WRITE_SLICE):
-                        file.write(piece[start:start + _WRITE_SLICE].encode("utf-8"))
+                    file.write(piece.encode("utf-8"))
         for target, temporary in temporaries.items():
             os.replace(temporary, target)
     except BaseException as exc:  # an interrupt too leaves no temporary file
@@ -610,8 +605,9 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
     if params.scale_unit != _BUSD:  # table sizes into the unit that bar sizes are divided by
-        vol_table = {tid: (replace(agg, max_volume=agg.max_volume * _BUSD / params.scale_unit,
-                                   max_mcap=agg.max_mcap * _BUSD / params.scale_unit), role)
+        vol_table = {tid: (replace(agg, **{size: in_scale_units(tid, size, getattr(agg, size) * _BUSD,
+                                                                params.scale_unit)
+                                           for size in ("max_volume", "max_mcap")}), role)
                      for tid, (agg, role) in vol_table.items()}
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)
     roles = {tid: role for tid, (_, role) in vol_table.items()} | entry_roles

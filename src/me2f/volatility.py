@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 
 from .domain import ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, finite_in
 from .errors import (
+    ConfigError,
     DegenerateUniverse,
     InsufficientHistory,
     InvalidSummary,
@@ -65,6 +66,16 @@ def daily_range_volatility(bar: DailyBar, prev_close: float) -> float:
     return (bar.high - bar.low) / prev_close
 
 
+def in_scale_units(token_id: str, name: str, usd: float, scale_unit: float) -> float:
+    """``usd`` divided into ``scale_unit``s; a quotient past the float range is
+    the unit's fault, not the data's, so it raises ConfigError naming both."""
+    size = usd / scale_unit
+    if math.isinf(size):
+        raise ConfigError(f"{token_id}: {name} of {usd!r} USD overflows in units of "
+                          f"scale_unit={scale_unit!r}")
+    return size
+
+
 def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggregate:
     """Summarize a bar series into average/max volatility and peak scale.
 
@@ -88,8 +99,8 @@ def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggrega
         token_id=series.token_id,
         avg_vol=total / len(vols),
         max_vol=max(vols),
-        max_volume=max(series.volume_usd) / scale_unit,
-        max_mcap=max(series.market_cap_usd) / scale_unit,
+        max_volume=in_scale_units(series.token_id, "max_volume", max(series.volume_usd), scale_unit),
+        max_mcap=in_scale_units(series.token_id, "max_mcap", max(series.market_cap_usd), scale_unit),
     )
 
 

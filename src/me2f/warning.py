@@ -118,15 +118,30 @@ def rolling_flags(
     return flags
 
 
-def _flag_days(flags: Sequence[WarningFlag]) -> list[int]:
-    """Sorted distinct flag dates as day ordinals."""
-    return sorted({f.date.toordinal() for f in flags})
+# each metric pair (i < j in _METRICS, and as metrics), in the order events sort in: by value
+_PAIRS = sorted(((i, j, (_METRICS[i], _METRICS[j])) for i, j in combinations(range(len(_METRICS)), 2)),
+                key=lambda pair: [m.value for m in pair[2]])
 
 
-def _flagged_within(days: list[int], d: int, x_days: int) -> bool:
-    """Whether the sorted ordinals ``days`` hold a day in [d - x_days, d]."""
-    i = bisect_left(days, d - x_days)
-    return i < len(days) and days[i] <= d
+def _sweep(flags_by_metric: Mapping[Metric, Sequence[WarningFlag]],
+           x_days: int) -> tuple[list[set[int]], list[int], list[int]]:
+    """Each metric's flag days as a set of day ordinals, in ``_METRICS`` order;
+    all of them merged in ascending order; and per merged day d, a mask with bit
+    j set when ``_METRICS[j]`` is flagged within [d - x_days, d]. One pointer per
+    metric moves forward once over the merged days: O(F log F) for F flags."""
+    if x_days < 0:
+        raise ConfigError(f"x_days={x_days} must be >= 0")
+    days = [{f.date.toordinal() for f in flags_by_metric.get(m, ())} for m in _METRICS]
+    merged = sorted(set().union(*days))
+    high = [0] * len(merged)
+    for j, metric_days in enumerate(map(sorted, days)):
+        p, n = 0, len(metric_days)  # metric_days[p]: the first not before d - x_days
+        for i, d in enumerate(merged):
+            while p < n and metric_days[p] < d - x_days:
+                p += 1
+            if p < n and metric_days[p] <= d:
+                high[i] |= 1 << j
+    return days, merged, high
 
 
 def joint_spike(
@@ -135,23 +150,18 @@ def joint_spike(
     """Pair up flags on different metrics whose dates differ by at most x days.
 
     One event is emitted per distinct (metric pair, later flag date);
-    expects flags for a single token. Each metric's flag dates are sorted
-    once; a flag day d of either metric in a pair is an event date exactly
-    when the other metric has a flag in [d - x_days, d], found by one
-    bisection. Cost is O(F log F) in the number of flags F.
+    expects flags for a single token. A pair is an event on day d when
+    ``_sweep`` finds both its metrics flagged within [d - x_days, d] and one of
+    them is flagged on d. Days ascend and ``_PAIRS`` is in sort order, so each
+    event comes out once and in order, in O(F log F) for F flags.
     """
-    if x_days < 0:
-        raise ConfigError(f"x_days={x_days} must be >= 0")
-    metrics = [m for m in _METRICS if flags_by_metric.get(m)]
-    days = {m: _flag_days(flags_by_metric[m]) for m in metrics}
-    events: set[JointSpike] = set()
-    for m1, m2 in combinations(metrics, 2):
-        token_id = flags_by_metric[m1][0].token_id
-        for mine, other in ((days[m1], days[m2]), (days[m2], days[m1])):
-            for d in mine:
-                if _flagged_within(other, d, x_days):
-                    events.add(JointSpike(token_id, Date.fromordinal(d), (m1, m2)))
-    return sorted(events, key=lambda e: (e.date, e.metrics[0].value, e.metrics[1].value))
+    days, merged, high = _sweep(flags_by_metric, x_days)
+    if not merged:
+        return []
+    token_id = next(f for flags in flags_by_metric.values() for f in flags).token_id
+    return [JointSpike(token_id, Date.fromordinal(d), metrics)
+            for d, bits in zip(merged, high) for i, j, metrics in _PAIRS
+            if bits >> i & bits >> j & 1 and (d in days[i] or d in days[j])]
 
 
 def action_bucket(flagged: Iterable[Metric]) -> ActionBucket:
@@ -177,27 +187,14 @@ def assign_buckets(
     A metric counts as "high" at date d when it has a flag within the
     trailing x-day window [d - x_days, d], so that flags forming a joint
     spike escalate the bucket at the spike date. Expects flags for a
-    single token, like joint_spike. Each metric's flag dates are sorted
-    once; then one pointer per metric moves forward once over the token's
-    flag dates, so the cost is that of the sorts, O(F log F) in the number
-    of flags F. Each set of high metrics takes its bucket from
-    ``action_bucket`` once.
+    single token, like joint_spike, and reads the high metrics off the same
+    ``_sweep``, in O(F log F) for F flags. Each set of high metrics takes
+    its bucket from ``action_bucket`` once.
     """
-    if x_days < 0:
-        raise ConfigError(f"x_days={x_days} must be >= 0")
-    days = [_flag_days(flags_by_metric.get(m, ())) for m in _METRICS]
-    merged = sorted(set().union(*days))
+    _, merged, high = _sweep(flags_by_metric, x_days)
     if not merged:
         return []
     token_id = next(f for flags in flags_by_metric.values() for f in flags).token_id
-    high = [0] * len(merged)  # per date, bit j set when _METRICS[j] is high
-    for j, metric_days in enumerate(days):
-        p, n = 0, len(metric_days)  # metric_days[p]: the first not before d - x_days
-        for i, d in enumerate(merged):
-            while p < n and metric_days[p] < d - x_days:
-                p += 1
-            if p < n and metric_days[p] <= d:
-                high[i] |= 1 << j
     sets = [tuple(m for j, m in enumerate(_METRICS) if bits >> j & 1)
             for bits in range(1 << len(_METRICS))]
     buckets = [(action_bucket(active), active) for active in sets]

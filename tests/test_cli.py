@@ -151,25 +151,41 @@ class TestScore:
         assert d1["params"]["alpha"] == 0.5 and d2["params"]["alpha"] == 1.0
         assert d1 != d2
 
-    @pytest.mark.parametrize("unit", [None, 1e6], ids=["default", "1e6"])
-    def test_scale_unit_scales_table_sizes_as_bar_sizes(self, tmp_path, unit):
-        # A from bars and B from a table row have the same volatilities and the same
-        # maxima (2 and 5 USD billions); before, --scale-unit divided only A's sizes.
+    @staticmethod
+    def scale_universe(tmp_path, bars=True, table=True):
+        """A from bars and B from a table row, with the same volatilities and the
+        same maxima (2 and 5 USD billions), or one of them; the universe file."""
         (tmp_path / "a.csv").write_text("date,high,low,close,volume_usd,market_cap_usd\n"
                                         "2024-01-01,100,100,100,1e9,5e9\n"
                                         "2024-01-02,125,100,100,2e9,4e9\n"
                                         "2024-01-03,150,100,100,1e9,3e9\n")
         (tmp_path / "v.csv").write_text(VOL_HEADER + "B,37.5,50,2,5,standalone,\n")
-        universe = write_universe(tmp_path, {
-            "volatility_table": "v.csv", "tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}],
+        return write_universe(tmp_path, {
+            **({"volatility_table": "v.csv"} if table else {}),
+            "tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}] if bars else [],
         })
-        result = run("score", "--universe", universe, "--out", tmp_path / "o",
+
+    @pytest.mark.parametrize("unit", [None, 1e6, 1e-290], ids=["default", "1e6", "1e-290"])
+    def test_scale_unit_scales_table_sizes_as_bar_sizes(self, tmp_path, unit):
+        # before, --scale-unit divided only A's sizes
+        result = run("score", "--universe", self.scale_universe(tmp_path), "--out", tmp_path / "o",
                      *(("--scale-unit", unit) if unit else ()))
         assert result.exit_code == 0, result.output
         a, b = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
         assert (a["id"], b["id"]) == ("A", "B")
         assert a["inputs"]["volatility"] == b["inputs"]["volatility"]
         assert a["raw"]["vds"] == b["raw"]["vds"]
+
+    # each exited 3 blaming the data: "B: max_volume=inf is not finite"
+    @pytest.mark.parametrize("bars, table, token", [(False, True, "B"), (True, False, "A")],
+                             ids=["table only", "bars only"])
+    def test_scale_unit_that_overflows_a_size_exits_2(self, tmp_path, bars, table, token):
+        result = run("score", "--universe", self.scale_universe(tmp_path, bars, table),
+                     "--out", tmp_path / "o", "--scale-unit", 1e-300)
+        assert_clean_exit(result, 2)
+        assert result.stderr == (f"error: {token}: max_volume of 2000000000.0 USD overflows "
+                                 "in units of scale_unit=1e-300\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPlot:
@@ -722,16 +738,21 @@ class TestFetchCommand:
         assert result.stderr.startswith("error: token")
         assert session.calls == [] and list(tmp_path.rglob("*")) == [config]
 
-    def test_rejected_token_leaves_no_out_directories(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("token, start, end, error", [
+        ("..", "2024-01-01", "2024-01-02", "error: token '..'"),
+        ("X", "2024-02-01", "2024-01-01", "error: date range 2024-02-01..2024-01-01 is inverted\n"),
+    ], ids=["token", "inverted range"])
+    def test_rejected_fetch_leaves_no_out_directories(self, tmp_path, monkeypatch,
+                                                      token, start, end, error):
         session = FakeSession([])
         monkeypatch.setattr(requests, "Session", lambda: session)
         config = tmp_path / "provider.json"
         config.write_text(json.dumps(PROVIDER))
-        result = run("fetch", "--provider-config", config, "--token", "..",
-                     "--start", "2024-01-01", "--end", "2024-01-02",
+        result = run("fetch", "--provider-config", config, "--token", token,
+                     "--start", start, "--end", end,
                      "--cache-dir", tmp_path / "cache", "--out", tmp_path / "new" / "sub" / "bars.csv")
         assert_clean_exit(result, 2)
-        assert result.stderr.startswith("error: token '..'")
+        assert result.stderr.startswith(error)
         assert session.calls == [] and list(tmp_path.rglob("*")) == [config]
 
     def fetch_one_day(self, tmp_path, monkeypatch, out=None):

@@ -283,18 +283,16 @@ class InterruptedSecondWrite(FailingSecondWrite):
 
 
 class TestWriteFiles:
-    """A text, or each of its pieces, is encoded and written one slice at a time."""
+    """A text, or each of its pieces, is encoded and written whole."""
 
-    def test_slices_give_the_bytes_of_the_whole_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
-        text = "abcÆ" "—deÆ" "—Æ—f" "Æ\n"  # multi-byte characters on every slice boundary
+    def test_a_text_gives_its_utf8_bytes(self, tmp_path):
+        text = "abcÆ" "—deÆ" "—Æ—f" "Æ\n"  # multi-byte characters throughout
         write_files(tmp_path, {"t.txt": text}, "--out")
         assert (tmp_path / "t.txt").read_bytes() == text.encode("utf-8")
         assert list(tmp_path.iterdir()) == [tmp_path / "t.txt"]
 
-    def test_pieces_give_the_bytes_of_the_joined_text(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
-        # multi-byte characters on piece boundaries, and on slice boundaries within a piece
+    def test_pieces_give_the_bytes_of_the_joined_text(self, tmp_path):
+        # multi-byte characters on piece boundaries, and within pieces
         pieces = ["Æ", "abcÆ" "—deÆ" "—", "Æ—f", "", "Æ\n—", "—"]
         write_files(tmp_path, {"t.txt": iter(pieces), "u.txt": pieces}, "--out")
         for name in ("t.txt", "u.txt"):
@@ -348,13 +346,15 @@ class TestWriteFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == old
 
-    def test_a_refused_second_slice_exits_2_and_keeps_the_old_files(self, tmp_path, monkeypatch):
+    def test_a_refused_second_write_exits_2_and_keeps_the_old_files(self, tmp_path, monkeypatch):
+        from me2f import cli
+
         out = tmp_path / "o"
         out.mkdir()
         old = {"report.json": "old json\n", "report.txt": "old table\n"}
         for name, text in old.items():
             (out / name).write_text(text, encoding="utf-8")
-        monkeypatch.setattr(ingest, "_WRITE_SLICE", 64)
+        monkeypatch.setattr(cli, "_BATCH", 1)  # report.json comes in many pieces
         open_path = Path.open
 
         def open_failing(self, *args, **kwargs):
@@ -369,11 +369,10 @@ class TestWriteFiles:
                                  "No space left on device\n")
         assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == old
 
-    def test_an_interrupted_second_slice_propagates_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+    def test_an_interrupted_second_write_propagates_and_leaves_no_temporary(self, tmp_path, monkeypatch):
         old = {"report.json": "old json\n", "report.txt": "old table\n"}
         for name, text in old.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
-        monkeypatch.setattr(ingest, "_WRITE_SLICE", 4)
         open_path = Path.open
 
         def open_interrupted(self, *args, **kwargs):
@@ -381,9 +380,9 @@ class TestWriteFiles:
             return InterruptedSecondWrite(file) if self.name.endswith(".tmp") else file
 
         monkeypatch.setattr(Path, "open", open_interrupted)
-        # report.json's one slice is written whole; report.txt's second slice is interrupted
+        # report.json's one piece is written whole; report.txt's second piece is interrupted
         with pytest.raises(KeyboardInterrupt):
-            write_files(tmp_path, {"report.json": "new\n", "report.txt": "new table\n"}, "--out")
+            write_files(tmp_path, {"report.json": "new\n", "report.txt": ["new ", "table\n"]}, "--out")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)  # no .tmp file
         monkeypatch.undo()
         assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in old} == old

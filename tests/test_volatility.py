@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import EXPECTED_VDS, make_series
 from me2f.domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
 from me2f.errors import (
+    ConfigError,
     DegenerateUniverse,
     InsufficientHistory,
     InvalidSummary,
@@ -96,6 +97,13 @@ class TestAggregate:
         agg = aggregate(series, scale_unit=1e9)
         assert agg.max_volume == pytest.approx(9.0)
         assert agg.max_mcap == pytest.approx(8.0)
+
+    def test_a_scale_unit_that_overflows_a_size_is_a_config_error(self):
+        series = make_series("X", highs=[100, 110], lows=[90, 95], closes=[95, 100])
+        with pytest.raises(ConfigError, match=r"^X: max_volume of 1000000000\.0 USD overflows "
+                                              r"in units of scale_unit=1e-300$"):
+            aggregate(series, scale_unit=1e-300)
+        assert aggregate(series, scale_unit=1e-290).max_volume == 1e9 / 1e-290
 
 
 class TestNormalizeCrossSection:
