@@ -34,7 +34,7 @@ from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import click
 
@@ -68,18 +68,18 @@ _NAMES = {member: member.value for member in (*Metric, *ActionBucket)}
 # emit exactly the bytes of ``json.dumps(doc, indent=2)``, whose encoder runs
 # only in pure Python once ``indent`` is set. Each template has its
 # indentation fixed; scalars are encoded by type, as ``json`` encodes them.
-# A score token is filled in by one ``%`` on the template of its shape (its
-# role kind, and which of its volatility, concentration, fgi and window are
-# present), composed once from the object templates: at most 32 templates, and
-# one ``_encode`` of all the token's scalars. A warn array (flags, joint
-# events, buckets) is rendered ``_BATCH`` items at a time: one ``_encode`` of
-# all their scalars, one more of all their metrics lists' items, and one ``%``
-# on the object template repeated once per item. One loop, ``_document``,
-# yields either file's text in pieces, in order: each literal of its top-level
-# template, then the pieces of the next value as ``_DOCUMENTS`` states them, an
-# object of scalars as one piece and an array ``_BATCH`` items at a time.
-# ``ingest.write_files`` writes the pieces as they come, so no whole text of
-# either file is built.
+# Every array of objects (score tokens, flags, joint events, buckets) is
+# rendered ``_BATCH`` items at a time by one core, ``_items``: one ``_encode``
+# of all the batch's scalars, one more of all the items of its lists (a token's
+# warnings, a metrics list), and one ``%`` on the items' templates joined. A
+# warn object's template is its ``_Object``'s; a token's is the template of its
+# shape (its role kind, and which of its volatility, concentration, fgi and
+# window are present), composed once from the object templates, at most 32 of
+# them. One loop, ``_document``, yields either file's text in pieces, in
+# order: each literal of its top-level template, then the pieces of the next
+# value as ``_DOCUMENTS`` states them, an object of scalars as one piece and an
+# array one batch at a time. ``ingest.write_files`` writes the pieces as they
+# come, so no whole text of either file is built.
 
 def _unencodable(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -216,14 +216,6 @@ def _brackets(depth: int) -> tuple[str, str, str]:
     return "[\n" + pad, ",\n" + pad, "\n" + "  " * depth + "]"
 
 
-def _array(texts: list[str], depth: int) -> str:
-    """An array at nesting ``depth`` of already encoded items."""
-    if not texts:
-        return "[]"
-    opening, separator, closing = _brackets(depth)
-    return opening + separator.join(texts) + closing
-
-
 @cache
 def _token_template(role: _Object, *present: bool) -> str:
     """A token's template for its shape: ``role``, and which of ``_SECTIONS``
@@ -238,26 +230,9 @@ def _token_template(role: _Object, *present: bool) -> str:
     )
 
 
-def _token_json(t: dict) -> str:
-    """One token entry: all of its scalars through one ``_encode``, then one
-    ``%`` on the template of its shape."""
-    role, inputs = t["role"], t["inputs"]
-    sections = (inputs["volatility"], inputs["concentration"], inputs["fgi"], t["window"])
-    role_object = _HOSTED if "base" in role else _STANDALONE
-    values = [t["id"], *role_object.values(role), t["vds"], t["wds"], t["sas"],
-              *_RAW.values(t["raw"])]
-    for section, obj in zip(sections, _SECTIONS):
-        if section is not None:
-            values += obj.values(section)
-    warnings_at = len(values)
-    values += t["warnings"]
-    texts = _encode(values)
-    texts[warnings_at:] = [_array(texts[warnings_at:], 3)]
-    return _token_template(role_object, *(s is not None for s in sections)) % tuple(texts)
-
-
 _BATCH = 64  # items of an array at nesting 1 (score tokens, warn objects) rendered at a time
 _OPENING, _SEPARATOR, _CLOSING = _brackets(1)
+_LIST_OPENING, _LIST_SEPARATOR, _LIST_CLOSING = _brackets(3)  # a list within an item
 
 
 def _pieces(render, items: list) -> Iterator[str]:
@@ -273,32 +248,53 @@ def _pieces(render, items: list) -> Iterator[str]:
     yield _CLOSING
 
 
+def _items(templates: Iterable[str], values: list, at: Iterable[int]) -> str:
+    """Array items at nesting 2, joined with ``_SEPARATOR``. ``values`` fill
+    the ``%s`` of ``templates`` in order: scalars, and at each index in ``at``
+    a list of scalars (a token's warnings, a metrics list). One ``_encode`` of
+    all the scalars, one more of all the lists' items, each list's array put
+    back in its place, and one ``%`` on the joined templates."""
+    lists = [values[i] for i in at]
+    for i in at:
+        values[i] = None  # a scalar in the list's place
+    texts = _encode(values)
+    listed = iter(_encode(chain.from_iterable(lists)))
+    for i, n in zip(at, map(len, lists)):
+        texts[i] = (_LIST_OPENING + _LIST_SEPARATOR.join(islice(listed, n)) + _LIST_CLOSING
+                    if n else "[]")
+    return _SEPARATOR.join(templates) % tuple(texts)
+
+
 def _tokens_json(tokens: list[dict]) -> str:
-    return _SEPARATOR.join(map(_token_json, tokens))
+    """Token entries, each on the template of its shape."""
+    templates, values, at = [], [], []
+    for t in tokens:
+        role, inputs = t["role"], t["inputs"]
+        sections = (inputs["volatility"], inputs["concentration"], inputs["fgi"], t["window"])
+        role_object = _HOSTED if "base" in role else _STANDALONE
+        templates.append(_token_template(role_object, *(s is not None for s in sections)))
+        values += (t["id"], *role_object.values(role), t["vds"], t["wds"], t["sas"],
+                   *_RAW.values(t["raw"]))
+        for section, obj in zip(sections, _SECTIONS):
+            if section is not None:
+                values += obj.values(section)
+        at.append(len(values))
+        values.append(t["warnings"])
+    return _items(templates, values, at)
+
+
+def _objects(obj: _Object, items: list[dict]) -> str:
+    """``obj`` items, their values gathered in key order; a key that holds a
+    list in the first item holds one in every item."""
+    width = len(obj.keys)
+    values = list(chain.from_iterable(map(obj.values, items)))
+    keys = [k for k, value in enumerate(values[:width]) if type(value) is list]
+    return _items(repeat(obj.template, len(items)), values,
+                  [i for k in keys for i in range(k, len(values), width)])
 
 
 def _strings_json(strings: list[str]) -> str:
     return _SEPARATOR.join(_encode(strings))
-
-
-def _objects(obj: _Object, items: list[dict], listed: str | None = None) -> str:
-    """``obj`` items at nesting 2, joined with ``_SEPARATOR``: one ``_encode`` of
-    all their scalars, gathered in key order, and one ``%`` on ``obj``'s
-    template repeated once per item. The string arrays under key ``listed`` get
-    one more ``_encode`` of all their items, then each is cut back by its length."""
-    width = len(obj.keys)
-    values = list(chain.from_iterable(map(obj.values, items)))
-    if listed is not None:
-        at = obj.keys.index(listed)
-        lists = values[at::width]
-        values[at::width] = [None] * len(items)  # a scalar in the lists' place
-    texts = _encode(values)
-    if listed is not None:
-        strings = iter(_encode(chain.from_iterable(lists)))
-        opening, separator, closing = _brackets(3)
-        texts[at::width] = [opening + separator.join(islice(strings, n)) + closing if n else "[]"
-                            for n in map(len, lists)]
-    return _SEPARATOR.join(repeat(obj.template, len(items))) % tuple(texts)
 
 
 _DOCUMENTS = {  # by top-level keys: the document's object, and each value's pieces in key order
@@ -306,8 +302,8 @@ _DOCUMENTS = {  # by top-level keys: the document's object, and each value's pie
                            partial(_pieces, _strings_json))),
     _WARN.keys: (_WARN, (_WARN_PARAMS.scalars, partial(_pieces, _strings_json),
                          partial(_pieces, partial(_objects, _FLAG)),
-                         partial(_pieces, partial(_objects, _JOINT_EVENT, listed="metrics")),
-                         partial(_pieces, partial(_objects, _BUCKET, listed="metrics")))),
+                         partial(_pieces, partial(_objects, _JOINT_EVENT)),
+                         partial(_pieces, partial(_objects, _BUCKET)))),
 }
 
 

@@ -542,6 +542,20 @@ UNIVERSE_KEYS = ("tokens", "volatility_table", "fgi_table")
 UNIVERSE_TOKEN_KEYS = ("id", "role", "base", "bars", "holders", "sentiment", "exclude_addresses")
 
 
+def _table_size(token_id: str, name: str, busd: float, scale_unit: float) -> float:
+    """A table's size of ``busd`` USD billions in ``scale_unit``s, as a bar size
+    of its USD figure is; where that figure is past the float range, ``busd``
+    is multiplied by the units in a billion instead."""
+    usd = busd * _BUSD
+    if not math.isinf(usd):
+        return in_scale_units(token_id, name, usd, scale_unit)
+    size = busd * (_BUSD / scale_unit)
+    if math.isinf(size):
+        raise ConfigError(f"{token_id}: {name} of {busd!r} billion USD overflows in units of "
+                          f"scale_unit={scale_unit!r}")
+    return size
+
+
 def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenInputs]:
     """Assemble per-token inputs from a universe JSON file.
 
@@ -605,8 +619,8 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
     vol_table = {} if vol_path is None else load_volatility_table(vol_path)
     if params.scale_unit != _BUSD:  # table sizes into the unit that bar sizes are divided by
-        vol_table = {tid: (replace(agg, **{size: in_scale_units(tid, size, getattr(agg, size) * _BUSD,
-                                                                params.scale_unit)
+        vol_table = {tid: (replace(agg, **{size: _table_size(tid, size, getattr(agg, size),
+                                                             params.scale_unit)
                                            for size in ("max_volume", "max_mcap")}), role)
                      for tid, (agg, role) in vol_table.items()}
     fgi_table = {} if fgi_path is None else load_fgi_table(fgi_path)

@@ -152,14 +152,15 @@ class TestScore:
         assert d1 != d2
 
     @staticmethod
-    def scale_universe(tmp_path, bars=True, table=True):
+    def scale_universe(tmp_path, bars=True, table=True, volume="2"):
         """A from bars and B from a table row, with the same volatilities and the
-        same maxima (2 and 5 USD billions), or one of them; the universe file."""
+        same maxima (2 and 5 USD billions), or one of them; the universe file.
+        ``volume`` is B's max_volume_busd cell."""
         (tmp_path / "a.csv").write_text("date,high,low,close,volume_usd,market_cap_usd\n"
                                         "2024-01-01,100,100,100,1e9,5e9\n"
                                         "2024-01-02,125,100,100,2e9,4e9\n"
                                         "2024-01-03,150,100,100,1e9,3e9\n")
-        (tmp_path / "v.csv").write_text(VOL_HEADER + "B,37.5,50,2,5,standalone,\n")
+        (tmp_path / "v.csv").write_text(VOL_HEADER + f"B,37.5,50,{volume},5,standalone,\n")
         return write_universe(tmp_path, {
             **({"volatility_table": "v.csv"} if table else {}),
             "tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}] if bars else [],
@@ -184,6 +185,24 @@ class TestScore:
                      "--out", tmp_path / "o", "--scale-unit", 1e-300)
         assert_clean_exit(result, 2)
         assert result.stderr == (f"error: {token}: max_volume of 2000000000.0 USD overflows "
+                                 "in units of scale_unit=1e-300\n")
+        assert not (tmp_path / "o").exists()
+
+    # a size whose USD figure (1e309) is past the float range exited 2 blaming
+    # "max_volume of inf USD", though 1e299 or 1e301 units are finite
+    @pytest.mark.parametrize("unit, size", [(1e10, 1e299), (1e8, 1e301)])
+    def test_table_size_past_the_float_range_in_usd_converts(self, tmp_path, unit, size):
+        result = run("score", "--universe", self.scale_universe(tmp_path, False, True, "1e300"),
+                     "--out", tmp_path / "o", "--scale-unit", unit)
+        assert result.exit_code == 0, result.output
+        (b,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
+        assert b["inputs"]["volatility"]["max_volume"] == pytest.approx(size, rel=1e-15)
+
+    def test_table_size_that_overflows_names_the_tables_figure(self, tmp_path):
+        result = run("score", "--universe", self.scale_universe(tmp_path, False, True, "1e300"),
+                     "--out", tmp_path / "o", "--scale-unit", 1e-300)
+        assert_clean_exit(result, 2)
+        assert result.stderr == ("error: B: max_volume of 1e+300 billion USD overflows "
                                  "in units of scale_unit=1e-300\n")
         assert not (tmp_path / "o").exists()
 
@@ -1054,6 +1073,8 @@ class TestReportReadingErrors:
         ("week_end", json.dumps({**GOOD_REPORT, "window": {"end": "2024W012"}})),
         ("basic_end", json.dumps({**GOOD_REPORT, "window": {"end": "20240103"}})),
         ("no_id", json.dumps({**GOOD_REPORT, "tokens": [{"raw": {"vds": 0.5}}]})),
+        ("no_window", json.dumps({"tokens": GOOD_REPORT["tokens"]})),
+        ("null_window", json.dumps({**GOOD_REPORT, "window": None})),
     ])
     def test_warn_on_a_bad_report_exits_3_naming_it(self, tmp_path, name, text):
         report = tmp_path / f"{name}.json"
@@ -1087,6 +1108,8 @@ class TestReportReadingErrors:
         pytest.param('[{"id": "PEPE", "vds": 1e400}]', "'PEPE'", id="float_overflow"),
         pytest.param('[{"id": "PEPE", "vds": 1' + "0" * 400 + '}]', "'PEPE'", id="int_overflow"),
         pytest.param('[{"id": "PEPE", "raw": {"vds": true}}]', "'PEPE'", id="bool_score"),
+        pytest.param('[{"id": "PEPE", "raw": [0.5]}]', "'PEPE' has a 'raw' that is not an object",
+                     id="raw_not_object"),
         pytest.param('[{"id": "PEPE", "sas": NaN}]', "'PEPE'", id="nan_score"),
         pytest.param('[{"id": "PEPE", "wds": -0.25}]', "'PEPE'", id="negative_score"),
         # plot charted the id twice, and warn named neither the file nor the entry
@@ -1247,6 +1270,7 @@ class TestInputFileErrors:
 
 class TestUniverseEntryErrors:
     @pytest.mark.parametrize("tokens,entry", [
+        ({"X": {"role": "standalone"}}, "'tokens' must be a list"),
         ([{"id": 5}], "token entry 1"),
         ([{"id": "X", "role": "standalone", "bars": 5}], "token 'X': 'bars'"),
         ([{"id": "X", "role": "standalone", "exclude_addresses": 5}],

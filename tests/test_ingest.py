@@ -570,8 +570,11 @@ class TestMarketDataClient:
         with pytest.raises(RateLimited):
             client2.fetch_daily("SHIB", self.START, self.START)  # fresh token: no cache hit
 
-    def test_429_retry_after_http_date(self, tmp_path):
-        retry = FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"})
+    # an HTTP date that names no zone is GMT
+    @pytest.mark.parametrize("header", ["Wed, 21 Oct 2026 07:28:00 GMT",
+                                        "Wed, 21 Oct 2026 07:28:00"], ids=["gmt", "no_zone"])
+    def test_429_retry_after_http_date(self, tmp_path, header):
+        retry = FakeResponse(429, headers={"Retry-After": header})
         session = FakeSession(day_records(self.START, 1), page_size=10, fail_first=[retry])
         client, clock = make_client(tmp_path, session, make_provider(page_size=10))
         clock.now = start = datetime(2026, 10, 21, 7, 27, 30, tzinfo=timezone.utc).timestamp()
@@ -970,6 +973,9 @@ class TestColumnarLoadersMatchRowOracle:
     @given(text=mutated_csv(BARS_HEADER, bar_cells, BAR_MUTATIONS))
     @example(text=",".join(BARS_HEADER) + "\n2024-01-01,90,110,100,1,1\n2024-01-02,110,90,100,1,1\n"
              "2024-01-03,oops,90,100,1,1\n")  # line 2, column 'low'
+    # finite volumes whose sum overflows: parsed cell by cell, and loaded
+    @example(text=",".join(BARS_HEADER) + "\n2024-01-01,110,90,100,1e308,1\n"
+             "2024-01-02,110,90,100,1e308,1\n2024-01-03,110,90,100,3,1\n")
     @FILE_SETTINGS
     def test_bars(self, tmp_path, text):
         path = write(tmp_path, "bars.csv", text)
@@ -978,6 +984,8 @@ class TestColumnarLoadersMatchRowOracle:
     @given(text=mutated_csv(SENTIMENT_HEADER, sentiment_cells, SENTIMENT_MUTATIONS))
     @example(text=",".join(SENTIMENT_HEADER) + "\n2024-01-02,50,-0.5\n2024-01-01,101,\n"
              "2024-01-02,50,0.1\n")  # line 2, column 'abs_return'
+    # a blank return of spaces: parsed cell by cell, and loaded as None
+    @example(text=",".join(SENTIMENT_HEADER) + "\n2024-01-01,50,  \n2024-01-02,60,0.05\n")
     @FILE_SETTINGS
     def test_sentiment(self, tmp_path, text):
         path = write(tmp_path, "fgi.csv", text)

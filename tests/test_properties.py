@@ -1,8 +1,11 @@
 """Whole-pipeline relations: restating the same input another way leaves every
-output byte where it was. Derandomized, so each run draws the same examples."""
+output byte, or every score, where it was. Derandomized, so each run draws the
+same examples."""
 from __future__ import annotations
 
 import json
+import math
+import random
 import shutil
 import tempfile
 from pathlib import Path
@@ -11,8 +14,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, write_date_major_history, write_tables_universe
-from me2f.cli import main
+from conftest import (GOLDEN_DIR, make_series, random_series, write_date_major_history,
+                      write_tables_universe)
+from me2f.cli import bars_to_csv, main
+from me2f.ingest import load_bars_csv, load_fgi_table, load_sentiment_csv, load_volatility_table
+from me2f.sentiment import fgi_indicators, sentiment_maxima
+from me2f.volatility import aggregate
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -27,6 +34,13 @@ def outputs(*args) -> dict[str, bytes]:
 
 def score(universe: Path) -> dict[str, bytes]:
     return outputs("score", "--universe", universe, "--format", "json,table,chart")
+
+
+def raw_scores(universe: Path, *options) -> dict[str, dict]:
+    """Each token's full-precision scores, by id, as ``score`` reports them."""
+    report = json.loads(outputs("score", "--universe", universe, "--format", "json", *options)
+                        ["report.json"])
+    return {token["id"]: token["raw"] for token in report["tokens"]}
 
 
 def shuffle_rows(path: Path, rng) -> None:
@@ -94,3 +108,96 @@ class TestSplitHistory:
                 "tokens": [{"id": token, "raw": scores} for token, scores in raw.items()],
             }), encoding="utf-8")
             assert outputs("warn", "--history", history, "--report", report, *options) == whole
+
+
+def write_raw_token(directory: Path, rng, token_id: str, flat: bool) -> tuple[Path, Path]:
+    """A token's bars and FGI files: random, or where ``flat`` one constant price
+    and an FGI of 50 every day; their paths."""
+    series = random_series(rng, token_id)
+    days = len(series.dates)
+    if flat:
+        price = [series.close[0]] * days
+        series = make_series(token_id, price, price, price, start=series.dates[0])
+    fgi = [50.0] * days if flat else [rng.uniform(0.0, 100.0) for _ in range(days)]
+    returns = ["", *(repr(abs(b / a - 1)) for a, b in zip(series.close, series.close[1:]))]
+    bars, sentiment = directory / f"{token_id}_bars.csv", directory / f"{token_id}_fgi.csv"
+    bars.write_text(bars_to_csv(series), encoding="utf-8")
+    sentiment.write_text("date,fgi,abs_return\n" + "".join(
+        f"{day},{value!r},{ret}\n" for day, value, ret in zip(series.dates, fgi, returns)),
+        encoding="utf-8")
+    return bars, sentiment
+
+
+class TestRawAndTableAgree:
+    """A token given as raw files scores as it does given as table rows of the
+    library's own aggregates: the ``_pct`` columns' trip through x100 and /100 moves
+    a float by an ulp at most, so scores agree to 1e-12."""
+
+    @PROPERTY_SETTINGS
+    @given(flat=st.lists(st.booleans(), min_size=1, max_size=5),
+           hosted=st.lists(st.booleans(), min_size=5, max_size=5), seed=st.integers(0, 2**16),
+           unit=st.sampled_from([None, 1e6, 1e10]))
+    def test_same_vds_and_sas_from_either_source(self, flat, hosted, seed, unit):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            entries = []
+            vol = ["token,avg_vol_pct,max_vol_pct,max_volume_busd,max_mcap_busd,chain_role,base"]
+            fgi = ["token,f_bar,f_max,f_min,q_g_pct,q_f_pct,delta_f_max,delta_p_max_pct"]
+            for i, token_flat in enumerate(flat):
+                tid, on_base = f"T{i}", i > 0 and hosted[i]  # T0 is every hosted token's base
+                bars, sentiment = write_raw_token(work, rng, tid, token_flat)
+                entries.append({"id": tid, "bars": bars.name, "sentiment": sentiment.name,
+                                **({"role": "hosted", "base": "T0"} if on_base
+                                   else {"role": "standalone"})})
+                agg = aggregate(load_bars_csv(bars, tid))  # sizes in USD billions
+                ind = fgi_indicators(load_sentiment_csv(sentiment, tid))
+                vol.append(f"{tid},{agg.avg_vol * 100!r},{agg.max_vol * 100!r},{agg.max_volume!r},"
+                           f"{agg.max_mcap!r},{'hosted,T0' if on_base else 'standalone,'}")
+                fgi.append(f"{tid},{ind.f_bar!r},{ind.f_max!r},{ind.f_min!r},{ind.q_g * 100!r},"
+                           f"{ind.q_f * 100!r},{ind.delta_f_max!r},{ind.delta_p_max * 100!r}")
+            (work / "v.csv").write_text("\n".join(vol) + "\n", encoding="utf-8")
+            (work / "f.csv").write_text("\n".join(fgi) + "\n", encoding="utf-8")
+            raw, table = work / "raw.json", work / "table.json"
+            raw.write_text(json.dumps({"tokens": entries}), encoding="utf-8")
+            table.write_text(json.dumps({"volatility_table": "v.csv", "fgi_table": "f.csv"}),
+                             encoding="utf-8")
+            options = ("--scale-unit", unit) if unit else ()
+            from_files, from_rows = raw_scores(raw, *options), raw_scores(table, *options)
+            assert from_files.keys() == from_rows.keys()
+            for tid, scores in from_files.items():
+                for metric in ("vds", "sas"):
+                    assert math.isclose(scores[metric], from_rows[tid][metric], rel_tol=1e-12), (
+                        tid, metric, scores[metric], from_rows[tid][metric])
+
+
+class TestDominatedToken:
+    """VDS and SAS divide by universe maxima, so a standalone token below every
+    one of them leaves every other token's scores exactly where they were."""
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(1, 20), seed=st.integers(0, 2**16),
+           shares=st.lists(st.floats(0.0, 0.99), min_size=8, max_size=8),
+           lean=st.floats(-0.99, 0.99))
+    def test_a_dominated_token_moves_no_other_score(self, tokens, seed, shares, lean):
+        with tempfile.TemporaryDirectory() as work:
+            universe = write_tables_universe(Path(work), tokens, seed)
+            before = raw_scores(universe)
+            rows = load_volatility_table(universe.parent / "volatility.csv").values()
+            aggs = [agg for agg, _ in rows]
+            top = sentiment_maxima(load_fgi_table(universe.parent / "fgi.csv").values())
+            avg, peak, below, above, greed, fear, jump, move = shares
+            max_vol = peak * max(agg.max_vol for agg in aggs)
+            avg_vol = avg * min(max_vol, max(agg.avg_vol for agg in aggs))
+            below, above = (share * min(50.0, top.r_f / 2) for share in (below, above))
+            mean = 50.0 + lean * min(above if lean > 0 else below, top.mean_bias)
+            q_g = greed * top.extreme_share
+            q_f = fear * (top.extreme_share - q_g)
+            with open(universe.parent / "volatility.csv", "a", encoding="utf-8") as table:
+                table.write(f"DOMINATED,{avg_vol * 100!r},{max_vol * 100!r},1,1,standalone,\n")
+            with open(universe.parent / "fgi.csv", "a", encoding="utf-8") as table:
+                table.write(f"DOMINATED,{mean!r},{50.0 + above!r},{50.0 - below!r},{q_g * 100!r},"
+                            f"{q_f * 100!r},{jump * top.delta_f!r},{move * top.delta_p * 100!r}\n")
+            after = raw_scores(universe)
+            assert after.pop("DOMINATED")["vds"] is not None
+            assert after == before
