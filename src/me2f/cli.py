@@ -347,14 +347,15 @@ _METRIC_COLORS = dict(zip(_RAW.keys, ("#2a9d8f", "#3a6ea5", "#e76f51")))
 
 
 def _nice_ceiling(value: float) -> float:
+    """The least of 1, 2, 2.5, 5 and 10 times 10**floor(log10(value)) that is
+    finite and at least ``value``; ``value`` itself where none is (near the
+    top of the float range, or among subnormals, where 10**exp loses bits)."""
     if value <= 0:
         return 1.0
-    exp = math.floor(math.log10(value))
-    for mult in (1.0, 2.0, 2.5, 5.0):
-        candidate = mult * 10.0**exp
-        if candidate >= value * (1 - 1e-12):
-            return candidate
-    return 10.0 * 10.0**exp
+    scale = 10.0**math.floor(math.log10(value))
+    least = value * (1 - 1e-12)
+    return next((c for c in (m * scale for m in (1.0, 2.0, 2.5, 5.0, 10.0)) if least <= c < math.inf),
+                value)
 
 
 def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9d8f") -> str:
@@ -383,7 +384,7 @@ def bar_chart_svg(title: str, pairs: list[tuple[str, float]], color: str = "#2a9
         f'font-weight="bold">{title.translate(_SVG_TEXT)}</text>',
     ]
     for i in range(5):
-        tick = top * i / 4
+        tick = top * (i / 4)  # top * i could overflow; the top tick is top itself
         ty = y(tick)
         parts.append(
             f'<line x1="{margin_left}" y1="{ty:.2f}" x2="{width - margin_right}" '

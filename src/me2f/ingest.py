@@ -78,7 +78,7 @@ FGI_TABLE_HEADER = [
 
 # --- CSV plumbing --------------------------------------------------------
 
-_CHUNK = 1 << 12  # data lines split at a time when a column's cells repeat
+_CHUNK = 1 << 12  # data lines of a CSV split at a time
 
 
 def _read_columns(path: Path, *headers: list[str],
@@ -93,12 +93,10 @@ def _read_columns(path: Path, *headers: list[str],
 
     Once every row holds ``width - 1`` commas, the rows joined by commas
     split into ``width`` cells per row, in order, so no list is built per
-    row. Without ``shared`` columns the body is split once: with no
-    repeats to free, chunks would only add work. The cells of each
+    row. The body is split ``_CHUNK`` lines at a time. The cells of each
     ``shared`` column (one whose texts repeat) go through one dict per
-    column, so equal texts are one ``str``; the body is then split
-    ``_CHUNK`` lines at a time, and a chunk's repeated cells are freed
-    before the next is split.
+    column, so equal texts are one ``str``, and a chunk's repeated cells
+    are freed before the next is split.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -124,10 +122,6 @@ def _read_columns(path: Path, *headers: list[str],
         i = next(i for i, count in enumerate(commas) if count != width - 1)
         raise MalformedRow(path, numbers[i + 1], header[0],
                            f"expected {width} cells, got {commas[i] + 1}")
-    if not shared:
-        cells = ",".join(lines).split(",")
-        del lines
-        return numbers[1:], [cells[j::width] for j in range(width)]
     memos = [{} if name in shared else None for name in header]
     columns: list[list[str]] = [[] for _ in header]
     for start in range(0, len(lines), _CHUNK):
@@ -187,8 +181,8 @@ def _by_date(dates: list[Date], *columns: list) -> list:
 
 # --- loaders -------------------------------------------------------------
 #
-# Every CSV is read as columns (_read_columns), with one split per file, or
-# one per chunk of lines in a history, whose repeated cells are shared.
+# Every CSV is read as columns (_read_columns), with one split per chunk of
+# lines; a history's repeated cells are shared.
 # Each loader has one parse of those columns. It checks the cells' text
 # (numbers, dates and tokens) by column, and leaves every invariant of the
 # values to the rule table of the type it builds (of a chain role's text,

@@ -2,8 +2,10 @@
 
 Tokens enter either as raw series (bars, sentiment points, holder
 snapshots) or as pre-aggregated summaries; both are first-class. Scoring
-is batch-oriented: one token's failure becomes a report warning instead
-of aborting the universe.
+is batch-oriented: VDS is the one score that can fail per token (its
+spillover can overflow), and its failure becomes a warning on that token
+instead of aborting the universe. WDS and SAS raise nothing on validated
+inputs.
 """
 from __future__ import annotations
 
@@ -150,20 +152,14 @@ def score_universe(ctx: ScoringContext) -> FragilityReport:
         conc = None
         wds_value = None
         if member.holders is not None:
-            try:
-                conc = whale.concentration(member.holders, params.n)
-                wds_value = conc.wds
-            except Me2fError as exc:
-                notes.append(f"wds failed: {exc}")
+            conc = whale.concentration(member.holders, params.n)
+            wds_value = conc.wds
 
         sas_value = None
         if member.fgi is not None and ctx.sent_maxima is not None:
-            try:
-                u = sent.instability_index(member.fgi, ctx.sent_maxima)
-                k = sent.shock_index(member.fgi, ctx.sent_maxima)
-                sas_value = sent.sas(u, k, params.delta)
-            except Me2fError as exc:
-                notes.append(f"sas failed: {exc}")
+            u = sent.instability_index(member.fgi, ctx.sent_maxima)
+            k = sent.shock_index(member.fgi, ctx.sent_maxima)
+            sas_value = sent.sas(u, k, params.delta)
 
         reports.append(TokenReport(token_id, member, vds_value, wds_value, sas_value,
                                    conc, tuple(notes)))

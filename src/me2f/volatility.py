@@ -158,7 +158,8 @@ def vds_from_normalized(
 
     Lets callers share a single normalization across per-token scoring
     (and isolate per-token failures). Tokens absent from the role map
-    default to standalone.
+    default to standalone. A spillover that leaves the float range is a
+    ``ConfigError`` naming ``beta``, the one parameter that can push it there.
     """
     agg = aggregates[token_id]
     phi = composite(normalized[token_id], params.alpha) * resilience(
@@ -174,6 +175,8 @@ def vds_from_normalized(
         base_agg = aggregates[base_id]
         base_scale = scale_factor(base_agg.max_volume, base_agg.max_mcap)
         phi *= spillover_factor(normalized[base_id], base_scale, params.beta)
+        if not math.isfinite(phi):
+            raise ConfigError(f"{token_id}: VDS overflows with beta={params.beta!r}")
     return math.sqrt(phi)
 
 

@@ -24,7 +24,7 @@ class Metric(str, Enum):
     SAS = "sas"
 
 
-_METRICS = tuple(Metric)  # iterating the Enum class itself costs more, once per date
+_METRICS = tuple(Metric)  # iterating the Enum class itself costs more, once per token
 
 
 class ActionBucket(str, Enum):
@@ -123,14 +123,16 @@ _PAIRS = sorted(((i, j, (_METRICS[i], _METRICS[j])) for i, j in combinations(ran
                 key=lambda pair: [m.value for m in pair[2]])
 
 
-def _sweep(flags_by_metric: Mapping[Metric, Sequence[WarningFlag]],
-           x_days: int) -> tuple[list[set[int]], list[int], list[int]]:
-    """Each metric's flag days as a set of day ordinals, in ``_METRICS`` order;
-    all of them merged in ascending order; and per merged day d, a mask with bit
-    j set when ``_METRICS[j]`` is flagged within [d - x_days, d]. One pointer per
-    metric moves forward once over the merged days: O(F log F) for F flags."""
+def _sweep(flags_by_metric: Mapping[Metric, Sequence[WarningFlag]], x_days: int
+           ) -> tuple[str | None, list[set[int]], list[int], list[int]]:
+    """The flags' token id (None without flags); each metric's flag days as a
+    set of day ordinals, in ``_METRICS`` order; all of them merged in ascending
+    order; and per merged day d, a mask with bit j set when ``_METRICS[j]`` is
+    flagged within [d - x_days, d]. One pointer per metric moves forward once
+    over the merged days: O(F log F) for F flags."""
     if x_days < 0:
         raise ConfigError(f"x_days={x_days} must be >= 0")
+    token_id = next((f.token_id for flags in flags_by_metric.values() for f in flags), None)
     days = [{f.date.toordinal() for f in flags_by_metric.get(m, ())} for m in _METRICS]
     merged = sorted(set().union(*days))
     high = [0] * len(merged)
@@ -141,7 +143,7 @@ def _sweep(flags_by_metric: Mapping[Metric, Sequence[WarningFlag]],
                 p += 1
             if p < n and metric_days[p] <= d:
                 high[i] |= 1 << j
-    return days, merged, high
+    return token_id, days, merged, high
 
 
 def joint_spike(
@@ -155,10 +157,7 @@ def joint_spike(
     them is flagged on d. Days ascend and ``_PAIRS`` is in sort order, so each
     event comes out once and in order, in O(F log F) for F flags.
     """
-    days, merged, high = _sweep(flags_by_metric, x_days)
-    if not merged:
-        return []
-    token_id = next(f for flags in flags_by_metric.values() for f in flags).token_id
+    token_id, days, merged, high = _sweep(flags_by_metric, x_days)
     return [JointSpike(token_id, Date.fromordinal(d), metrics)
             for d, bits in zip(merged, high) for i, j, metrics in _PAIRS
             if bits >> i & bits >> j & 1 and (d in days[i] or d in days[j])]
@@ -191,10 +190,7 @@ def assign_buckets(
     ``_sweep``, in O(F log F) for F flags. Each set of high metrics takes
     its bucket from ``action_bucket`` once.
     """
-    _, merged, high = _sweep(flags_by_metric, x_days)
-    if not merged:
-        return []
-    token_id = next(f for flags in flags_by_metric.values() for f in flags).token_id
+    token_id, _, merged, high = _sweep(flags_by_metric, x_days)
     sets = [tuple(m for j, m in enumerate(_METRICS) if bits >> j & 1)
             for bits in range(1 << len(_METRICS))]
     buckets = [(action_bucket(active), active) for active in sets]

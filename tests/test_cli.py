@@ -40,6 +40,9 @@ from me2f.ingest import BARS_HEADER
 runner = CliRunner()
 
 
+MAX_FLOAT = sys.float_info.max
+
+
 def run(*args):
     return runner.invoke(main, [str(a) for a in args])
 
@@ -206,6 +209,26 @@ class TestScore:
                                  "in units of scale_unit=1e-300\n")
         assert not (tmp_path / "o").exists()
 
+    # a spillover past the float range wrote Infinity (NaN with a huge gamma)
+    # for each hosted token's vds, and the chart then exited 4
+    @pytest.mark.parametrize("extra", [("--beta", MAX_FLOAT), ("--beta", MAX_FLOAT, "--gamma", MAX_FLOAT)],
+                             ids=["beta", "beta and gamma"])
+    def test_vds_past_the_float_range_is_a_warning_naming_beta(self, tmp_path, extra):
+        out = score_reference(tmp_path, extra=("--format", "json,table,chart", *extra))
+
+        def refuse(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        doc = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        hosted = [t for t in doc["tokens"] if t["role"]["kind"] != "standalone"]
+        assert hosted
+        for token in hosted:
+            assert token["vds"] is None and token["raw"]["vds"] is None
+            assert token["warnings"] == [f"vds failed: {token['id']}: VDS overflows with beta={MAX_FLOAT!r}"]
+        assert "inf" not in (out / "report.txt").read_text()
+        result = run("plot", "--report", out / "report.json", "--out", tmp_path / "c")
+        assert result.exit_code == 0, result.output
+
 
 class TestPlot:
     def test_charts_from_report(self, tmp_path):
@@ -257,6 +280,19 @@ class TestPlot:
         with open(tmp_path / "c" / "vds.csv", newline="", encoding="utf-8") as sidecar:
             assert list(csv.reader(sidecar)) == [["token", "value"]] + [
                 [tid, repr(0.5 - i / 10)] for i, tid in enumerate(ids)]
+
+    # 5e-324 exited 4 dividing by a zero axis top, 1e-320 drew its bar above
+    # the top gridline, and 1.7e308 wrote nan and inf coordinates
+    @pytest.mark.parametrize("value", [5e-324, 1e-320, 1.7e308, MAX_FLOAT])
+    def test_extreme_scores_fit_the_axis(self, tmp_path, value):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"tokens": [{"id": "A", "vds": value, "wds": None, "sas": None}]}))
+        result = run("plot", "--report", report, "--out", tmp_path / "c")
+        assert result.exit_code == 0, result.output
+        svg = (tmp_path / "c" / "vds.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        rects = minidom.parseString(svg).getElementsByTagName("rect")[1:]  # the bars, after the background
+        assert [float(bar.getAttribute("y")) for bar in rects] == [44.0]  # the top margin
 
 
 def write_history(path: Path, values, token="X", metric="vds", start=date(2025, 1, 1)):
@@ -452,6 +488,14 @@ class TestGoldenOutputs:
         result = run(*GOLDEN_WARN, "--out", tmp_path)
         assert result.exit_code == 0, result.output
         self.assert_golden(tmp_path, GOLDEN_DIR / "warn")
+
+    def test_plot(self, tmp_path):
+        result = run("plot", "--report", GOLDEN_DIR / "score" / "report.json", "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{metric}.{ext}" for metric in ("sas", "vds", "wds") for ext in ("csv", "svg")]
+        for path in tmp_path.iterdir():
+            assert path.read_bytes() == (GOLDEN_DIR / "score" / path.name).read_bytes(), path.name
 
 
 def invoke(*args) -> int:

@@ -1476,3 +1476,56 @@ class TestPhysicalLineNumbers:
             load_bars_csv(write(tmp_path, "x.csv", text))
         assert (err.value.line, err.value.column) == (2, "date")
         assert str(err.value).endswith("expected 6 cells, got 7")
+
+
+class TestEveryLoaderAcrossChunks:
+    """The bars, sentiment, table and holders oracle tests and the physical
+    line tests again, two data lines to a chunk, so their files cross chunk
+    boundaries as a long history's do. Hypothesis runs a ``@given`` test
+    from one class only, so the oracle tests are stated again here."""
+
+    @pytest.fixture(autouse=True)
+    def two_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_CHUNK", 2)
+
+    @given(text=mutated_csv(BARS_HEADER, bar_cells, BAR_MUTATIONS))
+    @FILE_SETTINGS
+    def test_bars(self, tmp_path, text):
+        path = write(tmp_path, "bars.csv", text)
+        assert outcome(load_bars_csv, path) == outcome(oracle_load_bars, path)
+
+    @given(text=mutated_csv(SENTIMENT_HEADER, sentiment_cells, SENTIMENT_MUTATIONS))
+    @FILE_SETTINGS
+    def test_sentiment(self, tmp_path, text):
+        path = write(tmp_path, "fgi.csv", text)
+        assert outcome(load_sentiment_csv, path) == outcome(oracle_load_sentiment, path)
+
+    @given(text=mutated_table(VOLATILITY_TABLE_HEADER, volatility_cells, VOLATILITY_MUTATIONS))
+    @TABLE_SETTINGS
+    def test_volatility_table(self, tmp_path, text):
+        path = write(tmp_path, "volatility.csv", text)
+        assert outcome(lambda p, _: load_volatility_table(p), path) == outcome(
+            oracle_load_volatility_table, path)
+
+    @given(text=mutated_table(FGI_TABLE_HEADER, fgi_table_cells, FGI_TABLE_MUTATIONS))
+    @TABLE_SETTINGS
+    def test_fgi_table(self, tmp_path, text):
+        path = write(tmp_path, "fgi.csv", text)
+        assert outcome(lambda p, _: load_fgi_table(p), path) == outcome(oracle_load_fgi_table, path)
+
+    @given(case=holders_csv())
+    @TABLE_SETTINGS
+    def test_holders(self, tmp_path, case):
+        text, exclude, n = case
+        path = write(tmp_path, "holders.csv", text)
+        assert outcome(lambda p, t: load_holders_csv(p, t, n, exclude), path) == outcome(
+            lambda p, t: oracle_load_holders(p, t, n, exclude), path)
+
+    def test_blank_lines_count_and_the_file_is_named(self, tmp_path):
+        TestPhysicalLineNumbers.test_blank_lines_count_and_the_file_is_named(self, tmp_path)
+
+    def test_holders_rows_are_numbered_by_the_shared_reader(self, tmp_path):
+        TestPhysicalLineNumbers.test_holders_rows_are_numbered_by_the_shared_reader(self, tmp_path)
+
+    def test_a_cell_too_many_then_one_too_few_fail_at_the_first(self, tmp_path):
+        TestPhysicalLineNumbers.test_a_cell_too_many_then_one_too_few_fail_at_the_first(self, tmp_path)

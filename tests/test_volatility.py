@@ -246,6 +246,14 @@ class TestVds:
         with pytest.raises(MissingBaseChain):
             vds_scores(aggs, roles, FrameworkParams())
 
+    # the spillover overflowed to an Infinity VDS, and to NaN with a huge gamma too
+    @pytest.mark.parametrize("gamma", [1.0, sys.float_info.max])
+    def test_spillover_past_the_float_range_names_beta(self, reference_inputs, gamma):
+        aggs, roles = reference_maps(reference_inputs)
+        params = FrameworkParams(beta=sys.float_info.max, gamma=gamma)
+        with pytest.raises(ConfigError, match=r"^[A-Z]+: VDS overflows with beta=1\.7976931348623157e\+308$"):
+            vds_scores(aggs, roles, params)
+
 
 # --- properties ----------------------------------------------------------
 
