@@ -507,7 +507,9 @@ def score(universe_path, out_dir, formats, **overrides):
         params = FrameworkParams(**{name: v for name, v in overrides.items() if v is not None})
         # One copy of the report at a time: each stage's input is dropped once its
         # last reader is done (the report's tokens hold their inputs, so no local
-        # keeps load_universe's result). The document lives on in report.json's
+        # keeps load_universe's result). Those inputs are summaries: load_universe
+        # reduces each token's bars and sentiment as it reads them, so no daily
+        # row outlives its token's load. The document lives on in report.json's
         # pieces, which are rendered as they are written.
         report = scoring.score_universe(
             scoring.build_context(ingest.load_universe(universe_path, params), params))

@@ -48,6 +48,7 @@ from .errors import (
     EmptyFile,
     EmptyUniverse,
     HttpError,
+    InsufficientHistory,
     InvalidShares,
     MalformedRow,
     MissingBaseChain,
@@ -555,8 +556,10 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
     The file lists per-token raw data files and/or pre-aggregated summary
     tables; relative paths resolve against the universe file's directory.
-    A token's table rows pass through beside its files: ``build_context``
-    lets a raw series replace its summary. Every entry is checked before
+    Each token's inputs are ``resolved`` as its files are read: its bars and
+    sentiment are reduced to the summaries that replace its table rows and
+    then dropped, so one token's rows at a time are held, and a too-short
+    file is an ``InsufficientHistory`` naming it. Every entry is checked before
     any data file is read; a bad or repeated entry is a ``ConfigError``. An
     entry's base must be a standalone token of the universe, which is known
     once the tables are read, before any per-token file is.
@@ -641,7 +644,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             error, source = (ConfigError, where) if tid in files else (DataError, fgi_path)
             raise error(f"{source}: no chain role known for {tid}")
         bars, holders, sentiment, exclude = files.get(tid, (None, None, None, ()))
-        universe[tid] = TokenInputs(
+        raw = TokenInputs(
             role=roles[tid],
             series=None if bars is None else load_bars_csv(bars, token_id=tid),
             volatility=vol_table[tid][0] if tid in vol_table else None,
@@ -650,6 +653,12 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             sentiment=None if sentiment is None else load_sentiment_csv(sentiment, token_id=tid),
             fgi=fgi_table.get(tid),
         )
+        try:
+            universe[tid] = raw.resolved(params)
+        except InsufficientHistory as exc:  # name the short file; the bars are reduced first
+            short = bars if raw.series is not None and len(raw.series.dates) < 2 else sentiment
+            raise InsufficientHistory(f"{short}: {exc}") from None
+        del raw  # so one token's rows at a time are held
     return universe
 
 

@@ -1,8 +1,10 @@
 """Universe-level scoring: context construction and report assembly.
 
 Tokens enter either as raw series (bars, sentiment points, holder
-snapshots) or as pre-aggregated summaries; both are first-class. Scoring
-is batch-oriented: VDS is the one score that can fail per token (its
+snapshots) or as pre-aggregated summaries; both are first-class. Bars and
+sentiment are reduced to their summaries (``TokenInputs.resolved``) as
+soon as they are read, so a context holds no daily rows. Scoring is
+batch-oriented: VDS is the one score that can fail per token (its
 spillover can overflow), and its failure becomes a warning on that token
 instead of aborting the universe. WDS and SAS raise nothing on validated
 inputs.
@@ -29,8 +31,8 @@ from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 @dataclass(frozen=True, slots=True)
 class TokenInputs:
     """Everything supplied for one token; unset inputs disable the
-    corresponding score. In a ``ScoringContext`` ``volatility`` and ``fgi``
-    are resolved: a raw series, when given, replaces its summary."""
+    corresponding score. ``window`` is the date span of the raw series the
+    token was given. In a ``ScoringContext`` the inputs are ``resolved``."""
 
     role: ChainRole
     series: TokenSeries | None = None
@@ -38,14 +40,20 @@ class TokenInputs:
     holders: HolderSnapshot | None = None
     sentiment: SentimentSeries | None = None
     fgi: sent.FgiIndicators | None = None
+    window: tuple[Date, Date] | None = None
 
-    @property
-    def window(self) -> tuple[Date, Date] | None:
-        """The bars' date span, else the sentiment span; None without either."""
-        for series in (self.series, self.sentiment):
-            if series is not None and series.dates:
-                return series.window()
-        return None
+    def resolved(self, params: FrameworkParams) -> TokenInputs:
+        """A copy whose raw series are reduced and dropped: bars into ``volatility``
+        (via ``params.scale_unit``), then sentiment into ``fgi``, each replacing a
+        summary given beside it; ``window`` is the bars' span, else the sentiment's.
+        Inputs without series are returned as they are."""
+        series, sentiment = self.series, self.sentiment
+        if series is None and sentiment is None:
+            return self
+        volatility = self.volatility if series is None else vol.aggregate(series, params.scale_unit)
+        fgi = self.fgi if sentiment is None else sent.fgi_indicators(sentiment)
+        return replace(self, series=None, volatility=volatility, sentiment=None, fgi=fgi,
+                       window=(sentiment if series is None else series).window())
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +87,10 @@ def build_context(
 ) -> ScoringContext:
     """Validate a universe and compute its cross-sectional sentiment maxima.
 
-    Raw series are aggregated here (volatility via ``params.scale_unit``,
-    sentiment into FGI indicators) and replace any summary given beside
-    them; a token without series is stored as given. Hosted tokens must
-    name a standalone base that is present in the universe.
+    Each token is stored ``resolved``: raw series, where a caller built
+    inputs with them, are reduced and dropped here; a token without series
+    is stored as given. Hosted tokens must name a standalone base that is
+    present in the universe.
     """
     if not inputs:
         raise EmptyUniverse("scoring universe contains no tokens")
@@ -95,13 +103,7 @@ def build_context(
         if not inputs[base].role.is_standalone:
             raise MissingBaseChain(f"{token_id}: base chain {base!r} is itself hosted")
 
-    members: dict[str, TokenInputs] = {}
-    for token_id, ti in sorted(inputs.items()):
-        if ti.series is not None:
-            ti = replace(ti, volatility=vol.aggregate(ti.series, params.scale_unit))
-        if ti.sentiment is not None:
-            ti = replace(ti, fgi=sent.fgi_indicators(ti.sentiment))
-        members[token_id] = ti
+    members = {token_id: ti.resolved(params) for token_id, ti in sorted(inputs.items())}
     fgis = [m.fgi for m in members.values() if m.fgi is not None]
     sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
     return ScoringContext(params, members, sent_maxima)

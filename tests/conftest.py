@@ -4,6 +4,8 @@ garbage collector on."""
 from __future__ import annotations
 
 import gc
+import json
+import math
 import random
 from datetime import date, timedelta
 from pathlib import Path
@@ -97,6 +99,42 @@ def write_tables_universe(directory: Path, tokens: int, seed: int = 0) -> Path:
     universe = directory / "universe.json"
     universe.write_text('{"volatility_table": "volatility.csv", "fgi_table": "fgi.csv"}\n',
                         encoding="utf-8")
+    return universe
+
+
+def write_raw_universe(directory: Path, tokens: int, days: int, seed: int = 0) -> Path:
+    """A universe given only as raw files: per token ``days`` random daily bars,
+    as many FGI points, and 20 ranked holder shares, every third token hosted on
+    the first (``R0000``); the universe file. Values are written with ``repr``,
+    so each file reads back as exactly the floats drawn."""
+    rng = random.Random(seed)
+    ids = [f"R{i:04d}" for i in range(tokens)]
+    entries = []
+    for i, tid in enumerate(ids):
+        price, step = math.exp(rng.uniform(-8.0, 7.0)), rng.uniform(0.01, 0.08)
+        volume = math.exp(rng.uniform(15.0, 24.0))
+        bars = ["date,high,low,close,volume_usd,market_cap_usd"]
+        fgi = ["date,fgi,abs_return"]
+        value = rng.uniform(0.0, 100.0)
+        for d in range(days):
+            day = date(2024, 1, 1) + timedelta(days=d)
+            close = price * math.exp(rng.gauss(0.0, step))
+            high, low = close * (1.0 + rng.uniform(0.0, step)), close * (1.0 - rng.uniform(0.0, step))
+            bars.append(f"{day},{high!r},{low!r},{close!r},{volume * rng.uniform(0.5, 2.0)!r},"
+                        f"{volume * rng.uniform(2.0, 40.0)!r}")
+            value = min(100.0, max(0.0, value + rng.gauss(0.0, 8.0)))
+            fgi.append(f"{day},{value!r},{'' if d == 0 else repr(abs(close / price - 1.0))}")
+            price = close
+        shares = sorted((rng.random() for _ in range(20)), reverse=True)
+        total = sum(shares) / rng.uniform(0.2, 0.95)
+        holders = ["rank,share", *(f"{rank},{share / total!r}" for rank, share in enumerate(shares, 1))]
+        for kind, lines in (("bars", bars), ("sentiment", fgi), ("holders", holders)):
+            (directory / f"{tid}_{kind}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        entries.append({"id": tid, "bars": f"{tid}_bars.csv", "sentiment": f"{tid}_sentiment.csv",
+                        "holders": f"{tid}_holders.csv",
+                        **({"role": "hosted", "base": ids[0]} if i % 3 == 2 else {"role": "standalone"})})
+    universe = directory / "universe.json"
+    universe.write_text(json.dumps({"tokens": entries}), encoding="utf-8")
     return universe
 
 

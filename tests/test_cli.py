@@ -30,6 +30,7 @@ from conftest import (
     FakeSession,
     random_series,
     write_date_major_history,
+    write_raw_universe,
     write_tables_universe,
 )
 import me2f
@@ -119,6 +120,19 @@ class TestScore:
         universe.write_text(json.dumps({"tokens": [{"id": "X", "role": "standalone", "bars": "x.csv"}]}))
         result = run("score", "--universe", universe, "--out", tmp_path / "o")
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("short", [("bars",), ("sentiment",), ("bars", "sentiment")],
+                             ids=["bars", "sentiment", "both"])
+    def test_short_file_exits_3_naming_it(self, tmp_path, short):
+        universe = write_raw_universe(tmp_path, 1, 3)
+        files = {kind: tmp_path / f"R0000_{kind}.csv" for kind in short}
+        for path in files.values():  # the header and one row
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        named = short[0]  # with both short, the bars are reduced first
+        what = {"bars": "bars", "sentiment": "sentiment points"}[named]
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {files[named]}: R0000: need >= 2 {what}, got 1\n"
 
     def test_repeated_bar_date_exits_3_naming_file_and_line(self, tmp_path):
         bars = tmp_path / "x.csv"

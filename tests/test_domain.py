@@ -288,7 +288,8 @@ def dataclass_values(value):
 
 
 def golden_values() -> list:
-    """The values that scoring the golden universe and warning on its history make."""
+    """The values that scoring the golden universe, warning on its history and
+    reading its bars and sentiment files make (scoring keeps no series)."""
     report = score_universe(build_context(
         ingest.load_universe(GOLDEN_DIR / "universe.json", FrameworkParams()), FrameworkParams()))
     histories = ingest.load_history_csv(GOLDEN_DIR / "history.csv")
@@ -296,9 +297,10 @@ def golden_values() -> list:
     for history in histories:
         flags[history.token_id][history.metric] = warning.rolling_flags(history, 3, 0.6)
     warned = [(warning.joint_spike(f, 1), warning.assign_buckets(f, 1)) for f in flags.values()]
-    rows = [row for t in report.tokens for series in (t.inputs.series, t.inputs.sentiment)
-            if series is not None for row in series._rows()]
-    return list(dataclass_values([report, histories, flags, warned, rows]))
+    series = [ingest.load_bars_csv(GOLDEN_DIR / "sol_bars.csv", "SOL"),
+              ingest.load_sentiment_csv(GOLDEN_DIR / "wif_sentiment.csv", "WIF")]
+    rows = [row for s in series for row in s._rows()]
+    return list(dataclass_values([report, histories, flags, warned, series, rows]))
 
 
 class TestSlottedValues:

@@ -66,7 +66,7 @@ from me2f.ingest import (
     write_files,
 )
 from me2f.sentiment import FgiIndicators
-from me2f.volatility import VolatilityAggregate
+from me2f.volatility import VolatilityAggregate, aggregate
 from me2f.warning import Metric, ScorePoint, ScoreSeries
 from conftest import REFERENCE_DIR, FakeResponse, FakeSession, write_date_major_history
 
@@ -422,7 +422,10 @@ class TestLoadUniverse:
         write(tmp_path, "xh.csv", holders)
         doc = {"tokens": [{"id": "X", "role": "standalone", "bars": "x.csv", "holders": "xh.csv"}]}
         inputs = load_universe(write(tmp_path, "u.json", json.dumps(doc)), PARAMS)
-        assert inputs["X"].series is not None
+        bars = load_bars_csv(tmp_path / "x.csv", "X")
+        assert inputs["X"].series is None  # reduced as it was read
+        assert inputs["X"].volatility == aggregate(bars, PARAMS.scale_unit)
+        assert inputs["X"].window == bars.window() == (date(2024, 1, 1), date(2024, 1, 3))
         assert inputs["X"].holders.shares == (0.5,)
 
     def test_role_required(self, tmp_path):

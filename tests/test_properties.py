@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GOLDEN_DIR, make_series, random_series, write_date_major_history,
-                      write_tables_universe)
+                      write_raw_universe, write_tables_universe)
+from me2f import FrameworkParams, build_context, score_universe
 from me2f.cli import bars_to_csv, main
-from me2f.ingest import load_bars_csv, load_fgi_table, load_sentiment_csv, load_volatility_table
+from me2f.ingest import (load_bars_csv, load_fgi_table, load_sentiment_csv, load_universe,
+                         load_volatility_table)
 from me2f.sentiment import fgi_indicators, sentiment_maxima
 from me2f.volatility import aggregate
 
@@ -201,3 +203,81 @@ class TestDominatedToken:
             after = raw_scores(universe)
             assert after.pop("DOMINATED")["vds"] is not None
             assert after == before
+
+
+def concentrations(universe: Path, params: FrameworkParams) -> dict:
+    """Each token's ``ConcentrationResult``, by id."""
+    report = score_universe(build_context(load_universe(universe, params), params))
+    return {t.token_id: t.concentration for t in report.tokens}
+
+
+def scale_columns(path: Path, columns: tuple[int, ...], factor: float) -> None:
+    """Multiply the cells of ``columns`` in every data row of the CSV file ``path`` by ``factor``."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        for column in columns:
+            cells[column] = repr(float(cells[column]) * factor)
+        rows[i] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def assert_same_vds(before: dict[str, dict], after: dict[str, dict]) -> None:
+    assert before.keys() == after.keys()
+    for tid, scores in before.items():
+        vds, moved = scores["vds"], after[tid]["vds"]
+        assert vds is not None and math.isclose(moved, vds, rel_tol=1e-12), (tid, vds, moved)
+
+
+class TestUnits:
+    """VDS reads a token's prices only as ratios of its own prices, and its sizes
+    only in ``--scale-unit``s, so neither unit moves any VDS (to 1e-12, as a unit
+    change rounds each value once)."""
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(3, 7), days=st.integers(2, 30), seed=st.integers(0, 2**16),
+           base=st.booleans(), other=st.integers(1, 6),
+           c=st.sampled_from([1e-6, 3.7, 1e6]) | st.floats(1e-6, 1e6))
+    def test_one_tokens_price_unit_moves_no_vds(self, tokens, days, seed, base, other, c):
+        with tempfile.TemporaryDirectory() as work:
+            universe = write_raw_universe(Path(work), tokens, days, seed)
+            before = raw_scores(universe)
+            scaled = "R0000" if base else f"R{1 + other % (tokens - 1):04d}"  # R0000 is R0002's base
+            scale_columns(universe.parent / f"{scaled}_bars.csv", (1, 2, 3), c)  # high, low, close
+            assert_same_vds(before, raw_scores(universe))
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(1, 7), days=st.integers(2, 30), seed=st.integers(0, 2**16),
+           k=st.sampled_from([1e-3, 7.0, 1e4]) | st.floats(1e-3, 1e4))
+    def test_size_unit_with_the_scale_unit_moves_no_vds(self, tokens, days, seed, k):
+        with tempfile.TemporaryDirectory() as work:
+            universe = write_raw_universe(Path(work), tokens, days, seed)
+            before = raw_scores(universe)
+            for bars in universe.parent.glob("*_bars.csv"):
+                scale_columns(bars, (4, 5), k)  # volume_usd, market_cap_usd
+            assert_same_vds(before, raw_scores(universe, "--scale-unit", 1e9 * k))
+
+
+class TestHolderForm:
+    """A holder file's first column, rank or address, and its row order are not
+    data: the loader sorts the shares."""
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(1, 4), seed=st.integers(0, 2**16), n=st.sampled_from([2, 100]),
+           forms=st.lists(st.sampled_from(["rank", "address"]), min_size=4, max_size=4),
+           rng=st.randoms(use_true_random=False))
+    def test_either_form_in_any_order_gives_the_same_concentration(self, tokens, seed, n, forms,
+                                                                   rng):
+        params = FrameworkParams(n=n)
+        with tempfile.TemporaryDirectory() as work:
+            universe = write_raw_universe(Path(work), tokens, 2, seed)
+            before = concentrations(universe, params)
+            for holders, form in zip(sorted(universe.parent.glob("*_holders.csv")), forms):
+                _, *rows = holders.read_text(encoding="utf-8").splitlines()
+                shares = [row.split(",")[1] for row in rows]  # ranked 1, 2, ...
+                keys = [str(rank) if form == "rank" else f"0x{rank:040x}"
+                        for rank in range(1, len(shares) + 1)]
+                rows = [f"{key},{share}" for key, share in zip(keys, shares)]
+                rng.shuffle(rows)
+                holders.write_text("\n".join([f"{form},share", *rows]) + "\n", encoding="utf-8")
+            assert concentrations(universe, params) == before

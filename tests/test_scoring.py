@@ -1,13 +1,14 @@
 """Universe scoring: context construction, report assembly, reference values."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from conftest import EXPECTED_SAS, EXPECTED_VDS, make_series
+from conftest import EXPECTED_SAS, EXPECTED_VDS, make_series, write_raw_universe
 from me2f.domain import (
     ChainRole,
     FrameworkParams,
@@ -16,6 +17,7 @@ from me2f.domain import (
     SentimentSeries,
 )
 from me2f.errors import EmptyUniverse, MissingBaseChain
+from me2f.ingest import load_universe
 from me2f.scoring import TokenInputs, build_context, score_universe
 from me2f.sentiment import FgiIndicators, fgi_indicators, sentiment_maxima
 from me2f.volatility import VolatilityAggregate, aggregate, normalize_cross_section
@@ -96,6 +98,46 @@ class TestBuildContext:
     def test_token_without_series_is_stored_as_given(self, reference_inputs):
         ctx = build_context(reference_inputs, PARAMS)
         assert all(ctx.members[tid] is ti for tid, ti in reference_inputs.items())
+
+    def test_sentiment_alone_gives_the_window_and_is_dropped(self):
+        sentiment = SentimentSeries("X", [SentimentPoint(date(2024, 1, 1), 30.0, None),
+                                          SentimentPoint(date(2024, 1, 5), 70.0, 0.1)])
+        member = build_context({"X": TokenInputs(ChainRole.standalone(), sentiment=sentiment)},
+                               PARAMS).members["X"]
+        assert member == TokenInputs(ChainRole.standalone(), fgi=fgi_indicators(sentiment),
+                                     window=(date(2024, 1, 1), date(2024, 1, 5)))
+
+
+class TestScoreMemory:
+    """Each token's bars and sentiment are reduced as they are read, so scoring a
+    raw universe holds one token's daily rows at a time, not tokens x days."""
+
+    def test_a_loaded_raw_universe_holds_no_series(self, tmp_path):
+        inputs = load_universe(write_raw_universe(tmp_path, 7, 10), PARAMS)
+        assert len(inputs) == 7
+        assert all(ti.series is None and ti.sentiment is None and ti.window is not None
+                   for ti in inputs.values())
+
+    def test_traced_peak_does_not_double_with_the_days(self, tmp_path):
+        universes = []
+        for days in (50, 100):
+            (tmp_path / str(days)).mkdir()
+            universes.append(write_raw_universe(tmp_path / str(days), 20, days))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            peaks = []
+            for universe in [universes[0], *universes]:  # the first run pays first-use allocations
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                score_universe(build_context(load_universe(universe, PARAMS), PARAMS))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # one token's rows, read as it is loaded, grow with the days; 20 tokens' would double
+        assert peaks[2] < 1.5 * peaks[1], peaks
 
 
 class TestScoreUniverse:
