@@ -103,11 +103,12 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
         raise InsufficientHistory(
             f"{series.token_id}: need >= 2 sentiment points, got {n}"
         )
+    f_max, f_min = max(values), min(values)  # the exact mean lies between, its rounding may not
     return FgiIndicators(
         token_id=series.token_id,
-        f_bar=math.fsum(values) / n,
-        f_max=max(values),
-        f_min=min(values),
+        f_bar=min(max(math.fsum(values) / n, f_min), f_max),
+        f_max=f_max,
+        f_min=f_min,
         q_g=sum(map(_EXTREME_GREED_FROM.__le__, values)) / n,
         q_f=sum(map(_EXTREME_FEAR_BELOW.__gt__, values)) / n,
         delta_f_max=max(map(abs, map(sub, values[1:], values[:-1]))),

@@ -91,14 +91,15 @@ def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggrega
         )
     # Construction checked every close > 0, so no day can divide by zero.
     vols = list(map(truediv, map(sub, high[1:], low[1:]), close[:-1]))
-    try:
-        total = math.fsum(vols)
+    max_vol = max(vols)
+    try:  # the exact mean is at most the max, where its rounding may not be
+        avg_vol = min(math.fsum(vols) / len(vols), max_vol)
     except OverflowError:  # finite days whose sum passes the float range: its rule rejects inf
-        total = math.inf
+        avg_vol = math.inf
     return VolatilityAggregate(
         token_id=series.token_id,
-        avg_vol=total / len(vols),
-        max_vol=max(vols),
+        avg_vol=avg_vol,
+        max_vol=max_vol,
         max_volume=in_scale_units(series.token_id, "max_volume", max(series.volume_usd), scale_unit),
         max_mcap=in_scale_units(series.token_id, "max_mcap", max(series.market_cap_usd), scale_unit),
     )

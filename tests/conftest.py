@@ -7,11 +7,14 @@ import gc
 import json
 import math
 import random
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
+import me2f
 from me2f import FrameworkParams
 from me2f.domain import DailyBar, TokenSeries
 from me2f.ingest import load_universe
@@ -149,6 +152,26 @@ def write_date_major_history(path: Path, tokens: int, days: int, seed: int = 0) 
                   for t in range(tokens) for m in ("vds", "wds", "sas")]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def nudged(value: float, steps: int) -> float:
+    """``value`` moved ``steps`` floats up, or down where ``steps`` is negative."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def loaded_modules(code: str) -> dict[str, set[str]]:
+    """Every module loaded once a fresh interpreter, importing ``me2f`` from
+    where the tests do, has run ``code``: by name, with the names that each
+    ``me2f`` module defines (none for another module)."""
+    src = Path(me2f.__file__).resolve().parent.parent
+    probe = (f"import json, sys; sys.path.insert(0, {str(src)!r})\n{code}\n"
+             "print(json.dumps({name: sorted(vars(module)) if name.split('.')[0] == 'me2f' else []"
+             " for name, module in list(sys.modules.items())}))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return {name: set(names) for name, names in json.loads(done.stdout.splitlines()[-1]).items()}
 
 
 # --- remote fetch ----------------------------------------------------------

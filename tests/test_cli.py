@@ -7,7 +7,6 @@ import json
 import math
 import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +27,7 @@ from conftest import (
     GOLDEN_DIR,
     REFERENCE_DIR,
     FakeSession,
+    loaded_modules,
     random_series,
     write_date_major_history,
     write_raw_universe,
@@ -133,6 +133,32 @@ class TestScore:
         result = run("score", "--universe", universe, "--out", tmp_path / "o")
         assert_clean_exit(result, 3)
         assert result.stderr == f"error: {files[named]}: R0000: need >= 2 {what}, got 1\n"
+
+    def test_a_summary_that_breaks_its_rules_names_the_file_it_came_from(self, tmp_path):
+        universe = write_raw_universe(tmp_path, 1, 3)  # bars, sentiment and holders
+        bars = tmp_path / "R0000_bars.csv"
+        bars.write_text("date,high,low,close,volume_usd,market_cap_usd\n"
+                        "2024-01-01,1e-300,1e-300,1e-300,1,1\n2024-01-02,1e308,1e-300,1e-300,1,1\n")
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {bars}: R0000: avg_vol=inf is not finite\n"
+
+    @pytest.mark.parametrize("kind, rows, key, mean", [
+        ("bars", "date,high,low,close,volume_usd,market_cap_usd\n"
+         + "".join(f"2024-01-0{day},1.3,1,1,1e9,1e10\n" for day in range(1, 9)),
+         "volatility", ("avg_vol_pct", 30.0)),
+        ("sentiment", "date,fgi,abs_return\n"
+         + "".join(f"2024-01-0{day},12.34,\n" for day in range(1, 4)), "fgi", ("f_bar", 12.34)),
+    ], ids=["bars", "sentiment"])
+    def test_a_constant_column_whose_mean_rounds_past_it_scores(self, tmp_path, kind, rows, key, mean):
+        (tmp_path / "a.csv").write_text(rows)
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", kind: "a.csv"}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o", "--format", "json")
+        assert result.exit_code == 0, result.output
+        (token,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
+        name, value = mean
+        assert token["inputs"][key][name] == value
 
     def test_repeated_bar_date_exits_3_naming_file_and_line(self, tmp_path):
         bars = tmp_path / "x.csv"
@@ -451,16 +477,6 @@ class TestOutThatIsNotADirectory:
         self.assert_named(run("plot", "--report", report, "--out", out), out, tmp_path)
 
 
-def test_cli_import_leaves_fetch_only_modules_unloaded():
-    # the CLI starts for every command; what only ``fetch`` uses is imported where it is used
-    src = Path(me2f.__file__).resolve().parent.parent
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import me2f.cli; "
-            "print(sorted({'hashlib', 'requests', 'email.utils'} & set(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True).stdout
-    assert loaded == "[]\n"
-
-
 class TestDeterminism:
     def test_score_and_plot_byte_identical(self, tmp_path):
         out1 = score_reference(tmp_path, "run1", extra=("--format", "json,table,chart"))
@@ -479,6 +495,43 @@ class TestDeterminism:
 GOLDEN_SCORE = ("score", "--universe", GOLDEN_DIR / "universe.json", "--format", "json,table,chart")
 GOLDEN_WARN = ("warn", "--history", GOLDEN_DIR / "history.csv", "--window", 3,
                "--threshold", 0.6, "--x-days", 1)
+
+
+LAZY = {"me2f.remote": "MarketDataClient", "me2f.charts": "bar_chart_svg"}  # and a name each defines
+
+
+def lazy_code(modules: dict[str, set[str]]) -> set[str]:
+    """The ``LAZY`` modules whose code is among ``modules``: loaded, or defined in another."""
+    return {module for module, name in LAZY.items()
+            if module in modules or any(name in names for names in modules.values())}
+
+
+def test_cli_import_leaves_fetch_only_modules_unloaded():
+    # the CLI starts for every command; what only ``fetch`` or a chart uses is imported where it is used
+    modules = loaded_modules("import me2f.cli")
+    assert {"hashlib", "requests", "email.utils"} & modules.keys() == set()
+    assert lazy_code(modules) == set()
+
+
+def command_code(*args) -> set[str]:
+    """The ``LAZY`` modules whose code a fresh interpreter loads to run the CLI with ``args``."""
+    return lazy_code(loaded_modules(f"from me2f.cli import main; main({list(map(str, args))!r}, "
+                                    "standalone_mode=False)"))
+
+
+@pytest.mark.parametrize("command", [
+    ("score", "--universe", REFERENCE_DIR / "universe.json", "--format", "json,table"), GOLDEN_WARN,
+], ids=["score", "warn"])
+def test_score_and_warn_load_no_fetch_or_chart_code(tmp_path, command):
+    assert command_code(*command, "--out", tmp_path) == set()
+
+
+@pytest.mark.parametrize("command", [
+    ("score", "--universe", REFERENCE_DIR / "universe.json", "--format", "chart"),
+    ("plot", "--report", GOLDEN_DIR / "score" / "report.json"),
+], ids=["score", "plot"])
+def test_charts_load_the_chart_code_alone(tmp_path, command):
+    assert command_code(*command, "--out", tmp_path) == {"me2f.charts"}
 
 
 class TestGoldenOutputs:
@@ -1224,6 +1277,7 @@ class TestJsonDocumentErrors:
     def test_non_finite_summary_from_bars_exits_3_naming_token_and_field(self, tmp_path):
         # A close of 1e-320 is finite and positive, but the next day's range over it
         # is inf; before, report.json held NaN for X's VDS and 0.000 for every other token.
+        # The error names the file whose reduction broke the summary's rule.
         bars = ("date,high,low,close,volume_usd,market_cap_usd\n2024-01-01,111,89,1e-320,1e6,2e7\n"
                 "2024-01-02,112,88,102,2e6,2e7\n2024-01-03,113,87,100,3e6,2e7\n")
         (tmp_path / "bars.csv").write_text(bars)
@@ -1233,7 +1287,7 @@ class TestJsonDocumentErrors:
         })
         result = run("score", "--universe", universe, "--out", tmp_path / "o")
         assert_clean_exit(result, 3)
-        assert result.stderr == "error: X: avg_vol=inf is not finite\n"
+        assert result.stderr == f"error: {tmp_path / 'bars.csv'}: X: avg_vol=inf is not finite\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -1,11 +1,12 @@
 """Whole-pipeline relations: restating the same input another way leaves every
-output byte, or every score, where it was. Derandomized, so each run draws the
-same examples."""
+output byte, or every score, where it was, and a higher warn threshold keeps a
+subset of the flags. Derandomized, so each run draws the same examples."""
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -281,3 +282,50 @@ class TestHolderForm:
                 rng.shuffle(rows)
                 holders.write_text("\n".join([f"{form},share", *rows]) + "\n", encoding="utf-8")
             assert concentrations(universe, params) == before
+
+
+def warnings_json(history: Path, *options) -> bytes:
+    return outputs("warn", "--history", history, *options)["warnings.json"]
+
+
+class TestWarnRelations:
+    """A flag depends on the threshold only through whether it is raised, and
+    a token id only through its order among the ids."""
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(1, 3), window=st.integers(2, 12), more_days=st.integers(0, 60),
+           seed=st.integers(0, 2**16),
+           thresholds=st.lists(st.sampled_from([0.5, 0.6, 0.7, 0.75, 0.9, 0.95]), min_size=2,
+                               max_size=2, unique=True))
+    def test_a_higher_threshold_keeps_a_subset_of_the_flags(self, tokens, window, more_days, seed,
+                                                             thresholds):
+        with tempfile.TemporaryDirectory() as work:
+            history = write_date_major_history(Path(work) / "h.csv", tokens, window + more_days, seed)
+            low, high = ({(f["token"], f["metric"], f["date"]): f for f in json.loads(
+                warnings_json(history, "--window", window, "--threshold", threshold))["flags"]}
+                for threshold in sorted(thresholds))
+            assert high.keys() <= low.keys()
+            assert all(low[key] == flag for key, flag in high.items())  # value and percentile
+
+    @PROPERTY_SETTINGS
+    @given(tokens=st.integers(1, 4), window=st.integers(2, 12), more_days=st.integers(0, 60),
+           seed=st.integers(0, 2**16), threshold=st.sampled_from([0.5, 0.75, 0.9]),
+           x_days=st.integers(0, 4),
+           names=st.lists(st.text(st.sampled_from("AZaz09_.-\u00c6\u00e9\u20ac\U0001f600"),
+                                  min_size=1, max_size=6), min_size=4, max_size=4, unique=True))
+    def test_renaming_tokens_in_order_changes_only_the_names(self, tokens, window, more_days, seed,
+                                                            threshold, x_days, names):
+        renamed = dict(zip((f"H{t:02d}" for t in range(tokens)), sorted(names)))  # in order
+        back = {new: old for old, new in renamed.items()}
+        options = ("--window", window, "--threshold", threshold, "--x-days", x_days)
+        with tempfile.TemporaryDirectory() as work:
+            history = write_date_major_history(Path(work) / "h.csv", tokens, window + more_days, seed)
+            before = warnings_json(history, *options)
+            header, *rows = history.read_text(encoding="utf-8").splitlines()
+            rows = [",".join((day, renamed[token], *rest))
+                    for day, token, *rest in (row.split(",") for row in rows)]
+            history.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            after = warnings_json(history, *options).decode("ascii")
+        mapped = re.sub(r'"token": ("(?:[^"\\]|\\.)*")',
+                        lambda m: '"token": ' + json.dumps(back[json.loads(m[1])]), after)
+        assert mapped.encode("ascii") == before

@@ -6,7 +6,7 @@ import random
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import SentimentPoint, SentimentSeries
@@ -22,7 +22,7 @@ from me2f.sentiment import (
     sentiment_maxima,
     shock_index,
 )
-from conftest import REFERENCE_DIR
+from conftest import REFERENCE_DIR, nudged
 
 
 def series_from(fgi_values, returns=None, token="X"):
@@ -233,6 +233,15 @@ class TestProperties:
         k_lo, k_hi = sorted([k1, k2])
         assert sas(u_lo, k_lo, 1.5) <= sas(u_hi, k_lo, 1.5) + 1e-15
         assert sas(u_hi, k_lo, 1.5) <= sas(u_hi, k_hi, 1.5) + 1e-15
+
+    @given(st.floats(0.0, 100.0), st.lists(st.integers(-3, 3), min_size=2, max_size=60))
+    @example(12.34, [0] * 3)  # whose mean rounds above 12.34
+    @settings(max_examples=60, derandomize=True)
+    def test_near_constant_fgi_has_a_valid_mean(self, value, ulps):
+        # the exact mean lies in [f_min, f_max]; the rounded one is put back there
+        ind = fgi_indicators(series_from([min(max(nudged(value, steps), 0.0), 100.0)
+                                          for steps in ulps]))
+        assert ind.f_min <= ind.f_bar <= ind.f_max
 
     def test_adding_strictly_dominated_token_changes_nothing(self, reference_fgi):
         maxima = sentiment_maxima(reference_fgi.values())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXPECTED_VDS, make_series
+from conftest import EXPECTED_VDS, make_series, nudged
 from me2f.domain import ChainRole, DailyBar, FrameworkParams, TokenSeries
 from me2f.errors import (
     ConfigError,
@@ -311,6 +311,19 @@ class TestProperties:
         )
         assert a2.avg_vol == pytest.approx(a1.avg_vol, rel=1e-9, abs=bound)
         assert a2.max_vol == pytest.approx(a1.max_vol, rel=1e-9, abs=bound)
+
+    @given(st.floats(1e-6, 1e6), st.floats(0.0, 10.0),
+           st.lists(st.integers(0, 3), min_size=2, max_size=60))
+    @example(1.0, 0.3, [0] * 8)  # seven days of 0.30000000000000004, whose mean rounds above them
+    @settings(max_examples=60, derandomize=True)
+    def test_near_constant_days_have_a_valid_mean(self, price, move, ulps):
+        # the exact mean is at most the greatest day; the rounded one is put back there
+        n = len(ulps)
+        days = [date(2024, 1, 1) + timedelta(days=i) for i in range(n)]
+        high = [nudged(price * (1 + move), steps) for steps in ulps]
+        agg = aggregate(TokenSeries.from_columns("T", days, high, [price] * n, [price] * n,
+                                                 [1e9] * n, [1e10] * n))
+        assert 0 <= agg.avg_vol <= agg.max_vol
 
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=2.0),
                               st.floats(min_value=0.0, max_value=3.0)),
