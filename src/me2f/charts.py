@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 
+from .warning import Metric
+
 _SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # chart text as XML character data
 
-_METRIC_COLORS = {"vds": "#2a9d8f", "wds": "#3a6ea5", "sas": "#e76f51"}  # in chart order
+# each score's bar colour, in chart order: the order of ``Metric``, as report.json's "raw" keys
+_METRIC_COLORS = dict(zip((m.value for m in Metric), ("#2a9d8f", "#3a6ea5", "#e76f51"), strict=True))
 
 
 def _nice_ceiling(value: float) -> float:

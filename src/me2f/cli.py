@@ -137,7 +137,7 @@ _REPORT_WINDOW = _Object(1, "start", "end")
 _TOKEN = _Object(2, "id", "role", "vds", "wds", "sas", "raw", "inputs", "window", "warnings")
 _STANDALONE = _Object(3, "kind")
 _HOSTED = _Object(3, "kind", "base")
-_RAW = _Object(3, "vds", "wds", "sas")
+_RAW = _Object(3, *(m.value for m in Metric))  # one key per score, in ``Metric`` order
 _INPUTS = _Object(3, "volatility", "concentration", "fgi")
 _TOKEN_WINDOW = _Object(3, *_REPORT_WINDOW.keys)
 _VOLATILITY = _Object(4, "avg_vol_pct", "max_vol_pct", "max_volume", "max_mcap")

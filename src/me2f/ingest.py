@@ -649,7 +649,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
         except (InsufficientHistory, InvalidSummary) as exc:  # name the file; the bars are reduced first
             in_bars = raw.series is not None and (len(raw.series.dates) < 2
                                                   or exc.field in _VOLATILITY_COLUMNS)
-            raise type(exc)(f"{bars if in_bars else sentiment}: {exc}") from None
+            raise type(exc)(f"{bars if in_bars else sentiment}: {exc}", field=exc.field) from None
         del raw  # so one token's rows at a time are held
     return universe
 

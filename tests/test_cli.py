@@ -36,7 +36,8 @@ from conftest import (
 import me2f
 from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
 from me2f.cli import _dumps, main, report_to_dict
-from me2f.ingest import BARS_HEADER
+from me2f.errors import InvalidSummary
+from me2f.ingest import BARS_HEADER, load_universe
 
 runner = CliRunner()
 
@@ -1289,6 +1290,9 @@ class TestJsonDocumentErrors:
         assert_clean_exit(result, 3)
         assert result.stderr == f"error: {tmp_path / 'bars.csv'}: X: avg_vol=inf is not finite\n"
         assert not (tmp_path / "o").exists()
+        with pytest.raises(InvalidSummary) as caught:  # library callers still read the broken field
+            load_universe(universe, FrameworkParams())
+        assert caught.value.field == "avg_vol"
 
 
 def write_universe(tmp_path, doc):
