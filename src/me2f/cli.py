@@ -159,7 +159,7 @@ def _window(window: tuple[Date, Date] | None) -> dict | None:
 
 def _token_entry(t: TokenReport) -> dict:
     inputs, vds, wds, sas = t.inputs, t.vds, t.wds, t.sas
-    role, volatility, concentration, fgi = inputs.role, inputs.volatility, t.concentration, inputs.fgi
+    role, volatility, concentration, fgi = inputs.role, inputs.volatility, inputs.concentration, inputs.fgi
     return _TOKEN.dict(
         t.token_id,
         _STANDALONE.dict("standalone") if role.is_standalone else _HOSTED.dict("hosted", role.base),

@@ -51,9 +51,10 @@ from .errors import (
     SchemaMismatch,
 )
 from .scoring import TokenInputs
-from .sentiment import FgiIndicators
-from .volatility import VolatilityAggregate, in_scale_units
+from .sentiment import FgiIndicators, fgi_indicators
+from .volatility import VolatilityAggregate, aggregate, in_scale_units
 from .warning import Metric, ScoreSeries
+from .whale import concentration
 
 BARS_HEADER = ["date", "high", "low", "close", "volume_usd", "market_cap_usd"]
 SENTIMENT_HEADER = ["date", "fgi", "abs_return"]
@@ -351,16 +352,15 @@ def load_sentiment_csv(path: str | Path, token_id: str | None = None) -> Sentime
 def load_holders_csv(
     path: str | Path,
     token_id: str | None = None,
-    n: int = 100,
     exclude: Iterable[str] = (),
 ) -> HolderSnapshot:
-    """Load a holder-share CSV into a descending top-n snapshot.
+    """Load a holder-share CSV into a descending snapshot of all its rows.
 
     The first column is either a numeric rank or an address; an optional
     ``exclude`` set drops address rows (custodial filtering, off by
     default) before their shares are parsed. Each share must lie in
-    [0, 1], and the share sum is checked over the whole file, before
-    truncation to the top n.
+    [0, 1], and the share sum is checked over the whole file.
+    ``whale.concentration`` reads the top n.
     """
     path = Path(path)
     numbers, columns = _read_columns(path, ["rank", "share"], ["address", "share"])
@@ -375,13 +375,12 @@ def load_holders_csv(
         return shares
 
     shares = _located(path, numbers, columns, parse)
-    if not shares:
-        raise EmptyFile(f"{path}: no data rows")
+    if not shares:  # _read_columns refused a file without rows, so each row was excluded
+        raise EmptyFile(f"{path}: every row is excluded by exclude_addresses")
     try:
-        snapshot = HolderSnapshot(_token_id_for(path, token_id), sorted(shares, reverse=True))
+        return HolderSnapshot(_token_id_for(path, token_id), sorted(shares, reverse=True))
     except InvalidShares as exc:  # the sum: every share passed the parse
         raise InvalidShares(f"{path}: {exc}") from None
-    return HolderSnapshot(snapshot.token_id, snapshot.shares[:n])
 
 
 def load_volatility_table(
@@ -547,13 +546,20 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
 
     The file lists per-token raw data files and/or pre-aggregated summary
     tables; relative paths resolve against the universe file's directory.
-    Each token's inputs are ``resolved`` as its files are read: its bars and
-    sentiment are reduced to the summaries that replace its table rows and
-    then dropped, so one token's rows at a time are held, and a too-short
-    file is an ``InsufficientHistory`` naming it. Every entry is checked before
-    any data file is read; a bad or repeated entry is a ``ConfigError``. An
-    entry's base must be a standalone token of the universe, which is known
-    once the tables are read, before any per-token file is.
+    Every entry is checked before any data file is read; a bad or repeated
+    entry is a ``ConfigError``. An entry's base must be a standalone token
+    of the universe, which is known once the tables are read, before any
+    per-token file is.
+
+    A token's files are all read, then each is reduced to its summary in
+    the same order, so a file that does not parse is reported before one
+    that does not reduce: the bars into ``volatility`` (in
+    ``params.scale_unit``s), the holders into ``concentration`` (over the
+    top ``params.n`` shares) and the sentiment into ``fgi``. A bars or
+    sentiment file replaces the token's table row, and ``window`` is the
+    bars' date span, else the sentiment's. One token's rows at a time are
+    held, and a file too short or out of range to reduce is an
+    ``InsufficientHistory`` or ``InvalidSummary`` naming it.
     """
     path = Path(path)
     where = f"universe file {path}"
@@ -635,23 +641,29 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
             error, source = (ConfigError, where) if tid in files else (DataError, fgi_path)
             raise error(f"{source}: no chain role known for {tid}")
         bars, holders, sentiment, exclude = files.get(tid, (None, None, None, ()))
-        raw = TokenInputs(
+        series = None if bars is None else load_bars_csv(bars, token_id=tid)
+        snapshot = None if holders is None else load_holders_csv(holders, token_id=tid, exclude=exclude)
+        points = None if sentiment is None else load_sentiment_csv(sentiment, token_id=tid)
+        dated = points if series is None else series
+        universe[tid] = TokenInputs(  # each file reduced in the order they were read
             role=roles[tid],
-            series=None if bars is None else load_bars_csv(bars, token_id=tid),
-            volatility=vol_table[tid][0] if tid in vol_table else None,
-            holders=None if holders is None else load_holders_csv(
-                holders, token_id=tid, n=params.n, exclude=exclude),
-            sentiment=None if sentiment is None else load_sentiment_csv(sentiment, token_id=tid),
-            fgi=fgi_table.get(tid),
+            volatility=(vol_table[tid][0] if tid in vol_table else None) if series is None
+            else _reduced(bars, aggregate, series, params.scale_unit),
+            concentration=None if snapshot is None else _reduced(holders, concentration, snapshot, params.n),
+            fgi=fgi_table.get(tid) if points is None else _reduced(sentiment, fgi_indicators, points),
+            window=None if dated is None else dated.window(),
         )
-        try:
-            universe[tid] = raw.resolved(params)
-        except (InsufficientHistory, InvalidSummary) as exc:  # name the file; the bars are reduced first
-            in_bars = raw.series is not None and (len(raw.series.dates) < 2
-                                                  or exc.field in _VOLATILITY_COLUMNS)
-            raise type(exc)(f"{bars if in_bars else sentiment}: {exc}", field=exc.field) from None
-        del raw  # so one token's rows at a time are held
+        del series, snapshot, points, dated  # so one token's rows at a time are held
     return universe
+
+
+def _reduced(path: Path, reduce, *args):
+    """``reduce(*args)``, a raw file's summary; an ``InsufficientHistory`` or
+    ``InvalidSummary`` it raises is prefixed with ``path``, its field kept."""
+    try:
+        return reduce(*args)
+    except (InsufficientHistory, InvalidSummary) as exc:
+        raise type(exc)(f"{path}: {exc}", field=exc.field) from None
 
 
 _REMOTE = ("ProviderEndpointSpec", "load_provider_config", "RateLimiter", "MarketDataClient")

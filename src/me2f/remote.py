@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .domain import TokenSeries
-from .errors import (ConfigError, HttpError, ParseError, PartialRange, ProviderUnreachable,
-                     RateLimited)
+from .errors import (ConfigError, DataError, HttpError, ParseError, PartialRange,
+                     ProviderUnreachable, RateLimited)
 from .ingest import BARS_HEADER, iso_days, read_json_object, token_id_fault, write_files
 
 
@@ -321,11 +321,14 @@ class MarketDataClient:
         if missing:
             raise PartialRange(token_id, missing)
 
-        series = TokenSeries.from_columns(
-            token_id,
-            [Date.fromisoformat(r["date"]) for r in records],
-            *([r[name] for r in records] for name in BARS_HEADER[1:]),
-        )
+        try:
+            series = TokenSeries.from_columns(
+                token_id,
+                [Date.fromisoformat(r["date"]) for r in records],
+                *([r[name] for r in records] for name in BARS_HEADER[1:]),
+            )
+        except DataError as exc:  # a repeated day or a broken bar rule: the provider's data
+            raise type(exc)(f"{self.provider.name}: {token_id}: {exc}", field=exc.field) from None
         if not from_cache:
             self._cache_write(cache_path, records)
         return series

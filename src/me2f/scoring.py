@@ -1,9 +1,9 @@
 """Universe-level scoring: context construction and report assembly.
 
-Tokens enter either as raw series (bars, sentiment points, holder
-snapshots) or as pre-aggregated summaries; both are first-class. Bars and
-sentiment are reduced to their summaries (``TokenInputs.resolved``) as
-soon as they are read, so a context holds no daily rows. Scoring is
+A token enters as its summaries: a volatility aggregate, a holder
+concentration and FGI indicators, each reduced from a raw file
+(``ingest.load_universe`` reduces them as it reads them) or read from a
+summary table, so a context holds no daily rows. Scoring is
 batch-oriented: VDS is the one score that can fail per token (its
 spillover can overflow), and its failure becomes a warning on that token
 instead of aborting the universe. WDS and SAS raise nothing on validated
@@ -11,49 +11,27 @@ inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as Date
 from typing import Mapping
 
 from . import sentiment as sent
 from . import volatility as vol
 from . import whale
-from .domain import (
-    ChainRole,
-    FrameworkParams,
-    HolderSnapshot,
-    SentimentSeries,
-    TokenSeries,
-)
+from .domain import ChainRole, FrameworkParams
 from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 
 
 @dataclass(frozen=True, slots=True)
 class TokenInputs:
-    """Everything supplied for one token; unset inputs disable the
-    corresponding score. ``window`` is the date span of the raw series the
-    token was given. In a ``ScoringContext`` the inputs are ``resolved``."""
+    """A token's role and summaries; an unset summary disables its score.
+    ``window`` is the date span of the raw series they were reduced from."""
 
     role: ChainRole
-    series: TokenSeries | None = None
     volatility: vol.VolatilityAggregate | None = None
-    holders: HolderSnapshot | None = None
-    sentiment: SentimentSeries | None = None
+    concentration: whale.ConcentrationResult | None = None
     fgi: sent.FgiIndicators | None = None
     window: tuple[Date, Date] | None = None
-
-    def resolved(self, params: FrameworkParams) -> TokenInputs:
-        """A copy whose raw series are reduced and dropped: bars into ``volatility``
-        (via ``params.scale_unit``), then sentiment into ``fgi``, each replacing a
-        summary given beside it; ``window`` is the bars' span, else the sentiment's.
-        Inputs without series are returned as they are."""
-        series, sentiment = self.series, self.sentiment
-        if series is None and sentiment is None:
-            return self
-        volatility = self.volatility if series is None else vol.aggregate(series, params.scale_unit)
-        fgi = self.fgi if sentiment is None else sent.fgi_indicators(sentiment)
-        return replace(self, series=None, volatility=volatility, sentiment=None, fgi=fgi,
-                       window=(sentiment if series is None else series).window())
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +48,6 @@ class TokenReport:
     vds: float | None
     wds: float | None
     sas: float | None
-    concentration: whale.ConcentrationResult | None
     warnings: tuple[str, ...] = ()
 
 
@@ -87,10 +64,8 @@ def build_context(
 ) -> ScoringContext:
     """Validate a universe and compute its cross-sectional sentiment maxima.
 
-    Each token is stored ``resolved``: raw series, where a caller built
-    inputs with them, are reduced and dropped here; a token without series
-    is stored as given. Hosted tokens must name a standalone base that is
-    present in the universe.
+    Hosted tokens must name a standalone base that is present in the
+    universe. The members are the inputs as given, in order of token id.
     """
     if not inputs:
         raise EmptyUniverse("scoring universe contains no tokens")
@@ -103,7 +78,7 @@ def build_context(
         if not inputs[base].role.is_standalone:
             raise MissingBaseChain(f"{token_id}: base chain {base!r} is itself hosted")
 
-    members = {token_id: ti.resolved(params) for token_id, ti in sorted(inputs.items())}
+    members = dict(sorted(inputs.items()))
     fgis = [m.fgi for m in members.values() if m.fgi is not None]
     sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
     return ScoringContext(params, members, sent_maxima)
@@ -151,11 +126,7 @@ def score_universe(ctx: ScoringContext) -> FragilityReport:
                 except Me2fError as exc:
                     notes.append(f"vds failed: {exc}")
 
-        conc = None
-        wds_value = None
-        if member.holders is not None:
-            conc = whale.concentration(member.holders, params.n)
-            wds_value = conc.wds
+        wds_value = None if member.concentration is None else member.concentration.wds
 
         sas_value = None
         if member.fgi is not None and ctx.sent_maxima is not None:
@@ -163,8 +134,7 @@ def score_universe(ctx: ScoringContext) -> FragilityReport:
             k = sent.shock_index(member.fgi, ctx.sent_maxima)
             sas_value = sent.sas(u, k, params.delta)
 
-        reports.append(TokenReport(token_id, member, vds_value, wds_value, sas_value,
-                                   conc, tuple(notes)))
+        reports.append(TokenReport(token_id, member, vds_value, wds_value, sas_value, tuple(notes)))
 
     # Display order: ascending VDS (the classic summary-table layout),
     # score-less tokens last, ties broken by id for determinism.

@@ -94,8 +94,9 @@ def aggregate(series: TokenSeries, scale_unit: float = 1e9) -> VolatilityAggrega
     max_vol = max(vols)
     try:  # the exact mean is at most the max, where its rounding may not be
         avg_vol = min(math.fsum(vols) / len(vols), max_vol)
-    except OverflowError:  # finite days whose sum passes the float range: its rule rejects inf
-        avg_vol = math.inf
+    except OverflowError:  # finite days whose sum passes the float range: sum them scaled
+        k = len(vols).bit_length()  # by 2**-k < 1/n, exactly, so the sum stays below the max
+        avg_vol = min(math.ldexp(math.fsum(math.ldexp(v, -k) for v in vols) / len(vols), k), max_vol)
     return VolatilityAggregate(
         token_id=series.token_id,
         avg_vol=avg_vol,

@@ -34,10 +34,11 @@ from conftest import (
     write_tables_universe,
 )
 import me2f
-from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe
+from me2f import FrameworkParams, HolderSnapshot, build_context, score_universe, whale
 from me2f.cli import _dumps, main, report_to_dict
 from me2f.errors import InvalidSummary
 from me2f.ingest import BARS_HEADER, load_universe
+from me2f.volatility import aggregate
 
 runner = CliRunner()
 
@@ -160,6 +161,38 @@ class TestScore:
         (token,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
         name, value = mean
         assert token["inputs"][key][name] == value
+
+    def test_days_whose_sum_overflows_score(self, tmp_path):
+        # math.fsum of the days (1e308, 1.5e308) overflows; their mean is a float
+        (tmp_path / "a.csv").write_text("date,high,low,close,volume_usd,market_cap_usd\n"
+                                        "2024-01-01,1e308,1,1,1,1\n2024-01-02,1e308,1,1,1,1\n"
+                                        "2024-01-03,1.5e308,1,1,1,1\n")
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o", "--format", "json")
+        assert result.exit_code == 0, result.output
+        (token,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
+        assert token["vds"] is not None
+        assert load_universe(universe, FrameworkParams())["A"].volatility.avg_vol == 1.25e308
+
+    def test_bad_holders_file_is_reported_before_a_short_bars_file(self, tmp_path):
+        # a token's files are all read before any is reduced, in the order bars, holders, sentiment
+        universe = write_raw_universe(tmp_path, 1, 3)
+        bars, holders = tmp_path / "R0000_bars.csv", tmp_path / "R0000_holders.csv"
+        bars.write_text("".join(bars.read_text().splitlines(keepends=True)[:2]))  # one row
+        holders.write_text("rank,share\n1,oops\n")
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {holders}: line 2, column 'share': not a number: 'oops'\n"
+
+    def test_every_holder_row_excluded_exits_3_saying_so(self, tmp_path):
+        (tmp_path / "h.csv").write_text("address,share\n0xa,0.4\n0xb,0.1\n")
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", "holders": "h.csv",
+                                                    "exclude_addresses": ["0xb", "0xa"]}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {tmp_path / 'h.csv'}: every row is excluded by exclude_addresses\n"
 
     def test_repeated_bar_date_exits_3_naming_file_and_line(self, tmp_path):
         bars = tmp_path / "x.csv"
@@ -494,6 +527,8 @@ class TestDeterminism:
 
 
 GOLDEN_SCORE = ("score", "--universe", GOLDEN_DIR / "universe.json", "--format", "json,table,chart")
+GOLDEN_SCORE_PARAMS = ("score", "--universe", GOLDEN_DIR / "universe.json", "--n", 2,
+                       "--scale-unit", "1e6", "--format", "json,table")
 GOLDEN_WARN = ("warn", "--history", GOLDEN_DIR / "history.csv", "--window", 3,
                "--threshold", 0.6, "--x-days", 1)
 
@@ -551,6 +586,12 @@ class TestGoldenOutputs:
         result = run(*GOLDEN_SCORE, "--out", tmp_path)
         assert result.exit_code == 0, result.output
         self.assert_golden(tmp_path, GOLDEN_DIR / "score")
+
+    def test_score_with_params(self, tmp_path):
+        # --n 2 reads each snapshot's top two shares; --scale-unit converts bar and table sizes
+        result = run(*GOLDEN_SCORE_PARAMS, "--out", tmp_path)
+        assert result.exit_code == 0, result.output
+        self.assert_golden(tmp_path, GOLDEN_DIR / "score_params")
 
     def test_warn(self, tmp_path):
         result = run(*GOLDEN_WARN, "--out", tmp_path)
@@ -1687,10 +1728,12 @@ class TestJsonWriters:
 
     def test_matches_json_dumps_on_a_scored_report(self, reference_inputs):
         # the writers' key lists agree with report_to_dict's, every section present
-        inputs = dict(reference_inputs)
-        inputs["DOGE"] = replace(inputs["DOGE"], holders=HolderSnapshot("DOGE", (0.5, 0.1)),
-                                 series=random_series(random.Random(0), "DOGE"))
         params = FrameworkParams()
+        inputs = dict(reference_inputs)
+        series = random_series(random.Random(0), "DOGE")
+        inputs["DOGE"] = replace(
+            inputs["DOGE"], concentration=whale.concentration(HolderSnapshot("DOGE", (0.5, 0.1)), params.n),
+            volatility=aggregate(series, params.scale_unit), window=series.window())
         doc = report_to_dict(score_universe(build_context(inputs, params)))
         doge = next(t for t in doc["tokens"] if t["id"] == "DOGE")
         assert doge["window"] and doge["inputs"]["concentration"]

@@ -289,7 +289,7 @@ def dataclass_values(value):
 
 def golden_values() -> list:
     """The values that scoring the golden universe, warning on its history and
-    reading its bars and sentiment files make (scoring keeps no series)."""
+    reading its bars, sentiment and holders files make (scoring keeps no series)."""
     report = score_universe(build_context(
         ingest.load_universe(GOLDEN_DIR / "universe.json", FrameworkParams()), FrameworkParams()))
     histories = ingest.load_history_csv(GOLDEN_DIR / "history.csv")
@@ -299,8 +299,9 @@ def golden_values() -> list:
     warned = [(warning.joint_spike(f, 1), warning.assign_buckets(f, 1)) for f in flags.values()]
     series = [ingest.load_bars_csv(GOLDEN_DIR / "sol_bars.csv", "SOL"),
               ingest.load_sentiment_csv(GOLDEN_DIR / "wif_sentiment.csv", "WIF")]
+    snapshot = ingest.load_holders_csv(GOLDEN_DIR / "wif_holders.csv", "WIF", exclude={"0xdead"})
     rows = [row for s in series for row in s._rows()]
-    return list(dataclass_values([report, histories, flags, warned, series, rows]))
+    return list(dataclass_values([report, histories, flags, warned, series, rows, snapshot]))
 
 
 class TestSlottedValues:

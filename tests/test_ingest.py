@@ -9,7 +9,7 @@ import re
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -38,7 +38,9 @@ from me2f.errors import (
     EmptyUniverse,
     HttpError,
     InvalidShares,
+    LowAboveHigh,
     MalformedRow,
+    NonMonotonicDates,
     ParseError,
     PartialRange,
     ProviderUnreachable,
@@ -68,6 +70,7 @@ from me2f.ingest import (
 from me2f.sentiment import FgiIndicators
 from me2f.volatility import VolatilityAggregate, aggregate
 from me2f.warning import Metric, ScorePoint, ScoreSeries
+from me2f.whale import concentration
 from conftest import REFERENCE_DIR, FakeResponse, FakeSession, write_date_major_history
 
 PARAMS = FrameworkParams()
@@ -161,9 +164,12 @@ class TestLoadHoldersCsv:
         assert sum(snap.shares) == pytest.approx(0.5)
 
     def test_truncates_to_top_n(self, tmp_path):
+        # the loader keeps every row; concentration reads the top n of them
         text = "rank,share\n" + "".join(f"{i},0.005\n" for i in range(1, 151))
-        snap = load_holders_csv(write(tmp_path, "h.csv", text), n=100)
-        assert len(snap.shares) == 100
+        snap = load_holders_csv(write(tmp_path, "h.csv", text))
+        assert len(snap.shares) == 150
+        assert concentration(snap, 100) == concentration(HolderSnapshot("H", snap.shares[:100]), 100)
+        assert concentration(snap, 100).c == pytest.approx(0.5)
 
     def test_sum_exceeds_one(self, tmp_path):
         text = "rank,share\n" + "".join(f"{i},0.012\n" for i in range(1, 101))
@@ -178,10 +184,11 @@ class TestLoadHoldersCsv:
             text = f"rank,share\n1,0.5\n2,0.5\n3,{_SHARE_SUM_TOLERANCE * excess!r}\n"
             return write(tmp_path, f"h{excess}.csv", text)
 
-        assert load_holders_csv(holders(0.5), n=2).shares == (0.5, 0.5)
+        snap = load_holders_csv(holders(0.5))
+        assert concentration(snap, 2) == concentration(HolderSnapshot("H0.5", (0.5, 0.5)), 2)
         path = holders(2)
         with pytest.raises(InvalidShares) as err:
-            load_holders_csv(path, n=2)
+            load_holders_csv(path)
         assert str(path) in str(err.value)
 
     def test_negative_share(self, tmp_path):
@@ -423,10 +430,11 @@ class TestLoadUniverse:
         doc = {"tokens": [{"id": "X", "role": "standalone", "bars": "x.csv", "holders": "xh.csv"}]}
         inputs = load_universe(write(tmp_path, "u.json", json.dumps(doc)), PARAMS)
         bars = load_bars_csv(tmp_path / "x.csv", "X")
-        assert inputs["X"].series is None  # reduced as it was read
+        assert [f.name for f in fields(inputs["X"])] == [  # summaries: reduced as they were read
+            "role", "volatility", "concentration", "fgi", "window"]
         assert inputs["X"].volatility == aggregate(bars, PARAMS.scale_unit)
         assert inputs["X"].window == bars.window() == (date(2024, 1, 1), date(2024, 1, 3))
-        assert inputs["X"].holders.shares == (0.5,)
+        assert inputs["X"].concentration == concentration(HolderSnapshot("X", (0.5,)), PARAMS.n)
 
     def test_role_required(self, tmp_path):
         doc = {"tokens": [{"id": "X"}]}
@@ -438,7 +446,7 @@ class TestLoadUniverse:
         doc = {"tokens": [{"id": "X", "role": "standalone", "holders": "h.csv",
                            "exclude_addresses": ["0xcustody"]}]}
         inputs = load_universe(write(tmp_path, "u.json", json.dumps(doc)), PARAMS)
-        assert inputs["X"].holders.shares == (0.4,)
+        assert inputs["X"].concentration == concentration(HolderSnapshot("X", (0.4,)), PARAMS.n)
 
 
 # --- remote fetch ----------------------------------------------------------
@@ -557,6 +565,23 @@ class TestMarketDataClient:
             client.fetch_daily("DOGE", self.START, self.START + timedelta(days=4))
         assert err.value.missing == [date(2024, 3, 3)]
         assert not list((tmp_path / "cache").rglob("*.json"))  # incomplete: not cached
+
+    @pytest.mark.parametrize("fault,error,message", [
+        ("repeat", NonMonotonicDates, "duplicate date 2024-03-02"),
+        ("low_above_high", LowAboveHigh, "low=120.0 > high=111.0 on 2024-03-02"),
+    ], ids=["repeat", "low_above_high"])
+    def test_bad_provider_data_names_provider_and_token(self, tmp_path, fault, error, message):
+        records = day_records(self.START, 3)
+        if fault == "repeat":
+            records.insert(2, dict(records[1]))
+        else:
+            records[1]["l"] = 120.0
+        client, _ = make_client(tmp_path, FakeSession(records, page_size=10), make_provider(page_size=10))
+        with pytest.raises(error) as err:
+            client.fetch_daily("DOGE", self.START, self.START + timedelta(days=2))
+        assert str(err.value) == f"fakeprov: DOGE: {message}"
+        assert err.value.field == {"repeat": None, "low_above_high": "low"}[fault]
+        assert not list((tmp_path / "cache").rglob("*.json"))  # bad data: not cached
 
     def test_429_retries_once_then_raises(self, tmp_path):
         ok = day_records(self.START, 1)
@@ -1287,7 +1312,7 @@ def oracle_load_fgi_table(path: Path, token_id=None) -> dict:
     return out
 
 
-def oracle_load_holders(path: Path, token_id: str, n: int, exclude: set[str]) -> HolderSnapshot:
+def oracle_load_holders(path: Path, token_id: str, exclude: set[str]) -> HolderSnapshot:
     shares = []
     for lineno, (key, raw) in oracle_rows(path, ["rank", "share"], ["address", "share"]):
         if key in exclude:
@@ -1299,11 +1324,11 @@ def oracle_load_holders(path: Path, token_id: str, n: int, exclude: set[str]) ->
             raise MalformedRow(path, lineno, "share", f"share {share} above 1")
         shares.append(share)
     if not shares:
-        raise EmptyFile(f"{path}: no data rows")
+        raise EmptyFile(f"{path}: every row is excluded by exclude_addresses")
     total = math.fsum(shares)
     if total > 1 + _SHARE_SUM_TOLERANCE:
         raise InvalidShares(f"{path}: shares sum to {total}, exceeding total supply")
-    return HolderSnapshot(token_id, tuple(sorted(shares, reverse=True)[:n]))
+    return HolderSnapshot(token_id, tuple(sorted(shares, reverse=True)))
 
 
 @st.composite
@@ -1389,7 +1414,7 @@ FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares,
 def holders_csv(draw):
     """A rank or address holder file, up to three mutations, sometimes a row
     with a cell too many or too few, blank lines; with an ``exclude`` set over
-    its keys and a top n."""
+    its keys."""
     header = draw(st.sampled_from([["rank", "share"], ["address", "share"]]))
     n = draw(st.integers(min_value=1, max_value=8))
     keys = [str(i + 1) if header[0] == "rank" else f"0x{i:02x}" for i in range(n)]
@@ -1407,7 +1432,7 @@ def holders_csv(draw):
             col = draw(st.integers(min_value=0, max_value=1))
             rows[i][col] = f"  {rows[i][col]}\t"
     exclude = draw(st.sets(st.sampled_from(keys)))
-    return csv_text(draw, header, rows), exclude, draw(st.integers(min_value=2, max_value=5))
+    return csv_text(draw, header, rows), exclude
 
 
 TABLE_SETTINGS = settings(FILE_SETTINGS, derandomize=True)
@@ -1439,13 +1464,13 @@ class TestTableAndHolderLoadersMatchRowOracle:
         assert outcome(lambda p, _: load_fgi_table(p), path) == outcome(oracle_load_fgi_table, path)
 
     @given(case=holders_csv())
-    @example(case=("rank,share\n1,1.5\n2,-0.1\n3,oops\n", set(), 2))  # line 2, above 1
+    @example(case=("rank,share\n1,1.5\n2,-0.1\n3,oops\n", set()))  # line 2, above 1
     @TABLE_SETTINGS
     def test_holders(self, tmp_path, case):
-        text, exclude, n = case
+        text, exclude = case
         path = write(tmp_path, "holders.csv", text)
-        assert outcome(lambda p, t: load_holders_csv(p, t, n, exclude), path) == outcome(
-            lambda p, t: oracle_load_holders(p, t, n, exclude), path)
+        assert outcome(lambda p, t: load_holders_csv(p, t, exclude), path) == outcome(
+            lambda p, t: oracle_load_holders(p, t, exclude), path)
 
     def test_hosted_tokens_share_one_role_per_base(self, tmp_path):
         text = (",".join(VOLATILITY_TABLE_HEADER) + "\nA,1,2,3,4,hosted,ETH\nB,1,2,3,4,hosted,ETH\n"
@@ -1519,10 +1544,10 @@ class TestEveryLoaderAcrossChunks:
     @given(case=holders_csv())
     @TABLE_SETTINGS
     def test_holders(self, tmp_path, case):
-        text, exclude, n = case
+        text, exclude = case
         path = write(tmp_path, "holders.csv", text)
-        assert outcome(lambda p, t: load_holders_csv(p, t, n, exclude), path) == outcome(
-            lambda p, t: oracle_load_holders(p, t, n, exclude), path)
+        assert outcome(lambda p, t: load_holders_csv(p, t, exclude), path) == outcome(
+            lambda p, t: oracle_load_holders(p, t, exclude), path)
 
     def test_blank_lines_count_and_the_file_is_named(self, tmp_path):
         TestPhysicalLineNumbers.test_blank_lines_count_and_the_file_is_named(self, tmp_path)

@@ -209,7 +209,7 @@ class TestDominatedToken:
 def concentrations(universe: Path, params: FrameworkParams) -> dict:
     """Each token's ``ConcentrationResult``, by id."""
     report = score_universe(build_context(load_universe(universe, params), params))
-    return {t.token_id: t.concentration for t in report.tokens}
+    return {t.token_id: t.inputs.concentration for t in report.tokens}
 
 
 def scale_columns(path: Path, columns: tuple[int, ...], factor: float) -> None:

@@ -1,8 +1,9 @@
 """Universe scoring: context construction, report assembly, reference values."""
 from __future__ import annotations
 
+import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -15,18 +16,40 @@ from me2f.domain import (
     HolderSnapshot,
     SentimentPoint,
     SentimentSeries,
+    TokenSeries,
 )
+from me2f.cli import bars_to_csv
 from me2f.errors import EmptyUniverse, MissingBaseChain
-from me2f.ingest import load_universe
+from me2f.ingest import (FGI_TABLE_HEADER, SENTIMENT_HEADER, VOLATILITY_TABLE_HEADER,
+                         load_universe)
 from me2f.scoring import TokenInputs, build_context, score_universe
-from me2f.sentiment import FgiIndicators, fgi_indicators, sentiment_maxima
+from me2f.sentiment import fgi_indicators, sentiment_maxima
 from me2f.volatility import VolatilityAggregate, aggregate, normalize_cross_section
+from me2f.whale import concentration
 
 PARAMS = FrameworkParams()
 
 
 def _agg(token, avg, vmax, z, c):
     return VolatilityAggregate(token, avg, vmax, z, c)
+
+
+def load_token(tmp_path: Path, series: TokenSeries | None = None,
+               sentiment: SentimentSeries | None = None, **tables: str) -> dict[str, TokenInputs]:
+    """The inputs ``load_universe`` gives for a universe file of ``tables`` and a
+    standalone token X whose bars and sentiment files hold ``series`` and ``sentiment``."""
+    entry = {"id": "X", "role": "standalone"}
+    if series is not None:
+        (tmp_path / "x_bars.csv").write_text(bars_to_csv(series), encoding="utf-8")
+        entry["bars"] = "x_bars.csv"
+    if sentiment is not None:
+        (tmp_path / "x_sentiment.csv").write_text(",".join(SENTIMENT_HEADER) + "\n" + "".join(
+            f"{p.date},{p.fgi!r},{'' if p.abs_return is None else repr(p.abs_return)}\n"
+            for p in sentiment.points), encoding="utf-8")
+        entry["sentiment"] = "x_sentiment.csv"
+    universe = tmp_path / "universe.json"
+    universe.write_text(json.dumps({"tokens": [entry], **tables}), encoding="utf-8")
+    return load_universe(universe, PARAMS)
 
 
 def _normalized(ctx):
@@ -73,24 +96,25 @@ class TestBuildContext:
         with pytest.raises(EmptyUniverse):
             build_context({}, PARAMS)
 
-    def test_raw_series_aggregated_with_scale_unit(self):
+    def test_raw_series_aggregated_with_scale_unit(self, tmp_path):
         series = make_series("X", highs=[110, 120], lows=[90, 100], closes=[100, 110],
                              volumes=[5e9, 3e9], mcaps=[7e9, 9e9])
-        ctx = build_context({"X": TokenInputs(ChainRole.standalone(), series=series)}, PARAMS)
-        member = ctx.members["X"]
+        member = build_context(load_token(tmp_path, series), PARAMS).members["X"]
         assert member.volatility.max_volume == pytest.approx(5.0)
         assert member.volatility.max_mcap == pytest.approx(9.0)
         assert member.window == (date(2024, 1, 1), date(2024, 1, 2))
 
-    def test_series_replace_summaries_given_beside_them(self):
+    def test_series_replace_summaries_given_beside_them(self, tmp_path):
         series = make_series("X", highs=[110, 120, 130], lows=[90, 100, 105],
                              closes=[100, 110, 120], start=date(2024, 2, 1))
         sentiment = SentimentSeries("X", [SentimentPoint(date(2024, 1, 1), 30.0, None),
                                           SentimentPoint(date(2024, 1, 2), 70.0, 0.1)])
-        given = TokenInputs(ChainRole.standalone(), series=series,
-                            volatility=_agg("X", 0.5, 0.9, 1.0, 1.0), sentiment=sentiment,
-                            fgi=FgiIndicators("X", 50.0, 90.0, 10.0, 0.1, 0.1, 40.0, 0.2))
-        member = build_context({"X": given}, PARAMS).members["X"]
+        # table rows of _agg("X", 0.5, 0.9, 1.0, 1.0) and of
+        # FgiIndicators("X", 50.0, 90.0, 10.0, 0.1, 0.1, 40.0, 0.2), which the files replace
+        (tmp_path / "v.csv").write_text(",".join(VOLATILITY_TABLE_HEADER) + "\nX,50,90,1,1,standalone,\n")
+        (tmp_path / "f.csv").write_text(",".join(FGI_TABLE_HEADER) + "\nX,50,90,10,10,10,40,20\n")
+        given = load_token(tmp_path, series, sentiment, volatility_table="v.csv", fgi_table="f.csv")
+        member = build_context(given, PARAMS).members["X"]
         assert member.volatility == aggregate(series, PARAMS.scale_unit)
         assert member.fgi == fgi_indicators(sentiment)
         assert member.window == (date(2024, 2, 1), date(2024, 2, 3))
@@ -99,11 +123,10 @@ class TestBuildContext:
         ctx = build_context(reference_inputs, PARAMS)
         assert all(ctx.members[tid] is ti for tid, ti in reference_inputs.items())
 
-    def test_sentiment_alone_gives_the_window_and_is_dropped(self):
+    def test_sentiment_alone_gives_the_window_and_is_dropped(self, tmp_path):
         sentiment = SentimentSeries("X", [SentimentPoint(date(2024, 1, 1), 30.0, None),
                                           SentimentPoint(date(2024, 1, 5), 70.0, 0.1)])
-        member = build_context({"X": TokenInputs(ChainRole.standalone(), sentiment=sentiment)},
-                               PARAMS).members["X"]
+        member = build_context(load_token(tmp_path, sentiment=sentiment), PARAMS).members["X"]
         assert member == TokenInputs(ChainRole.standalone(), fgi=fgi_indicators(sentiment),
                                      window=(date(2024, 1, 1), date(2024, 1, 5)))
 
@@ -115,8 +138,9 @@ class TestScoreMemory:
     def test_a_loaded_raw_universe_holds_no_series(self, tmp_path):
         inputs = load_universe(write_raw_universe(tmp_path, 7, 10), PARAMS)
         assert len(inputs) == 7
-        assert all(ti.series is None and ti.sentiment is None and ti.window is not None
-                   for ti in inputs.values())
+        assert all(ti.window is not None and not any(
+            isinstance(getattr(ti, f.name), (TokenSeries, SentimentSeries, HolderSnapshot))
+            for f in fields(ti)) for ti in inputs.values())
 
     def test_traced_peak_does_not_double_with_the_days(self, tmp_path):
         universes = []
@@ -184,16 +208,16 @@ class TestScoreUniverse:
     def test_flat_single_token_scores_zero_with_warning(self):
         series = make_series("X", highs=[100, 100, 100], lows=[100, 100, 100],
                              closes=[100, 100, 100])
-        report = score_universe(
-            build_context({"X": TokenInputs(ChainRole.standalone(), series=series)}, PARAMS)
-        )
+        report = score_universe(build_context(
+            {"X": TokenInputs(ChainRole.standalone(), aggregate(series, PARAMS.scale_unit))}, PARAMS))
         (token,) = report.tokens
         assert token.vds == 0.0
         assert any("degenerate" in w for w in report.warnings)
 
     def test_wds_computed_when_holders_present(self, reference_inputs):
         inputs = dict(reference_inputs)
-        inputs["DOGE"] = replace(inputs["DOGE"], holders=HolderSnapshot("DOGE", (0.5,)))
+        inputs["DOGE"] = replace(inputs["DOGE"],
+                                 concentration=concentration(HolderSnapshot("DOGE", (0.5,)), PARAMS.n))
         report = score_universe(build_context(inputs, PARAMS))
         doge = next(t for t in report.tokens if t.token_id == "DOGE")
         assert doge.wds == 0.5  # single holder: wds equals its share
@@ -204,7 +228,8 @@ class TestScoreUniverse:
         # base chain present but without volatility data: only the hosted
         # token's VDS fails, and it fails into a warning
         inputs = {
-            "BASE": TokenInputs(ChainRole.standalone(), holders=HolderSnapshot("BASE", (0.4,))),
+            "BASE": TokenInputs(ChainRole.standalone(),
+                                concentration=concentration(HolderSnapshot("BASE", (0.4,)), PARAMS.n)),
             "HOSTED": TokenInputs(ChainRole.hosted_on("BASE"),
                                   volatility=_agg("HOSTED", 0.1, 0.2, 1.0, 1.0)),
         }

@@ -151,11 +151,25 @@ class TestVolatilityAggregateRules:
 
     @pytest.mark.parametrize("highs,lows,closes", [
         ([111, 112, 113], [89, 88, 87], [1e-320, 102, 100]),  # one day's range over the close is inf
-        ([1.5e308] * 3, [1.0] * 3, [1.0] * 3),  # finite days whose sum overflows math.fsum
-    ], ids=["inf_day", "sum_overflow"])
+    ], ids=["inf_day"])
     def test_aggregate_of_extreme_bars_is_rejected_not_inf(self, highs, lows, closes):
         with pytest.raises(InvalidSummary, match=r"^X: avg_vol=inf is not finite$"):
             aggregate(make_series("X", highs=highs, lows=lows, closes=closes))
+
+    @pytest.mark.parametrize("days,mean", [
+        ([1.5e308] * 2, 1.5e308),
+        ([1e308, 1.5e308], 1.25e308),
+        ([sys.float_info.max] * 2, sys.float_info.max),
+        *(([sys.float_info.max] * n, None) for n in (3, 6, 7, 9, 100)),  # fsum(v / n) overflows at 3, 6, 7, 9
+    ], ids=["equal", "mixed", "max", *(f"max_x{n}" for n in (3, 6, 7, 9, 100))])
+    def test_finite_days_whose_sum_overflows_have_their_finite_mean(self, days, mean):
+        n = len(days) + 1  # the first bar gives no day: its close is 1, as every other one
+        agg = aggregate(make_series("X", highs=[1.0, *days], lows=[1.0] * n, closes=[1.0] * n))
+        assert agg.max_vol == max(days)
+        if mean is None:  # the exact mean is the max, within the rounding of a sum and a division
+            assert agg.max_vol * (1 - 2 ** -51) <= agg.avg_vol <= agg.max_vol
+        else:
+            assert agg.avg_vol == mean
 
     def test_zero_sizes_are_accepted(self):
         assert VolatilityAggregate("X", 0.0, 0.0, 0.0, -0.0).max_volume == 0.0
