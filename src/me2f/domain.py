@@ -8,6 +8,17 @@ are slotted (``slots=True``): an instance holds its fields and no
 values without the constructor, setting each field with
 ``object.__setattr__`` as the frozen ``__init__`` does.
 
+Every value type derives from ``Value`` and is declared with ``eq=False,
+repr=False``: its ``==``, ``hash`` and ``repr`` are ``Value``'s, which
+give what ``dataclasses`` would generate for its fields. ``dataclasses``
+writes and compiles source for each method it generates, at every import,
+with bytecode or without. Stating the three methods once takes 66 of the
+128 compiles out of ``import me2f.cli``, and on Python 3.11 the
+benchmark's ``setup_s`` fell 12-14% with bytecode and 6-9% without
+(``BENCH_29.json``). Python 3.13 compiles a class's generated methods in
+one batch, and there the same change saved about as many milliseconds, a
+smaller share of a slower import (README, start-up).
+
 Each checked type states its row invariants once, in one table of
 ``Rule`` values. ``check_rows`` runs a table over whole columns in bulk,
 and only when that fails rescans the rows one at a time, to name the first
@@ -23,6 +34,7 @@ from dataclasses import dataclass, fields
 from datetime import date as Date
 from itertools import compress, pairwise, repeat
 from operator import attrgetter, ge, le, lt
+from reprlib import recursive_repr
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -73,7 +85,36 @@ def finite_in(name: str, lo: float = -math.inf, hi: float = math.inf) -> Callabl
     return lambda c: all(map(math.isfinite, c[name])) and lo <= min(c[name]) and max(c[name]) <= hi
 
 
-class Checked:
+class Value:
+    """A frozen dataclass's ``==``, ``hash`` and ``repr``, stated once.
+
+    As the generated ones do, ``==`` compares the ``compare`` fields as a
+    tuple and returns ``NotImplemented`` for another class, ``hash`` hashes
+    that tuple, and ``repr`` shows the ``repr`` fields. (From Python 3.13
+    the generated ``==`` compares field by field, which differs from a
+    tuple only for a NaN that both values hold.)
+    """
+
+    __slots__ = ()
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    @recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class Checked(Value):
     """A frozen dataclass whose constructor checks its ``rules`` on one-row
     columns, and whose ``many`` checks whole columns and builds unchecked."""
 
@@ -93,7 +134,7 @@ class Checked:
         return built
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DailyBar(Checked):
     """One day of trading: intraday extremes, close, volume, market cap (USD)."""
 
@@ -120,8 +161,8 @@ class DailyBar(Checked):
 _Series = TypeVar("_Series", bound="_DailySeries")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class _DailySeries:
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+class _DailySeries(Value):
     """Date-ascending daily rows under key fields, one tuple per column.
 
     A subclass declares any key fields after ``token_id``, then one column
@@ -181,7 +222,7 @@ class _DailySeries:
         return self.dates[0], self.dates[-1]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class TokenSeries(_DailySeries):
     """Date-ascending daily bars for one token: ``TokenSeries(token_id, bars)``."""
 
@@ -208,8 +249,8 @@ def validate_series(series: _Series) -> _Series:
     return series
 
 
-@dataclass(frozen=True, slots=True)
-class HolderSnapshot:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class HolderSnapshot(Value):
     """Top holder ownership shares (fractions of total supply), descending.
 
     Snapshots may carry fewer entries than the scoring parameter ``n``;
@@ -238,7 +279,7 @@ class HolderSnapshot:
             raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SentimentPoint(Checked):
     """Daily fear-and-greed index value with that day's absolute price return.
 
@@ -259,7 +300,7 @@ class SentimentPoint(Checked):
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class SentimentSeries(_DailySeries):
     """Date-ascending FGI observations for one token: ``SentimentSeries(token_id, points)``."""
 
@@ -273,8 +314,8 @@ class SentimentSeries(_DailySeries):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class FrameworkParams:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class FrameworkParams(Value):
     """Scoring parameters.
 
     alpha      weight between persistent and extreme volatility, in [0, 1]
@@ -303,8 +344,8 @@ class FrameworkParams:
             raise ConfigError(f"n={self.n!r} must be an integer >= 2")
 
 
-@dataclass(frozen=True, slots=True)
-class ChainRole:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ChainRole(Value):
     """Standalone chain, or token hosted on a standalone base chain."""
 
     base: str | None = None

@@ -19,7 +19,7 @@ from datetime import timedelta, timezone
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import TokenSeries
+from .domain import TokenSeries, Value
 from .errors import (ConfigError, DataError, HttpError, ParseError, PartialRange,
                      ProviderUnreachable, RateLimited)
 from .ingest import BARS_HEADER, iso_days, read_json_object, token_id_fault, write_files
@@ -54,8 +54,8 @@ def _check_cache_name(what: str, name: str) -> None:
         raise ConfigError(f"{what}: {fault}")
 
 
-@dataclass(frozen=True, slots=True)
-class ProviderEndpointSpec:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ProviderEndpointSpec(Value):
     """Declarative description of one market-data provider.
 
     ``path`` and ``query`` values may use the placeholders {token},

@@ -18,12 +18,12 @@ from typing import Mapping
 from . import sentiment as sent
 from . import volatility as vol
 from . import whale
-from .domain import ChainRole, FrameworkParams
+from .domain import ChainRole, FrameworkParams, Value
 from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 
 
-@dataclass(frozen=True, slots=True)
-class TokenInputs:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class TokenInputs(Value):
     """A token's role and summaries; an unset summary disables its score.
     ``window`` is the date span of the raw series they were reduced from."""
 
@@ -34,15 +34,15 @@ class TokenInputs:
     window: tuple[Date, Date] | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ScoringContext:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ScoringContext(Value):
     params: FrameworkParams
     members: dict[str, TokenInputs]
     sent_maxima: sent.SentimentMaxima | None
 
 
-@dataclass(frozen=True, slots=True)
-class TokenReport:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class TokenReport(Value):
     token_id: str
     inputs: TokenInputs
     vds: float | None
@@ -51,8 +51,8 @@ class TokenReport:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FragilityReport:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class FragilityReport(Value):
     params: FrameworkParams
     tokens: tuple[TokenReport, ...]
     window: tuple[Date, Date] | None

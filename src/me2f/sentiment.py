@@ -13,7 +13,7 @@ from enum import Enum
 from operator import add, le, sub
 from typing import Iterable
 
-from .domain import Checked, Rule, SentimentPoint, SentimentSeries, finite_in
+from .domain import Checked, Rule, SentimentPoint, SentimentSeries, Value, finite_in
 from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
@@ -48,7 +48,7 @@ def classify_fgi(value: float) -> FgiBand:
     return FgiBand.EXTREME_GREED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FgiIndicators(Checked):
     """Summary indicators of one token's FGI history.
 
@@ -83,6 +83,9 @@ class FgiIndicators(Checked):
         Rule("q_g", lambda c: finite_in("q_g", 0)(c) and finite_in("q_f", 0)(c)
              and not any(map((1 + 1e-9).__lt__, map(add, c["q_g"], c["q_f"]))),
              InvalidSummary, "{token_id}: q_g + q_f outside [0, 1]"),
+        Rule("delta_p_max", lambda c: all(math.isfinite(v * 100) for v in c["delta_p_max"]),
+             InvalidSummary,  # the report gives it as delta_p_max_pct
+             "{token_id}: delta_p_max={delta_p_max!r} overflows as a percentage"),
     )
 
     @property
@@ -116,8 +119,8 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SentimentMaxima:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class SentimentMaxima(Value):
     """Cross-sectional maxima used to normalize U and K components."""
 
     r_f: float

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from operator import le, sub, truediv
 from typing import Iterable, Mapping
 
-from .domain import ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, finite_in
+from .domain import (ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, Value,
+                     finite_in)
 from .errors import (
     ConfigError,
     DegenerateUniverse,
@@ -25,7 +26,7 @@ from .errors import (
 _STANDALONE = ChainRole.standalone()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class VolatilityAggregate(Checked):
     """Per-token volatility and scale summary.
 
@@ -47,11 +48,14 @@ class VolatilityAggregate(Checked):
         Rule("max_mcap", finite_in("max_mcap", 0), InvalidSummary, "negative size {max_mcap}"),
         Rule("avg_vol", lambda c: all(map(le, c["avg_vol"], c["max_vol"])) and min(c["avg_vol"]) >= 0,
              InvalidSummary, "{token_id}: need 0 <= avg_vol <= max_vol, got ({avg_vol}, {max_vol})"),
+        # the report gives both as percentages, and avg_vol <= max_vol
+        Rule("max_vol", lambda c: all(math.isfinite(v * 100) for v in c["max_vol"]), InvalidSummary,
+             "{token_id}: max_vol={max_vol!r} overflows as a percentage"),
     )
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedVolatility:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class NormalizedVolatility(Value):
     """Average and maximum volatility as ratios to the universe maxima."""
 
     token_id: str

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .domain import Checked, Rule, _DailySeries, finite_in
+from .domain import Checked, Rule, Value, _DailySeries, finite_in
 from .errors import ConfigError, OutOfRange, WindowTooShort
 
 
@@ -33,7 +33,7 @@ class ActionBucket(str, Enum):
     STANDARD_MONITORING = "standard_monitoring"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ScorePoint(Checked):
     date: Date
     value: float
@@ -43,7 +43,7 @@ class ScorePoint(Checked):
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class ScoreSeries(_DailySeries):
     """Date-ascending history of one score: ``ScoreSeries(token_id, metric, points)``."""
 
@@ -54,8 +54,8 @@ class ScoreSeries(_DailySeries):
     row_type = ScorePoint
 
 
-@dataclass(frozen=True, slots=True)
-class WarningFlag:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class WarningFlag(Value):
     token_id: str
     metric: Metric
     date: Date
@@ -63,8 +63,8 @@ class WarningFlag:
     window_percentile: float
 
 
-@dataclass(frozen=True, slots=True)
-class JointSpike:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class JointSpike(Value):
     """Two metrics flagged within x days of each other; dated at the later flag."""
 
     token_id: str
@@ -72,8 +72,8 @@ class JointSpike:
     metrics: tuple[Metric, Metric]
 
 
-@dataclass(frozen=True, slots=True)
-class BucketAssignment:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class BucketAssignment(Value):
     token_id: str
     date: Date
     bucket: ActionBucket

@@ -13,7 +13,7 @@ from .domain import Checked, HolderSnapshot, Rule, finite_in
 from .errors import ConfigError, InvalidSummary
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ConcentrationResult(Checked):
     token_id: str
     c: float

@@ -163,17 +163,35 @@ class TestScore:
         assert token["inputs"][key][name] == value
 
     def test_days_whose_sum_overflows_score(self, tmp_path):
-        # math.fsum of the days (1e308, 1.5e308) overflows; their mean is a float
+        # math.fsum of the days (100 of 1e306, 100 of 1.5e306) overflows; their mean is a float
         (tmp_path / "a.csv").write_text("date,high,low,close,volume_usd,market_cap_usd\n"
-                                        "2024-01-01,1e308,1,1,1,1\n2024-01-02,1e308,1,1,1,1\n"
-                                        "2024-01-03,1.5e308,1,1,1,1\n")
+                                        + "".join(f"{date(2024, 1, 1) + timedelta(day)},"
+                                                  f"{1e306 if day <= 100 else 1.5e306},1,1,1,1\n"
+                                                  for day in range(201)))
         universe = tmp_path / "u.json"
         universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}]}))
         result = run("score", "--universe", universe, "--out", tmp_path / "o", "--format", "json")
         assert result.exit_code == 0, result.output
         (token,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
         assert token["vds"] is not None
-        assert load_universe(universe, FrameworkParams())["A"].volatility.avg_vol == 1.25e308
+        assert token["inputs"]["volatility"]["avg_vol_pct"] == 1.25e308
+        assert load_universe(universe, FrameworkParams())["A"].volatility.avg_vol == 1.25e306
+
+    # each exited 0 and wrote the percentage as Infinity, which is not JSON
+    @pytest.mark.parametrize("kind, rows, message", [
+        ("bars", "date,high,low,close,volume_usd,market_cap_usd\n"
+         "2024-01-01,1,1,1,1,1\n2024-01-02,1.5e308,1,1,1,1\n",
+         "A: max_vol=1.5e+308 overflows as a percentage"),
+        ("sentiment", "date,fgi,abs_return\n2024-01-01,50,\n2024-01-02,60,1e308\n",
+         "A: delta_p_max=1e+308 overflows as a percentage"),
+    ], ids=["bars", "sentiment"])
+    def test_a_percentage_past_the_float_range_names_its_file(self, tmp_path, kind, rows, message):
+        (tmp_path / "a.csv").write_text(rows)
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", kind: "a.csv"}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == f"error: {tmp_path / 'a.csv'}: {message}\n"
 
     def test_bad_holders_file_is_reported_before_a_short_bars_file(self, tmp_path):
         # a token's files are all read before any is reduced, in the order bars, holders, sentiment

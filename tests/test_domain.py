@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import FrozenInstanceError, astuple, fields, is_dataclass, replace
+from dataclasses import (FrozenInstanceError, astuple, dataclass, field, fields, is_dataclass,
+                         make_dataclass, replace)
 from datetime import date, timedelta
-from itertools import pairwise
+from functools import cache
+from itertools import islice, pairwise, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from me2f import (
     build_context,
     domain,
     ingest,
+    remote,
     score_universe,
     scoring,
     sentiment,
@@ -31,6 +34,7 @@ from me2f.domain import (
     SentimentPoint,
     SentimentSeries,
     TokenSeries,
+    Value,
     check_rows,
     validate_series,
 )
@@ -269,7 +273,7 @@ class TestChainRole:
 
 # --- slotted value types -------------------------------------------------------
 
-ME2F_MODULES = (domain, ingest, scoring, sentiment, volatility, warning, whale)
+ME2F_MODULES = (domain, ingest, remote, scoring, sentiment, volatility, warning, whale)
 VALUE_TYPES = [value for module in ME2F_MODULES for value in vars(module).values()
                if isinstance(value, type) and is_dataclass(value)
                and value.__module__ == module.__name__]
@@ -349,6 +353,89 @@ class TestSlottedValues:
     def test_a_field_cannot_be_assigned(self, value, name):
         with pytest.raises(FrozenInstanceError):
             setattr(value, name, getattr(value, name))
+
+
+# --- equality, hash and repr from domain.Value -----------------------------------
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Flagged(Value):
+    """A value type with a field left out of ``repr`` and one left out of ``==`` and ``hash``."""
+
+    shown: int
+    unshown: int = field(repr=False)
+    uncompared: int = field(compare=False)
+
+
+def built_values() -> list:
+    """The golden values, and one or more built values of every other type."""
+    params = FrameworkParams()
+    inputs = ingest.load_universe(GOLDEN_DIR / "universe.json", params)
+    context = build_context(inputs, params)
+    history = ingest.load_history_csv(GOLDEN_DIR / "history.csv")[0]
+    spec = remote.ProviderEndpointSpec(
+        name="prov", base_url="https://api.example", path="/bars/{token}", query={"page": "{page}"},
+        fields={name: name[0] for name in ingest.BARS_HEADER})
+    extra = [context, *volatility.normalize_cross_section(
+        [ti.volatility for ti in inputs.values() if ti.volatility]).values(),
+             *history._rows(), spec, Flagged(1, 2, 3), Flagged(1, 2, 4), Flagged(1, 5, 3)]
+    return golden_values() + list(dataclass_values(extra))
+
+
+@cache
+def generated_class(cls: type) -> type:
+    """The dataclass that ``dataclasses`` generates, with its own ``__eq__``,
+    ``__hash__`` and ``__repr__``, for ``cls``'s fields under ``cls``'s name."""
+    generated = make_dataclass(cls.__name__, [(f.name, f.type, field(compare=f.compare, repr=f.repr))
+                                              for f in fields(cls)], frozen=True)
+    generated.__qualname__ = cls.__qualname__
+    return generated
+
+
+def generated(value):
+    """``value``'s field values in its generated class (``astuple`` would turn
+    nested values into tuples, and so change their repr)."""
+    return generated_class(type(value))(*(getattr(value, f.name) for f in fields(value)))
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a dict field, as in ScoringContext
+        return type(exc)
+
+
+class TestValueMethods:
+    def test_no_value_type_generates_eq_hash_or_repr(self):
+        for cls in VALUE_TYPES:
+            assert issubclass(cls, Value), cls
+            assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+
+    def test_eq_hash_and_repr_equal_the_generated_ones(self):
+        # built twice over: each of a type's first five values meets its equal copy and four others
+        first, second = built_values(), built_values()
+        by_type = defaultdict(lambda: ([], []))
+        for side, values in enumerate((first, second)):
+            for value in values:
+                by_type[type(value)][side].append(value)
+        assert set(VALUE_TYPES) - set(by_type) == {domain._DailySeries}  # it has no row type
+        for cls, (ones, others) in by_type.items():
+            for one in islice(ones, 5):
+                ref = generated(one)
+                assert (repr(one), hash_or_error(one)) == (repr(ref), hash_or_error(ref))
+                for other in islice(others, 5):
+                    assert (one == other, one != other) == (ref == generated(other), ref != generated(other))
+            assert ones[0] == others[0] and ones[0] is not others[0]
+        assert Flagged(1, 2, 3) == Flagged(1, 2, 4) and repr(Flagged(1, 2, 3)) == "Flagged(shown=1, uncompared=3)"
+
+    def test_another_class_is_not_implemented(self):
+        values = {type(value): value for value in built_values()}
+        # two series types of one base, with equal token ids and no rows
+        values[SentimentSeries], values[TokenSeries] = SentimentSeries("A", []), TokenSeries("A", [])
+        for one, other in permutations(values.values(), 2):
+            assert one.__eq__(other) is NotImplemented
+            assert generated(one).__eq__(other) is NotImplemented
+            assert one != other and not one == other
 
 
 # --- the bulk check of a rule table against its row check ---------------------

@@ -185,6 +185,7 @@ class TestInstabilityAndShock:
     @pytest.mark.parametrize("kwargs,field", [
         ({"delta_f": -1.0}, "delta_f_max"), ({"delta_p": -1.0}, "delta_p_max"),
         ({"f_bar": 90.0}, "f_bar"), ({"q_g": 0.6, "q_f": 0.5}, "q_g"), ({"q_f": -0.1}, "q_g"),
+        ({"delta_p": 1e307}, "delta_p_max"),  # its delta_p_max_pct would be Infinity
     ])
     def test_each_rule_names_its_field(self, kwargs, field):
         with pytest.raises(InvalidSummary) as err:

@@ -134,6 +134,8 @@ class TestVolatilityAggregateRules:
         ((0.1, 0.2, 1.0, -2.0), "max_mcap", "negative size -2.0"),
         ((0.3, 0.2, 1.0, 2.0), "avg_vol", "X: need 0 <= avg_vol <= max_vol, got (0.3, 0.2)"),
         ((-0.1, 0.2, 1.0, 2.0), "avg_vol", "X: need 0 <= avg_vol <= max_vol, got (-0.1, 0.2)"),
+        # finite, but the report's max_vol_pct of it was Infinity, which is not JSON
+        ((0.1, 1.5e308, 1.0, 2.0), "max_vol", "X: max_vol=1.5e+308 overflows as a percentage"),
     ])
     def test_a_broken_rule_raises_naming_its_field(self, args, field, message):
         with pytest.raises(InvalidSummary) as err:
@@ -156,12 +158,13 @@ class TestVolatilityAggregateRules:
         with pytest.raises(InvalidSummary, match=r"^X: avg_vol=inf is not finite$"):
             aggregate(make_series("X", highs=highs, lows=lows, closes=closes))
 
+    # The largest day whose percentage is finite is sys.float_info.max / 100, so a sum
+    # overflows only past 100 days.
     @pytest.mark.parametrize("days,mean", [
-        ([1.5e308] * 2, 1.5e308),
-        ([1e308, 1.5e308], 1.25e308),
-        ([sys.float_info.max] * 2, sys.float_info.max),
-        *(([sys.float_info.max] * n, None) for n in (3, 6, 7, 9, 100)),  # fsum(v / n) overflows at 3, 6, 7, 9
-    ], ids=["equal", "mixed", "max", *(f"max_x{n}" for n in (3, 6, 7, 9, 100))])
+        ([1.5e306] * 200, 1.5e306),
+        ([1e306] * 100 + [1.5e306] * 100, 1.25e306),
+        *(([sys.float_info.max / 100] * n, None) for n in (101, 103, 106, 107, 109, 1000)),
+    ], ids=["equal", "mixed", *(f"top_x{n}" for n in (101, 103, 106, 107, 109, 1000))])
     def test_finite_days_whose_sum_overflows_have_their_finite_mean(self, days, mean):
         n = len(days) + 1  # the first bar gives no day: its close is 1, as every other one
         agg = aggregate(make_series("X", highs=[1.0, *days], lows=[1.0] * n, closes=[1.0] * n))
