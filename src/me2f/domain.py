@@ -8,8 +8,9 @@ are slotted (``slots=True``): an instance holds its fields and no
 values without the constructor, setting each field with
 ``object.__setattr__`` as the frozen ``__init__`` does.
 
-Every value type derives from ``Value`` and is declared with ``eq=False,
-repr=False``: its ``==``, ``hash`` and ``repr`` are ``Value``'s, which
+Every value type derives from ``Value`` and is declared with
+``@value_type``, a ``dataclass`` with ``eq=False, repr=False``: its ``==``,
+``hash`` and ``repr`` are ``Value``'s, which
 give what ``dataclasses`` would generate for its fields. ``dataclasses``
 writes and compiles source for each method it generates, at every import,
 with bytecode or without. Stating the three methods once takes 66 of the
@@ -32,6 +33,7 @@ import math
 from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from datetime import date as Date
+from functools import partial
 from itertools import compress, pairwise, repeat
 from operator import attrgetter, ge, le, lt
 from reprlib import recursive_repr
@@ -114,6 +116,13 @@ class Value:
         return f"{self.__class__.__qualname__}({shown})"
 
 
+# How every value type is declared: frozen and slotted, with ``__init__`` and
+# the frozen ``__setattr__`` generated, and ``==``, ``hash`` and ``repr`` left
+# to ``Value``, from which it must derive. ``@value_type(init=False)`` takes
+# further ``dataclass`` options.
+value_type = partial(dataclass, frozen=True, slots=True, eq=False, repr=False)
+
+
 class Checked(Value):
     """A frozen dataclass whose constructor checks its ``rules`` on one-row
     columns, and whose ``many`` checks whole columns and builds unchecked."""
@@ -134,7 +143,7 @@ class Checked(Value):
         return built
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class DailyBar(Checked):
     """One day of trading: intraday extremes, close, volume, market cap (USD)."""
 
@@ -161,7 +170,7 @@ class DailyBar(Checked):
 _Series = TypeVar("_Series", bound="_DailySeries")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+@value_type(init=False)
 class _DailySeries(Value):
     """Date-ascending daily rows under key fields, one tuple per column.
 
@@ -222,7 +231,7 @@ class _DailySeries(Value):
         return self.dates[0], self.dates[-1]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+@value_type(init=False)
 class TokenSeries(_DailySeries):
     """Date-ascending daily bars for one token: ``TokenSeries(token_id, bars)``."""
 
@@ -249,7 +258,7 @@ def validate_series(series: _Series) -> _Series:
     return series
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class HolderSnapshot(Value):
     """Top holder ownership shares (fractions of total supply), descending.
 
@@ -279,7 +288,7 @@ class HolderSnapshot(Value):
             raise InvalidShares(f"shares sum to {total}, exceeding total supply")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class SentimentPoint(Checked):
     """Daily fear-and-greed index value with that day's absolute price return.
 
@@ -300,7 +309,7 @@ class SentimentPoint(Checked):
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+@value_type(init=False)
 class SentimentSeries(_DailySeries):
     """Date-ascending FGI observations for one token: ``SentimentSeries(token_id, points)``."""
 
@@ -314,7 +323,7 @@ class SentimentSeries(_DailySeries):
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class FrameworkParams(Value):
     """Scoring parameters.
 
@@ -344,7 +353,7 @@ class FrameworkParams(Value):
             raise ConfigError(f"n={self.n!r} must be an integer >= 2")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class ChainRole(Value):
     """Standalone chain, or token hosted on a standalone base chain."""
 

@@ -13,13 +13,12 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta, timezone
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .domain import TokenSeries, Value
+from .domain import TokenSeries, Value, value_type
 from .errors import (ConfigError, DataError, HttpError, ParseError, PartialRange,
                      ProviderUnreachable, RateLimited)
 from .ingest import BARS_HEADER, iso_days, read_json_object, token_id_fault, write_files
@@ -54,7 +53,7 @@ def _check_cache_name(what: str, name: str) -> None:
         raise ConfigError(f"{what}: {fault}")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class ProviderEndpointSpec(Value):
     """Declarative description of one market-data provider.
 

@@ -11,18 +11,17 @@ inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date as Date
 from typing import Mapping
 
 from . import sentiment as sent
 from . import volatility as vol
 from . import whale
-from .domain import ChainRole, FrameworkParams, Value
+from .domain import ChainRole, FrameworkParams, Value, value_type
 from .errors import EmptyUniverse, Me2fError, MissingBaseChain
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class TokenInputs(Value):
     """A token's role and summaries; an unset summary disables its score.
     ``window`` is the date span of the raw series they were reduced from."""
@@ -34,14 +33,14 @@ class TokenInputs(Value):
     window: tuple[Date, Date] | None = None
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class ScoringContext(Value):
     params: FrameworkParams
     members: dict[str, TokenInputs]
     sent_maxima: sent.SentimentMaxima | None
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class TokenReport(Value):
     token_id: str
     inputs: TokenInputs
@@ -51,7 +50,7 @@ class TokenReport(Value):
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class FragilityReport(Value):
     params: FrameworkParams
     tokens: tuple[TokenReport, ...]

@@ -8,12 +8,12 @@ and score SAS = U * K^delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import add, le, sub
 from typing import Iterable
 
-from .domain import Checked, Rule, SentimentPoint, SentimentSeries, Value, finite_in
+from .domain import (Checked, Rule, SentimentPoint, SentimentSeries, Value, finite_in,
+                     value_type)
 from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
 
 
@@ -48,7 +48,7 @@ def classify_fgi(value: float) -> FgiBand:
     return FgiBand.EXTREME_GREED
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class FgiIndicators(Checked):
     """Summary indicators of one token's FGI history.
 
@@ -119,7 +119,7 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class SentimentMaxima(Value):
     """Cross-sectional maxima used to normalize U and K components."""
 

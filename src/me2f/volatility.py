@@ -7,12 +7,11 @@ base-chain spillover (hosted tokens only) -> square-root rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import le, sub, truediv
 from typing import Iterable, Mapping
 
 from .domain import (ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, Value,
-                     finite_in)
+                     finite_in, value_type)
 from .errors import (
     ConfigError,
     DegenerateUniverse,
@@ -26,7 +25,7 @@ from .errors import (
 _STANDALONE = ChainRole.standalone()
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class VolatilityAggregate(Checked):
     """Per-token volatility and scale summary.
 
@@ -54,7 +53,7 @@ class VolatilityAggregate(Checked):
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class NormalizedVolatility(Value):
     """Average and maximum volatility as ratios to the universe maxima."""
 

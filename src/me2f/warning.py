@@ -8,13 +8,12 @@ to one of three action buckets.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .domain import Checked, Rule, Value, _DailySeries, finite_in
+from .domain import Checked, Rule, Value, _DailySeries, finite_in, value_type
 from .errors import ConfigError, OutOfRange, WindowTooShort
 
 
@@ -33,7 +32,7 @@ class ActionBucket(str, Enum):
     STANDARD_MONITORING = "standard_monitoring"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class ScorePoint(Checked):
     date: Date
     value: float
@@ -43,7 +42,7 @@ class ScorePoint(Checked):
     )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+@value_type(init=False)
 class ScoreSeries(_DailySeries):
     """Date-ascending history of one score: ``ScoreSeries(token_id, metric, points)``."""
 
@@ -54,7 +53,7 @@ class ScoreSeries(_DailySeries):
     row_type = ScorePoint
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class WarningFlag(Value):
     token_id: str
     metric: Metric
@@ -63,7 +62,7 @@ class WarningFlag(Value):
     window_percentile: float
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class JointSpike(Value):
     """Two metrics flagged within x days of each other; dated at the later flag."""
 
@@ -72,7 +71,7 @@ class JointSpike(Value):
     metrics: tuple[Metric, Metric]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class BucketAssignment(Value):
     token_id: str
     date: Date

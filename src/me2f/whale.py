@@ -7,13 +7,12 @@ rescales the Herfindahl-Hirschman index of those shares onto [0, 1]
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .domain import Checked, HolderSnapshot, Rule, finite_in
+from .domain import Checked, HolderSnapshot, Rule, finite_in, value_type
 from .errors import ConfigError, InvalidSummary
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class ConcentrationResult(Checked):
     token_id: str
     c: float

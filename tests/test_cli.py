@@ -46,6 +46,11 @@ runner = CliRunner()
 MAX_FLOAT = sys.float_info.max
 
 
+def refuse_constant(constant):
+    """A ``parse_constant`` for ``json.loads``, which takes NaN and Infinity, not JSON, unless refused."""
+    raise AssertionError(f"the report holds {constant}")
+
+
 def run(*args):
     return runner.invoke(main, [str(a) for a in args])
 
@@ -172,7 +177,8 @@ class TestScore:
         universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", "bars": "a.csv"}]}))
         result = run("score", "--universe", universe, "--out", tmp_path / "o", "--format", "json")
         assert result.exit_code == 0, result.output
-        (token,) = json.loads((tmp_path / "o" / "report.json").read_text())["tokens"]
+        (token,) = json.loads((tmp_path / "o" / "report.json").read_text(),
+                              parse_constant=refuse_constant)["tokens"]
         assert token["vds"] is not None
         assert token["inputs"]["volatility"]["avg_vol_pct"] == 1.25e308
         assert load_universe(universe, FrameworkParams())["A"].volatility.avg_vol == 1.25e306
@@ -307,11 +313,7 @@ class TestScore:
                              ids=["beta", "beta and gamma"])
     def test_vds_past_the_float_range_is_a_warning_naming_beta(self, tmp_path, extra):
         out = score_reference(tmp_path, extra=("--format", "json,table,chart", *extra))
-
-        def refuse(constant):
-            raise AssertionError(f"report.json holds {constant}")
-
-        doc = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        doc = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
         hosted = [t for t in doc["tokens"] if t["role"]["kind"] != "standalone"]
         assert hosted
         for token in hosted:

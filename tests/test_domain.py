@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import (FrozenInstanceError, astuple, dataclass, field, fields, is_dataclass,
-                         make_dataclass, replace)
+from dataclasses import (FrozenInstanceError, astuple, field, fields, is_dataclass, make_dataclass,
+                         replace)
 from datetime import date, timedelta
 from functools import cache
 from itertools import islice, pairwise, permutations
@@ -37,6 +37,7 @@ from me2f.domain import (
     Value,
     check_rows,
     validate_series,
+    value_type,
 )
 from me2f.errors import (
     ConfigError,
@@ -358,7 +359,7 @@ class TestSlottedValues:
 # --- equality, hash and repr from domain.Value -----------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@value_type
 class Flagged(Value):
     """A value type with a field left out of ``repr`` and one left out of ``==`` and ``hash``."""
 

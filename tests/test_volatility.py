@@ -163,8 +163,8 @@ class TestVolatilityAggregateRules:
     @pytest.mark.parametrize("days,mean", [
         ([1.5e306] * 200, 1.5e306),
         ([1e306] * 100 + [1.5e306] * 100, 1.25e306),
-        *(([sys.float_info.max / 100] * n, None) for n in (101, 103, 106, 107, 109, 1000)),
-    ], ids=["equal", "mixed", *(f"top_x{n}" for n in (101, 103, 106, 107, 109, 1000))])
+        *(([sys.float_info.max / 100] * n, None) for n in (101, 1000)),
+    ], ids=["equal", "mixed", "top_x101", "top_x1000"])
     def test_finite_days_whose_sum_overflows_have_their_finite_mean(self, days, mean):
         n = len(days) + 1  # the first bar gives no day: its close is 1, as every other one
         agg = aggregate(make_series("X", highs=[1.0, *days], lows=[1.0] * n, closes=[1.0] * n))
@@ -173,6 +173,16 @@ class TestVolatilityAggregateRules:
             assert agg.max_vol * (1 - 2 ** -51) <= agg.avg_vol <= agg.max_vol
         else:
             assert agg.avg_vol == mean
+
+    # Their sum overflows, and a plain fsum(v / n) would too at n = 3, 6, 7 and 9, raising
+    # OverflowError; the scaled sum gives the float maximum, whose percentage is not finite.
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 9, 100])
+    def test_days_at_the_float_maximum_are_rejected_not_overflowed(self, n):
+        days = [sys.float_info.max] * n
+        with pytest.raises(InvalidSummary) as err:
+            aggregate(make_series("X", highs=[1.0, *days], lows=[1.0] * (n + 1), closes=[1.0] * (n + 1)))
+        assert (err.value.field, str(err.value)) == (
+            "max_vol", f"X: max_vol={sys.float_info.max!r} overflows as a percentage")
 
     def test_zero_sizes_are_accepted(self):
         assert VolatilityAggregate("X", 0.0, 0.0, 0.0, -0.0).max_volume == 0.0
