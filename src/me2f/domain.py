@@ -9,16 +9,15 @@ values without the constructor, setting each field with
 ``object.__setattr__`` as the frozen ``__init__`` does.
 
 Every value type derives from ``Value`` and is declared with
-``@value_type``, a ``dataclass`` with ``eq=False, repr=False``: its ``==``,
-``hash`` and ``repr`` are ``Value``'s, which
-give what ``dataclasses`` would generate for its fields. ``dataclasses``
-writes and compiles source for each method it generates, at every import,
-with bytecode or without. Stating the three methods once takes 66 of the
-128 compiles out of ``import me2f.cli``, and on Python 3.11 the
-benchmark's ``setup_s`` fell 12-14% with bytecode and 6-9% without
-(``BENCH_29.json``). Python 3.13 compiles a class's generated methods in
-one batch, and there the same change saved about as many milliseconds, a
-smaller share of a slower import (README, start-up).
+``@value_type``, a slotted ``dataclass`` that generates no method. Its
+``==``, ``hash`` and ``repr``, the frozen ``__setattr__`` and
+``__delattr__``, and the state that ``copy`` and ``pickle`` take are
+``Value``'s, which give what ``dataclasses`` would generate for a frozen
+slotted class. ``dataclasses`` writes and compiles source for each method
+it generates, at every import, with bytecode or without; stating those
+methods once took the 128 compiles of ``import me2f.cli`` down to 18, one
+``__init__`` per value type, which ``value_type`` compiles itself
+(``BENCH_29.json``, ``BENCH_30.json``; README, start-up).
 
 Each checked type states its row invariants once, in one table of
 ``Rule`` values. ``check_rows`` runs a table over whole columns in bulk,
@@ -30,11 +29,12 @@ loaders run it once over all their columns. Rules that span rows stay code.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque, namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import _FIELD_INITVAR, MISSING, FrozenInstanceError, dataclass, fields
 from datetime import date as Date
 from functools import partial
-from itertools import compress, pairwise, repeat
+from itertools import compress, dropwhile, pairwise, repeat
 from operator import attrgetter, ge, le, lt
 from reprlib import recursive_repr
 from typing import Callable, Mapping, Sequence, TypeVar
@@ -88,13 +88,16 @@ def finite_in(name: str, lo: float = -math.inf, hi: float = math.inf) -> Callabl
 
 
 class Value:
-    """A frozen dataclass's ``==``, ``hash`` and ``repr``, stated once.
+    """A frozen slotted dataclass's methods, stated once.
 
     As the generated ones do, ``==`` compares the ``compare`` fields as a
     tuple and returns ``NotImplemented`` for another class, ``hash`` hashes
     that tuple, and ``repr`` shows the ``repr`` fields. (From Python 3.13
     the generated ``==`` compares field by field, which differs from a
-    tuple only for a NaN that both values hold.)
+    tuple only for a NaN that both values hold.) Assigning or deleting an
+    attribute raises ``FrozenInstanceError``; the state that ``copy`` and
+    ``pickle`` take is the field values in field order, restored through
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -115,16 +118,69 @@ class Value:
         shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
         return f"{self.__class__.__qualname__}({shown})"
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-# How every value type is declared: frozen and slotted, with ``__init__`` and
-# the frozen ``__setattr__`` generated, and ``==``, ``hash`` and ``repr`` left
-# to ``Value``, from which it must derive. ``@value_type(init=False)`` takes
-# further ``dataclass`` options.
-value_type = partial(dataclass, frozen=True, slots=True, eq=False, repr=False)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __setstate__(self, state: list) -> None:
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
+
+
+# How every value type is declared: a slotted dataclass, deriving from ``Value``,
+# for which ``dataclasses`` generates no method (not frozen, since ``Value``
+# states the frozen pair). ``@value_type`` gives it the frozen ``__init__``,
+# compiled by ``_frozen_init``; ``@value_type(init=False)`` leaves ``__init__`` to
+# the class.
+def value_type(cls: type | None = None, /, *, init: bool = True):
+    if cls is None:
+        return partial(value_type, init=init)
+    cls = dataclass(cls, slots=True, eq=False, repr=False, init=False)
+    if init:
+        cls.__init__ = _frozen_init(cls)
+    return cls
+
+
+def _frozen_init(cls: type) -> Callable:
+    """The ``__init__`` that a frozen dataclass generates for ``cls``.
+
+    It sets each field through ``object.__setattr__``, in field order, then
+    calls ``__post_init__`` where ``cls`` has one. It keeps the fields'
+    plain defaults and annotations, so its signature is the generated one.
+    A field option that it does not compile is a ``TypeError``.
+    """
+    fs = fields(cls)
+    for f in cls.__dataclass_fields__.values():  # a ClassVar's kw_only stays MISSING, which is true
+        if (f._field_type is _FIELD_INITVAR or f.default_factory is not MISSING
+                or f.kw_only is True or not f.init):
+            raise TypeError(f"{cls.__name__}.{f.name}: value_type compiles no InitVar, "
+                            "default_factory, kw_only or init=False field")
+    defaulted = list(dropwhile(lambda f: f.default is MISSING, fs))
+    late = next((f for f in defaulted if f.default is MISSING), None)
+    if late:  # as dataclasses words it from Python 3.13
+        raise TypeError(f"non-default argument {late.name!r} follows default argument "
+                        f"{defaulted[0].name!r}")
+    body = [f"object.__setattr__(self, {f.name!r}, {f.name})" for f in fs]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = f"def __init__(self, {', '.join(f.name for f in fs)}):\n" + "".join(
+        f"    {line}\n" for line in body or ["pass"])
+    made: dict = {}
+    exec(source, vars(sys.modules[cls.__module__]), made)
+    init = made["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
+    init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
+    return init
 
 
 class Checked(Value):
-    """A frozen dataclass whose constructor checks its ``rules`` on one-row
+    """A value type whose constructor checks its ``rules`` on one-row
     columns, and whose ``many`` checks whole columns and builds unchecked."""
 
     __slots__ = ()

@@ -35,6 +35,9 @@ class TokenInputs(Value):
 
 @value_type
 class ScoringContext(Value):
+    """A checked universe: its parameters, its members by token id, and the
+    cross-sectional sentiment maxima (None without FGI inputs)."""
+
     params: FrameworkParams
     members: dict[str, TokenInputs]
     sent_maxima: sent.SentimentMaxima | None
@@ -42,6 +45,8 @@ class ScoringContext(Value):
 
 @value_type
 class TokenReport(Value):
+    """One token's inputs and scores (None where an input is absent), with its warnings."""
+
     token_id: str
     inputs: TokenInputs
     vds: float | None
@@ -52,6 +57,9 @@ class TokenReport(Value):
 
 @value_type
 class FragilityReport(Value):
+    """A scored universe: the parameters, the token reports in display order, the
+    date span of their inputs and the report-level warnings."""
+
     params: FrameworkParams
     tokens: tuple[TokenReport, ...]
     window: tuple[Date, Date] | None

@@ -34,6 +34,8 @@ class ActionBucket(str, Enum):
 
 @value_type
 class ScorePoint(Checked):
+    """One day's value of one score, finite and >= 0."""
+
     date: Date
     value: float
 
@@ -55,6 +57,8 @@ class ScoreSeries(_DailySeries):
 
 @value_type
 class WarningFlag(Value):
+    """A score observation whose trailing-window percentile reached the threshold."""
+
     token_id: str
     metric: Metric
     date: Date
@@ -73,6 +77,8 @@ class JointSpike(Value):
 
 @value_type
 class BucketAssignment(Value):
+    """A token's action bucket on a flag day, from the metrics flagged within x days."""
+
     token_id: str
     date: Date
     bucket: ActionBucket

@@ -14,6 +14,9 @@ from .errors import ConfigError, InvalidSummary
 
 @value_type
 class ConcentrationResult(Checked):
+    """One token's top-n concentration: share sum ``c``, Herfindahl index ``h``,
+    its rescaling ``n_internal`` onto [0, 1], and ``wds = c * n_internal``."""
+
     token_id: str
     c: float
     h: float

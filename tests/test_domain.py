@@ -1,13 +1,20 @@
 """Domain type invariants and validation."""
 from __future__ import annotations
 
+import copy
+import inspect
+import json
 import math
+import pickle
+import subprocess
+import sys
 from collections import defaultdict
-from dataclasses import (FrozenInstanceError, astuple, field, fields, is_dataclass, make_dataclass,
-                         replace)
+from dataclasses import (FrozenInstanceError, InitVar, astuple, field, fields, is_dataclass,
+                         make_dataclass, replace)
 from datetime import date, timedelta
 from functools import cache
 from itertools import islice, pairwise, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -343,18 +350,6 @@ class TestSlottedValues:
         changed = replace(inputs, fgi=fgi)
         assert changed.fgi is fgi and changed.role is inputs.role and inputs.fgi is None
 
-    @pytest.mark.parametrize("value,name", [
-        (bar(1), "high"),
-        (VolatilityAggregate.many({"token_id": ["A"], "avg_vol": [0.1], "max_vol": [0.2],
-                                   "max_volume": [1.0], "max_mcap": [2.0]})[0], "avg_vol"),
-        (TokenSeries("X", (bar(1), bar(2))), "close"),
-        (scoring.TokenInputs(role=ChainRole.standalone()), "fgi"),
-        (FrameworkParams(), "alpha"),
-    ])
-    def test_a_field_cannot_be_assigned(self, value, name):
-        with pytest.raises(FrozenInstanceError):
-            setattr(value, name, getattr(value, name))
-
 
 # --- equality, hash and repr from domain.Value -----------------------------------
 
@@ -385,10 +380,11 @@ def built_values() -> list:
 
 @cache
 def generated_class(cls: type) -> type:
-    """The dataclass that ``dataclasses`` generates, with its own ``__eq__``,
-    ``__hash__`` and ``__repr__``, for ``cls``'s fields under ``cls``'s name."""
-    generated = make_dataclass(cls.__name__, [(f.name, f.type, field(compare=f.compare, repr=f.repr))
-                                              for f in fields(cls)], frozen=True)
+    """The frozen dataclass that ``dataclasses`` generates, with its own
+    methods, for ``cls``'s fields and defaults under ``cls``'s name."""
+    generated = make_dataclass(cls.__name__, [
+        (f.name, f.type, field(default=f.default, compare=f.compare, repr=f.repr)) for f in fields(cls)
+    ], frozen=True)
     generated.__qualname__ = cls.__qualname__
     return generated
 
@@ -437,6 +433,131 @@ class TestValueMethods:
             assert one.__eq__(other) is NotImplemented
             assert generated(one).__eq__(other) is NotImplemented
             assert one != other and not one == other
+
+
+# --- the frozen pair, copy and pickle from domain.Value; the compiled __init__ --
+
+def refusal(action, *args) -> str:
+    """The text of the ``FrozenInstanceError`` that ``action(*args)`` raises."""
+    with pytest.raises(FrozenInstanceError) as raised:
+        action(*args)
+    return str(raised.value)
+
+
+def field_values(value) -> list:
+    return [getattr(value, f.name) for f in fields(value)]
+
+
+# the types whose __init__ value_type compiles: every series type declares its own
+COMPILED_INIT_TYPES = [cls for cls in VALUE_TYPES if not issubclass(cls, domain._DailySeries)]
+
+IMPORT_AUDIT = """
+import json, re, sys
+sources = []
+sys.addaudithook(lambda event, args: event == "compile" and args[1] == "<string>"
+                 and sources.append(args[0] if isinstance(args[0], str) else repr(args[0])))
+import me2f.cli
+from me2f.domain import Value
+types = [value for name, module in list(sys.modules.items()) if name.split(".")[0] == "me2f"
+         for value in vars(module).values()
+         if isinstance(value, type) and issubclass(value, Value) and "__dataclass_fields__" in vars(value)]
+print(json.dumps({"types": len(set(types)),
+                  **{name: sum(bool(re.search(rf"\\bdef {name}\\(", text)) for text in sources)
+                     for name in ("__init__", "__setattr__", "__delattr__")}}))
+"""
+
+
+class TestFrozenValues:
+    def test_each_field_refuses_assignment_and_deletion_as_the_generated_class_does(self):
+        values = built_values()
+        assert {type(value) for value in values} == set(VALUE_TYPES) - {domain._DailySeries} | {Flagged}
+        for value in values:
+            ref, before = generated(value), field_values(value)
+            for name in [f.name for f in fields(value)] + ["unknown"]:
+                assert refusal(setattr, value, name, None) == refusal(setattr, ref, name, None) \
+                    == f"cannot assign to field {name!r}"
+                assert refusal(delattr, value, name) == refusal(delattr, ref, name) \
+                    == f"cannot delete field {name!r}"
+            assert field_values(value) == before
+
+    def test_copy_deepcopy_and_pickle_give_an_equal_value(self):
+        for value in built_values():
+            twins = [copy.copy(value), copy.deepcopy(value)] + [
+                pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins:
+                assert type(twin) is type(value) and twin is not value
+                assert twin == value and field_values(twin) == field_values(value)
+
+    def test_signature_is_the_generated_one(self):
+        assert len(COMPILED_INIT_TYPES) >= 17
+        for cls in COMPILED_INIT_TYPES + [Flagged]:
+            assert inspect.signature(cls) == inspect.signature(generated_class(cls)), cls
+            assert cls.__match_args__ == generated_class(cls).__match_args__
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+            assert cls.__init__.__module__ == cls.__module__
+        assert str(inspect.signature(ChainRole)) == "(base: 'str | None' = None) -> None"
+
+    def test_keywords_replace_and_a_missing_argument_act_as_generated(self):
+        for value in built_values():
+            if type(value) in COMPILED_INIT_TYPES:
+                by_name = {f.name: getattr(value, f.name) for f in fields(value)}
+                assert type(value)(**by_name) == value == replace(value)
+        texts = []
+        for cls in (whale.ConcentrationResult, generated_class(whale.ConcentrationResult)):
+            with pytest.raises(TypeError) as raised:
+                cls("A", 0.1, 0.1, 0.1)
+            texts.append(str(raised.value))
+        assert texts[0] == texts[1] == ("ConcentrationResult.__init__() missing 1 required "
+                                        "positional argument: 'wds'")
+
+    @pytest.mark.parametrize("value,changes,error", [
+        (FrameworkParams(), {"alpha": 2}, ConfigError),
+        (ChainRole.hosted_on("SOL"), {"base": ""}, ConfigError),
+        (bar(1), {"low": 200.0}, LowAboveHigh),
+        (HolderSnapshot("A", (0.5, 0.2)), {"shares": (0.2, 0.5)}, InvalidShares),
+        (ScorePoint(date(2024, 1, 1), 1.0), {"value": -1.0}, OutOfRange),
+    ])
+    def test_the_post_init_rules_hold_for_the_constructor_and_replace(self, value, changes, error):
+        with pytest.raises(error):
+            type(value)(**{f.name: getattr(value, f.name) for f in fields(value)} | changes)
+        with pytest.raises(error):
+            replace(value, **changes)
+
+
+class TestValueTypeDeclaration:
+    def test_every_value_type_declares_its_own_docstring(self):
+        # without one, dataclasses writes ``Name(signature)`` from inspect.signature at import
+        for cls in VALUE_TYPES:
+            assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls
+
+    @pytest.mark.parametrize("annotation,default", [
+        (int, field(default_factory=int)),
+        (int, field(kw_only=True)),
+        (int, field(init=False, default=0)),
+        (InitVar[int], 0),
+    ])
+    def test_value_type_refuses_a_field_it_does_not_compile(self, annotation, default):
+        cls = type("Refused", (Value,), {"__annotations__": {"x": annotation}, "x": default})
+        with pytest.raises(TypeError, match="^Refused.x: value_type compiles no InitVar"):
+            value_type(cls)
+
+    def test_a_field_without_a_default_cannot_follow_one_with_a_default(self):
+        cls = type("Unordered", (Value,), {"__annotations__": {"w": int, "x": int, "y": int}, "x": 0})
+        with pytest.raises(TypeError) as ours:
+            value_type(cls)
+        with pytest.raises(TypeError) as generated_text:
+            make_dataclass("Unordered", [("w", int), ("x", int, field(default=0)), ("y", int)], frozen=True)
+        # Python 3.13 also names the field with the default
+        assert str(ours.value).startswith(str(generated_text.value))
+        assert str(ours.value) == "non-default argument 'y' follows default argument 'x'"
+
+    def test_import_compiles_no_frozen_pair_and_one_init_per_value_type(self):
+        src = Path(domain.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r})"
+                               + IMPORT_AUDIT], capture_output=True, text=True, check=True, timeout=120)
+        counts = json.loads(done.stdout)
+        assert counts["__setattr__"] == counts["__delattr__"] == 0, counts
+        assert 0 < counts["__init__"] <= counts["types"], counts
 
 
 # --- the bulk check of a rule table against its row check ---------------------
