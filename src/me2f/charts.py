@@ -1,6 +1,6 @@
 """A descending bar chart (SVG) and its CSV sidecar per score, from a report's
-token entries. Only ``plot`` and ``score --format chart`` draw charts, so the
-CLI imports this module in those alone; it needs no click.
+``(id, vds, wds, sas)`` rows. Only ``plot`` and ``score --format chart`` draw
+charts, so the CLI imports this module in those alone; it needs no click.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .warning import Metric
 
 _SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # chart text as XML character data
 
-# each score's bar colour, in chart order: the order of ``Metric``, as report.json's "raw" keys
+# each score's bar colour, in chart order: the order of ``Metric``, as a row's scores
 _METRIC_COLORS = dict(zip((m.value for m in Metric), ("#2a9d8f", "#3a6ea5", "#e76f51"), strict=True))
 
 
@@ -94,13 +94,12 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def chart_files(doc: dict) -> tuple[dict[str, str], list[str]]:
-    """Each score's SVG and CSV sidecar, by file name, and a notice per all-absent score."""
+def chart_files(rows: list[tuple]) -> tuple[dict[str, str], list[str]]:
+    """Each score's SVG and CSV sidecar, by file name, from ``(id, vds, wds,
+    sas)`` rows (None where absent), and a notice per all-absent score."""
     files, notices = {}, []
-    for metric, color in _METRIC_COLORS.items():
-        pairs = [
-            (t["id"], t[metric]) for t in doc.get("tokens", []) if t.get(metric) is not None
-        ]
+    for column, (metric, color) in enumerate(_METRIC_COLORS.items(), start=1):
+        pairs = [(row[0], row[column]) for row in rows if row[column] is not None]
         if not pairs:
             notices.append(f"skipped {metric} chart: no values present")
             continue

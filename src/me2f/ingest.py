@@ -344,6 +344,16 @@ def load_bars_csv(path: str | Path, token_id: str | None = None) -> TokenSeries:
     return _load_daily_csv(path, token_id, TokenSeries, BARS_HEADER)
 
 
+def bars_to_csv(series: TokenSeries) -> str:
+    lines = [",".join(BARS_HEADER)]
+    for day, high, low, close, volume, mcap in zip(
+        series.dates, series.high, series.low, series.close,
+        series.volume_usd, series.market_cap_usd,
+    ):
+        lines.append(f"{day.isoformat()},{high},{low},{close},{volume},{mcap}")
+    return "\n".join(lines) + "\n"
+
+
 def load_sentiment_csv(path: str | Path, token_id: str | None = None) -> SentimentSeries:
     """Load a daily FGI CSV like ``load_bars_csv``; an empty abs_return means "no return"."""
     return _load_daily_csv(path, token_id, SentimentSeries, SENTIMENT_HEADER)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from datetime import date as Date
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .domain import Checked, Rule, Value, _DailySeries, finite_in, value_type
@@ -201,3 +202,19 @@ def assign_buckets(
     buckets = [(action_bucket(active), active) for active in sets]
     return [BucketAssignment(token_id, Date.fromordinal(d), *buckets[bits])
             for d, bits in zip(merged, high)]
+
+
+def flag_stages(series: dict[tuple[str, Metric], ScoreSeries], window_days: int,
+                threshold: float, x_days: int) -> tuple[list, list, list]:
+    """The flags, joint events and buckets of every series in ``series``, which
+    is emptied: each series is dropped once it is flagged. Series run in
+    (token, metric) order and each stage returns date-ordered lists per token,
+    so every list is already in its output order."""
+    flags, events, buckets = [], [], []
+    for _, group in groupby(sorted(series), key=itemgetter(0)):
+        token_flags = {metric: rolling_flags(series.pop((token, metric)), window_days, threshold)
+                       for token, metric in group}
+        flags.extend(f for metric_flags in token_flags.values() for f in metric_flags)
+        events.extend(joint_spike(token_flags, x_days))
+        buckets.extend(assign_buckets(token_flags, x_days))
+    return flags, events, buckets

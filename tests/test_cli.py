@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -569,6 +570,13 @@ def test_cli_import_leaves_fetch_only_modules_unloaded():
     assert lazy_code(modules) == set()
 
 
+def test_report_import_loads_no_click_chart_or_fetch_code():
+    # a library caller writes the CLI's report bytes without click installed
+    modules = loaded_modules("import me2f.report")
+    assert "click" not in modules
+    assert lazy_code(modules) == set()
+
+
 def command_code(*args) -> set[str]:
     """The ``LAZY`` modules whose code a fresh interpreter loads to run the CLI with ``args``."""
     return lazy_code(loaded_modules(f"from me2f.cli import main; main({list(map(str, args))!r}, "
@@ -625,6 +633,12 @@ class TestGoldenOutputs:
             f"{metric}.{ext}" for metric in ("sas", "vds", "wds") for ext in ("csv", "svg")]
         for path in tmp_path.iterdir():
             assert path.read_bytes() == (GOLDEN_DIR / "score" / path.name).read_bytes(), path.name
+
+    def test_the_library_writes_them_without_click(self):
+        # the same bytes through ``report`` and ``charts`` alone, on any interpreter: see the script
+        script = Path(__file__).resolve().parent / "golden_stdlib.py"
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 def invoke(*args) -> int:
@@ -832,7 +846,7 @@ class TestOutputsAreRenderedAsTheyAreWritten:
 
 class TestBarsCsvRoundTrip:
     def test_serialized_bars_reload_identically(self, tmp_path):
-        from me2f.cli import bars_to_csv
+        from me2f.ingest import bars_to_csv
         from me2f.ingest import load_bars_csv
         from conftest import make_series
 
@@ -1288,12 +1302,14 @@ class TestReportReadingErrors:
         # plot charted the id twice, and warn named neither the file nor the entry
         pytest.param('[{"id": "X", "vds": 0.5}, {"id": "X", "vds": 0.6}]', "token entry 2 repeats the id 'X'",
                      id="repeated_id"),
+        # no "tokens" key at all: warn flagged nothing and plot skipped all three charts, both exiting 0
+        pytest.param(None, "'tokens' must be a list", id="no_tokens"),
     ])
     @pytest.mark.parametrize("command", ["plot", "warn"])
     def test_bad_report_tokens_exit_3_naming_file_and_token(self, tmp_path, command, tokens, named):
         report = tmp_path / "report.json"
-        report.write_text('{"window": {"start": "2025-01-01", "end": "2025-01-03"}, '
-                          f'"tokens": {tokens}}}')
+        report.write_text('{"window": {"start": "2025-01-01", "end": "2025-01-03"}'
+                          + ("" if tokens is None else f', "tokens": {tokens}') + "}")
         extra = ("--window", 2) if command == "warn" else ()
         result = run(command, "--report", report, *extra, "--out", tmp_path / "o")
         assert_clean_exit(result, 3)
@@ -1720,9 +1736,9 @@ class TestJsonWriters:
 
     @pytest.mark.parametrize("batch", [1, 2, 3])
     def test_pieces_of_any_batch_size_join_to_json_dumps(self, monkeypatch, batch):
-        from me2f import cli
+        from me2f import report
 
-        monkeypatch.setattr(cli, "_BATCH", batch)
+        monkeypatch.setattr(report, "_BATCH", batch)
         tokens = [{**shaped_report(*shape)["tokens"][0], "id": f"T{i}"}
                   for i, shape in enumerate(TOKEN_SHAPES)]
         docs = [{**shaped_report(*TOKEN_SHAPES[0]), "tokens": tokens[:n]}

@@ -332,7 +332,7 @@ class TestWriteFiles:
             assert {name: (tmp_path / name).read_text(encoding="utf-8") for name in old} == old
 
     def test_an_unencodable_score_exits_4_and_keeps_the_old_report(self, tmp_path, monkeypatch):
-        from me2f import cli
+        from me2f import cli, report
 
         old = "old json\n"
         (tmp_path / "report.json").write_text(old, encoding="utf-8")
@@ -344,7 +344,7 @@ class TestWriteFiles:
             return doc
 
         monkeypatch.setattr(cli, "report_to_dict", with_an_unencodable_warning)
-        monkeypatch.setattr(cli, "_BATCH", 1)
+        monkeypatch.setattr(report, "_BATCH", 1)
         result = CliRunner().invoke(main, ["score", "--universe", str(REFERENCE_DIR / "universe.json"),
                                            "--out", str(tmp_path), "--format", "json,table"])
         assert result.exit_code == 4, result.output
@@ -354,14 +354,14 @@ class TestWriteFiles:
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == old
 
     def test_a_refused_second_write_exits_2_and_keeps_the_old_files(self, tmp_path, monkeypatch):
-        from me2f import cli
+        from me2f import report
 
         out = tmp_path / "o"
         out.mkdir()
         old = {"report.json": "old json\n", "report.txt": "old table\n"}
         for name, text in old.items():
             (out / name).write_text(text, encoding="utf-8")
-        monkeypatch.setattr(cli, "_BATCH", 1)  # report.json comes in many pieces
+        monkeypatch.setattr(report, "_BATCH", 1)  # report.json comes in many pieces
         open_path = Path.open
 
         def open_failing(self, *args, **kwargs):

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from conftest import (GOLDEN_DIR, make_series, random_series, write_date_major_history,
                       write_raw_universe, write_tables_universe)
 from me2f import FrameworkParams, build_context, score_universe
-from me2f.cli import bars_to_csv, main
-from me2f.ingest import (load_bars_csv, load_fgi_table, load_sentiment_csv, load_universe,
-                         load_volatility_table)
+from me2f.cli import main
+from me2f.ingest import (bars_to_csv, load_bars_csv, load_fgi_table, load_sentiment_csv,
+                         load_universe, load_volatility_table)
 from me2f.sentiment import fgi_indicators, sentiment_maxima
 from me2f.volatility import aggregate
 

@@ -18,10 +18,9 @@ from me2f.domain import (
     SentimentSeries,
     TokenSeries,
 )
-from me2f.cli import bars_to_csv
 from me2f.errors import EmptyUniverse, MissingBaseChain
 from me2f.ingest import (FGI_TABLE_HEADER, SENTIMENT_HEADER, VOLATILITY_TABLE_HEADER,
-                         load_universe)
+                         bars_to_csv, load_universe)
 from me2f.scoring import TokenInputs, build_context, score_universe
 from me2f.sentiment import fgi_indicators, sentiment_maxima
 from me2f.volatility import VolatilityAggregate, aggregate, normalize_cross_section
