@@ -37,11 +37,12 @@ from functools import partial
 from itertools import compress, dropwhile, pairwise, repeat
 from operator import attrgetter, ge, le, lt
 from reprlib import recursive_repr
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
     DataError,
+    DegenerateUniverse,
     FgiOutOfRange,
     InvalidBar,
     InvalidShares,
@@ -85,6 +86,12 @@ def finite_in(name: str, lo: float = -math.inf, hi: float = math.inf) -> Callabl
     if hi == math.inf:  # every finite value is below it: skip the max
         return lambda c: all(map(math.isfinite, c[name])) and min(c[name]) >= lo
     return lambda c: all(map(math.isfinite, c[name])) and lo <= min(c[name]) and max(c[name]) <= hi
+
+
+def ratio_to_max(value: float, maximum: float) -> float:
+    """``value`` over its universe ``maximum``, the normalization of every VDS and SAS
+    component; a component whose maximum is 0 scores 0 for every token."""
+    return value / maximum if maximum > 0 else 0.0
 
 
 class Value:
@@ -177,6 +184,25 @@ def _frozen_init(cls: type) -> Callable:
     init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING) or None
     init.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
     return init
+
+
+class Maxima(Value):
+    """The universe maxima of a score's components, one field each, where a
+    subclass's ``components(row)`` gives one token's values in field order."""
+
+    __slots__ = ()
+
+    @classmethod
+    def over(cls, rows: Iterable) -> Maxima:
+        """Each component's maximum over ``rows``; a ``DegenerateUniverse`` for none."""
+        values = list(map(cls.components, rows))
+        if not values:
+            raise DegenerateUniverse(f"no tokens to normalize for {cls.__name__}")
+        return cls(*map(max, zip(*values)))
+
+    def degenerate_components(self) -> list[str]:
+        """Names of components whose maximum is zero (they score 0 for everyone)."""
+        return [f.name for f in fields(self) if getattr(self, f.name) <= 0]
 
 
 class Checked(Value):

@@ -64,12 +64,12 @@ class InvalidSummary(DataError):
 
 # --- volatility pipeline -----------------------------------------------
 
-class ZeroPrevClose(DataError):
+class ZeroPrevClose(NegativePrice):
     """Previous close is zero/non-positive; range volatility is undefined."""
 
 
 class DegenerateUniverse(DataError):
-    """Cross-sectional normalization has no positive maximum."""
+    """A cross-section to normalize (VDS or SAS maxima) has no token."""
 
 
 class NonPositiveScale(DataError):
@@ -82,12 +82,6 @@ class MissingBaseChain(ConfigError):
 
 class EmptyUniverse(ConfigError):
     """The scoring universe contains no tokens."""
-
-
-# --- sentiment pipeline ------------------------------------------------
-
-class DegenerateMaxima(DataError):
-    """No usable cross-sectional maximum for a sentiment indicator."""
 
 
 # --- early warning -----------------------------------------------------

@@ -532,6 +532,13 @@ def read_json_object(path: Path, where: str, error: type[ConfigError] | type[Dat
     return doc
 
 
+def reject_unknown_keys(where: str, obj: dict, known: tuple[str, ...], owner: str = "") -> None:
+    """A ``ConfigError`` opening with ``where`` for the first key of ``obj`` not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where}: {owner}unknown key {key!r} (known keys: {', '.join(known)})")
+
+
 _BUSD = 1e9  # USD in one unit of a volatility table's _busd columns
 UNIVERSE_KEYS = ("tokens", "volatility_table", "fgi_table")
 UNIVERSE_TOKEN_KEYS = ("id", "role", "base", "bars", "holders", "sentiment", "exclude_addresses")
@@ -575,13 +582,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
     where = f"universe file {path}"
     doc = read_json_object(path, where, ConfigError)
 
-    def reject_unknown_keys(obj: dict, known: tuple[str, ...], owner: str = "") -> None:
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"{where}: {owner}unknown key {key!r} "
-                                  f"(known keys: {', '.join(known)})")
-
-    reject_unknown_keys(doc, UNIVERSE_KEYS)
+    reject_unknown_keys(where, doc, UNIVERSE_KEYS)
 
     def file_at(obj: dict, key: str, owner: str = "") -> Path | None:
         value = obj.get(key)
@@ -607,7 +608,7 @@ def load_universe(path: str | Path, params: FrameworkParams) -> dict[str, TokenI
         if fault := token_id_fault([tid]):
             raise ConfigError(f"{where}: token entry {number}: {fault}")
         owner = f"token {tid!r}: "
-        reject_unknown_keys(entry, UNIVERSE_TOKEN_KEYS, owner)
+        reject_unknown_keys(where, entry, UNIVERSE_TOKEN_KEYS, owner)
         exclude = entry.get("exclude_addresses", [])
         if not isinstance(exclude, list) or not all(isinstance(a, str) for a in exclude):
             raise ConfigError(f"{where}: {owner}'exclude_addresses' must be a list of strings")

@@ -7,6 +7,7 @@ Only ``fetch`` runs this, so the CLI imports it in that command alone.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,8 @@ from typing import Callable, Mapping
 from .domain import TokenSeries, Value, value_type
 from .errors import (ConfigError, DataError, HttpError, ParseError, PartialRange,
                      ProviderUnreachable, RateLimited)
-from .ingest import BARS_HEADER, iso_days, read_json_object, token_id_fault, write_files
+from .ingest import (BARS_HEADER, iso_days, read_json_object, reject_unknown_keys, token_id_fault,
+                     write_files)
 
 
 _URL_PLACEHOLDERS = ("token", "start", "end", "page", "page_size")
@@ -81,6 +83,8 @@ class ProviderEndpointSpec(Value):
         if self.api_key_header is not None:
             texts.append(("api_key_header", self.api_key_header))
         for mapping in ("query", "fields"):
+            if not isinstance(getattr(self, mapping), Mapping):
+                raise ConfigError(f"{mapping}={getattr(self, mapping)!r} must be a mapping")
             texts += ((f"{mapping}.{key}", value) for key, value in getattr(self, mapping).items())
         for key, value in texts:
             if not isinstance(value, str):
@@ -111,25 +115,24 @@ class ProviderEndpointSpec(Value):
 
 
 def load_provider_config(path: str | Path) -> ProviderEndpointSpec:
+    """The provider that a JSON config declares. A key left out takes its spec
+    default; ``path`` and ``query``, which have none, take "" and {}."""
     path = Path(path)
-    doc = read_json_object(path, f"provider config {path}", ConfigError)
+    where = f"provider config {path}"
+    doc = {"path": "", "query": {}} | read_json_object(path, where, ConfigError)
+    keys = {"rate_limit": "rate_limit_per_minute", "timeout": "timeout_seconds"}  # the others are as named
+    spec = {keys.get(f.name, f.name): f for f in dataclasses.fields(ProviderEndpointSpec)}
+    reject_unknown_keys(where, doc, tuple(spec))
+    for key, f in spec.items():
+        value, kind = doc.get(key, f.default), type(f.default)  # a number's default gives its type
+        if value is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, kind))):
+            raise ConfigError(f"{where}: {key}={value!r} must be {'an integer' if kind is int else 'a number'}")
     try:
-        return ProviderEndpointSpec(
-            name=doc["name"],
-            base_url=doc["base_url"],
-            path=doc.get("path", ""),
-            query=dict(doc.get("query", {})),
-            fields=dict(doc["fields"]),
-            items_path=doc.get("items_path", ""),
-            api_key_header=doc.get("api_key_header"),
-            rate_limit=int(doc.get("rate_limit_per_minute", 30)),
-            timeout=float(doc.get("timeout_seconds", 10.0)),
-            page_size=int(doc.get("page_size", 100)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"provider config {path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError, ConfigError) as exc:  # a bad value
-        raise ConfigError(f"provider config {path}: {exc}") from None
+        return ProviderEndpointSpec(**{spec[key].name: value for key, value in doc.items()})
+    except ConfigError as exc:  # a bad value
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 class RateLimiter:

@@ -4,10 +4,10 @@ A token enters as its summaries: a volatility aggregate, a holder
 concentration and FGI indicators, each reduced from a raw file
 (``ingest.load_universe`` reduces them as it reads them) or read from a
 summary table, so a context holds no daily rows. Scoring is
-batch-oriented: VDS is the one score that can fail per token (its
-spillover can overflow), and its failure becomes a warning on that token
-instead of aborting the universe. WDS and SAS raise nothing on validated
-inputs.
+batch-oriented: VDS is the one score that can fail per token (a zero
+size, or a spillover that overflows), and its failure becomes a warning
+on that token instead of aborting the universe. WDS and SAS raise
+nothing on validated inputs.
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def build_context(
 
     members = dict(sorted(inputs.items()))
     fgis = [m.fgi for m in members.values() if m.fgi is not None]
-    sent_maxima = sent.sentiment_maxima(fgis) if fgis else None
+    sent_maxima = sent.SentimentMaxima.over(fgis) if fgis else None
     return ScoringContext(params, members, sent_maxima)
 
 
@@ -95,43 +95,31 @@ def score_universe(ctx: ScoringContext) -> FragilityReport:
     """Score every member of the context into a fragility report.
 
     VDS/WDS/SAS are absent exactly when their required input is absent.
-    Degenerate cross-sections (all-zero volatilities, dead sentiment
-    indicators) degrade to zero scores plus a report-level warning.
+    A VDS or SAS component whose universe maximum is 0 scores 0 for every
+    token (``domain.ratio_to_max``), and a report-level warning names it.
     """
     params = ctx.params
-    global_warnings: list[str] = []
     roles = {tid: m.role for tid, m in ctx.members.items()}
     aggregates = {
         tid: m.volatility for tid, m in ctx.members.items() if m.volatility is not None
     }
-
-    normalized: dict[str, vol.NormalizedVolatility] | None = None
-    if aggregates:
-        try:
-            normalized = vol.normalize_cross_section(aggregates.values())
-        except Me2fError as exc:
-            normalized = None
-            global_warnings.append(f"degenerate volatility normalization: {exc}; VDS set to 0")
-
-    if ctx.sent_maxima is not None:
-        dead = ctx.sent_maxima.degenerate_components()
-        if dead:
-            global_warnings.append(
-                "degenerate sentiment maxima (component scored 0): " + ", ".join(dead)
-            )
+    vol_maxima = vol.VolatilityMaxima.over(aggregates.values()) if aggregates else None
+    normalized = vol_maxima.normalize(aggregates.values()) if aggregates else {}
+    global_warnings = [
+        f"degenerate {score} maxima (component scored 0): " + ", ".join(dead)
+        for score, maxima in (("volatility", vol_maxima), ("sentiment", ctx.sent_maxima))
+        if maxima is not None and (dead := maxima.degenerate_components())
+    ]
 
     reports: list[TokenReport] = []
     for token_id, member in ctx.members.items():
         notes: list[str] = []
         vds_value = None
         if member.volatility is not None:
-            if normalized is None:
-                vds_value = 0.0
-            else:
-                try:
-                    vds_value = vol.vds_from_normalized(token_id, aggregates, roles, normalized, params)
-                except Me2fError as exc:
-                    notes.append(f"vds failed: {exc}")
+            try:
+                vds_value = vol.vds_from_normalized(token_id, aggregates, roles, normalized, params)
+            except Me2fError as exc:
+                notes.append(f"vds failed: {exc}")
 
         wds_value = None if member.concentration is None else member.concentration.wds
 

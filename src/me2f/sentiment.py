@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from operator import add, le, sub
-from typing import Iterable
 
-from .domain import (Checked, Rule, SentimentPoint, SentimentSeries, Value, finite_in,
-                     value_type)
-from .errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
+from .domain import (Checked, Maxima, Rule, SentimentPoint, SentimentSeries, finite_in,
+                     ratio_to_max, value_type)
+from .errors import FgiOutOfRange, InsufficientHistory, InvalidSummary
 
 
 _EXTREME_FEAR_BELOW = 20.0
@@ -36,7 +35,7 @@ def classify_fgi(value: float) -> FgiBand:
     unambiguously; 100 belongs to extreme greed.
     """
     if not SentimentPoint.rules[0].holds({"fgi": (value,)}):  # its FGI range rule
-        raise OutOfRange(f"fgi={value!r} outside [0, 100]")
+        raise FgiOutOfRange(f"fgi={value!r} outside [0, 100]")
     if value < _EXTREME_FEAR_BELOW:
         return FgiBand.EXTREME_FEAR
     if value < 40:
@@ -120,7 +119,7 @@ def fgi_indicators(series: SentimentSeries) -> FgiIndicators:
 
 
 @value_type
-class SentimentMaxima(Value):
+class SentimentMaxima(Maxima):
     """Cross-sectional maxima used to normalize U and K components."""
 
     r_f: float
@@ -129,45 +128,26 @@ class SentimentMaxima(Value):
     delta_f: float
     delta_p: float
 
-    def degenerate_components(self) -> list[str]:
-        """Names of components whose maximum is zero (they score 0 for everyone)."""
-        return [name for name in ("r_f", "extreme_share", "mean_bias", "delta_f", "delta_p")
-                if getattr(self, name) <= 0]
-
-
-def sentiment_maxima(indicators: Iterable[FgiIndicators]) -> SentimentMaxima:
-    inds = list(indicators)
-    if not inds:
-        raise DegenerateMaxima("no sentiment indicators in the universe")
-    return SentimentMaxima(
-        r_f=max(i.r_f for i in inds),
-        extreme_share=max(i.q_g + i.q_f for i in inds),
-        mean_bias=max(abs(i.f_bar - 50.0) for i in inds),
-        delta_f=max(i.delta_f_max for i in inds),
-        delta_p=max(i.delta_p_max for i in inds),
-    )
-
-
-def _ratio(value: float, maximum: float) -> float:
-    # A dead indicator (zero maximum) contributes 0 rather than aborting
-    # the universe; callers surface it as a report warning.
-    return value / maximum if maximum > 0 else 0.0
+    @staticmethod
+    def components(ind: FgiIndicators) -> tuple[float, ...]:
+        """One token's values of the components, in field order."""
+        return ind.r_f, ind.q_g + ind.q_f, abs(ind.f_bar - 50.0), ind.delta_f_max, ind.delta_p_max
 
 
 def instability_index(ind: FgiIndicators, maxima: SentimentMaxima) -> float:
     """Mean of the normalized sentiment range, extreme-state frequency, and
     deviation of the average FGI from the neutral mid-point of 50."""
     return (
-        _ratio(ind.r_f, maxima.r_f)
-        + _ratio(ind.q_g + ind.q_f, maxima.extreme_share)
-        + _ratio(abs(ind.f_bar - 50.0), maxima.mean_bias)
+        ratio_to_max(ind.r_f, maxima.r_f)
+        + ratio_to_max(ind.q_g + ind.q_f, maxima.extreme_share)
+        + ratio_to_max(abs(ind.f_bar - 50.0), maxima.mean_bias)
     ) / 3.0
 
 
 def shock_index(ind: FgiIndicators, maxima: SentimentMaxima) -> float:
     """Product of the normalized largest FGI jump and price move; high only
     when sentiment shock and price response are jointly pronounced."""
-    return _ratio(ind.delta_f_max, maxima.delta_f) * _ratio(ind.delta_p_max, maxima.delta_p)
+    return ratio_to_max(ind.delta_f_max, maxima.delta_f) * ratio_to_max(ind.delta_p_max, maxima.delta_p)
 
 
 def sas(u: float, k: float, delta: float) -> float:

@@ -7,14 +7,13 @@ base-chain spillover (hosted tokens only) -> square-root rescaling.
 from __future__ import annotations
 
 import math
-from operator import le, sub, truediv
+from operator import attrgetter, le, sub, truediv
 from typing import Iterable, Mapping
 
-from .domain import (ChainRole, Checked, DailyBar, FrameworkParams, Rule, TokenSeries, Value,
-                     finite_in, value_type)
+from .domain import (ChainRole, Checked, DailyBar, FrameworkParams, Maxima, Rule, TokenSeries,
+                     Value, finite_in, ratio_to_max, value_type)
 from .errors import (
     ConfigError,
-    DegenerateUniverse,
     InsufficientHistory,
     InvalidSummary,
     MissingBaseChain,
@@ -51,6 +50,22 @@ class VolatilityAggregate(Checked):
         Rule("max_vol", lambda c: all(math.isfinite(v * 100) for v in c["max_vol"]), InvalidSummary,
              "{token_id}: max_vol={max_vol!r} overflows as a percentage"),
     )
+
+
+@value_type
+class VolatilityMaxima(Maxima):
+    """Universe maxima of the average and the maximum volatility."""
+
+    avg_vol: float
+    max_vol: float
+
+    components = staticmethod(attrgetter("avg_vol", "max_vol"))  # of a VolatilityAggregate
+
+    def normalize(self, aggs: Iterable[VolatilityAggregate]) -> dict[str, NormalizedVolatility]:
+        """Map each token's (avg, max) volatility to ratios of these maxima."""
+        return {a.token_id: NormalizedVolatility(a.token_id, ratio_to_max(a.avg_vol, self.avg_vol),
+                                                 ratio_to_max(a.max_vol, self.max_vol))
+                for a in aggs}
 
 
 @value_type
@@ -114,16 +129,7 @@ def normalize_cross_section(
 ) -> dict[str, NormalizedVolatility]:
     """Map each token's (avg, max) volatility to ratios of the universe maxima."""
     aggs = list(aggs)
-    if not aggs:
-        raise DegenerateUniverse("no tokens to normalize")
-    top_avg = max(a.avg_vol for a in aggs)
-    top_max = max(a.max_vol for a in aggs)
-    if top_avg <= 0 or top_max <= 0:
-        raise DegenerateUniverse("all observed volatilities are zero")
-    return {
-        a.token_id: NormalizedVolatility(a.token_id, a.avg_vol / top_avg, a.max_vol / top_max)
-        for a in aggs
-    }
+    return VolatilityMaxima.over(aggs).normalize(aggs)
 
 
 def composite(nv: NormalizedVolatility, alpha: float) -> float:

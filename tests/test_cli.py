@@ -871,6 +871,8 @@ BAD_PROVIDER_CONFIGS = {
         ("path", "/b/{tok}"), ("path", "/b/{}"), ("path", "/b/{token!r}"),
         ("query", {"start": "{"}), ("query", {"end": "}"}), ("query", {"page": "{page:03}"}),
         ("name", "../p"),  # its cache would lie outside --cache-dir
+        # each passed as rate_limit=30, page_size=2, timeout=1.0 and query={}
+        ("rate_limit", 5), ("page_size", 2.9), ("timeout_seconds", True), ("query", []),
     ]},
 }
 
@@ -1244,6 +1246,34 @@ class TestSummaryTableRowErrors:
         result = score_tables(tmp_path, VOL_ROW, FGI_ROW + "\n" + FGI_ROW)
         assert_clean_exit(result, 3)
         assert "f.csv: line 4, column 'token'" in result.stderr
+
+
+class TestZeroVolatilityMaxima:
+    """A volatility component whose universe maximum is 0 scores 0, as a dead SAS
+    component does; every other VDS term, and each token's own failure, still counts."""
+
+    FGI_ROWS = "AAA,50,90,10,1,1,50,10\nBBB,60,90,10,1,1,40,5\n"  # no dead SAS component
+
+    def scored(self, tmp_path, vol_rows):
+        result = score_tables(tmp_path, vol_rows, self.FGI_ROWS)
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        return doc, {t["id"]: t for t in doc["tokens"]}
+
+    def test_zero_averages_score_from_the_maxima(self, tmp_path):
+        # S = 2 / (1/1 + 1/2) = 4/3, so resilience is 0.6 and VDS = sqrt(0.5 * v_m * 0.6)
+        doc, tokens = self.scored(tmp_path, "AAA,0,12.5,1,2,standalone,\nBBB,0,40,1,2,standalone,\n")
+        assert tokens["BBB"]["raw"]["vds"] == pytest.approx(math.sqrt(0.3))
+        assert tokens["AAA"]["raw"]["vds"] == pytest.approx(math.sqrt(0.3 * 12.5 / 40))
+        assert (tokens["BBB"]["vds"], tokens["AAA"]["vds"]) == (0.548, 0.306)
+        assert doc["warnings"] == ["degenerate volatility maxima (component scored 0): avg_vol"]
+
+    def test_a_zero_size_fails_its_vds_in_an_all_flat_universe(self, tmp_path):
+        doc, tokens = self.scored(tmp_path, "AAA,0,0,1,2,standalone,\nBBB,0,0,0,2,standalone,\n")
+        assert tokens["AAA"]["vds"] == 0.0 and tokens["AAA"]["warnings"] == []
+        assert tokens["BBB"]["vds"] is None
+        assert tokens["BBB"]["warnings"] == ["vds failed: volume=0.0, mcap=2.0 must both be > 0"]
+        assert doc["warnings"] == ["degenerate volatility maxima (component scored 0): avg_vol, max_vol"]
 
 
 GOOD_REPORT = {

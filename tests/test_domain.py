@@ -372,8 +372,9 @@ def built_values() -> list:
     spec = remote.ProviderEndpointSpec(
         name="prov", base_url="https://api.example", path="/bars/{token}", query={"page": "{page}"},
         fields={name: name[0] for name in ingest.BARS_HEADER})
-    extra = [context, *volatility.normalize_cross_section(
-        [ti.volatility for ti in inputs.values() if ti.volatility]).values(),
+    aggregates = [ti.volatility for ti in inputs.values() if ti.volatility]
+    extra = [context, volatility.VolatilityMaxima.over(aggregates),
+             *volatility.normalize_cross_section(aggregates).values(),
              *history._rows(), spec, Flagged(1, 2, 3), Flagged(1, 2, 4), Flagged(1, 5, 3)]
     return golden_values() + list(dataclass_values(extra))
 

@@ -720,6 +720,30 @@ class TestProviderConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: rate_limit=0 must be > 0")):
             load_provider_config(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("rate_limit", 5, "unknown key 'rate_limit' (known keys: name, base_url, path, query, "
+         "fields, items_path, api_key_header, rate_limit_per_minute, timeout_seconds, page_size)"),
+        ("page_size", 2.9, "page_size=2.9 must be an integer"),
+        ("rate_limit_per_minute", 30.0, "rate_limit_per_minute=30.0 must be an integer"),
+        ("timeout_seconds", True, "timeout_seconds=True must be a number"),
+        ("timeout_seconds", "10", "timeout_seconds='10' must be a number"),
+        ("query", [], "query=[] must be a mapping"),
+    ], ids=["unknown_key", "fraction", "float_integer", "bool", "string_number", "list"])
+    def test_unknown_key_or_wrong_type_rejected_naming_file_and_key(self, tmp_path, key, value,
+                                                                   message):
+        doc = {"name": "p", "base_url": "https://x", "fields": {name: name for name in BARS_HEADER}}
+        path = write(tmp_path, "p.json", json.dumps(doc | {key: value}))
+        with pytest.raises(ConfigError) as err:
+            load_provider_config(path)
+        assert str(err.value) == f"provider config {path}: {message}"
+
+    def test_a_key_left_out_takes_the_spec_default(self, tmp_path):
+        doc = {"name": "p", "base_url": "https://x", "fields": {name: name for name in BARS_HEADER}}
+        spec = load_provider_config(write(tmp_path, "p.json", json.dumps(doc)))
+        assert spec == ProviderEndpointSpec(name="p", base_url="https://x", path="", query={},
+                                            fields=doc["fields"])
+        assert (spec.rate_limit, spec.timeout, spec.page_size) == (30, 10.0, 100)
+
     def test_missing_fields_rejected(self, tmp_path):
         doc = {"name": "p", "base_url": "https://x", "fields": {"date": "d"}}
         with pytest.raises(ConfigError):

@@ -21,7 +21,7 @@ from me2f import FrameworkParams, build_context, score_universe
 from me2f.cli import main
 from me2f.ingest import (bars_to_csv, load_bars_csv, load_fgi_table, load_sentiment_csv,
                          load_universe, load_volatility_table)
-from me2f.sentiment import fgi_indicators, sentiment_maxima
+from me2f.sentiment import SentimentMaxima, fgi_indicators
 from me2f.volatility import aggregate
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -188,7 +188,7 @@ class TestDominatedToken:
             before = raw_scores(universe)
             rows = load_volatility_table(universe.parent / "volatility.csv").values()
             aggs = [agg for agg, _ in rows]
-            top = sentiment_maxima(load_fgi_table(universe.parent / "fgi.csv").values())
+            top = SentimentMaxima.over(load_fgi_table(universe.parent / "fgi.csv").values())
             avg, peak, below, above, greed, fear, jump, move = shares
             max_vol = peak * max(agg.max_vol for agg in aggs)
             avg_vol = avg * min(max_vol, max(agg.avg_vol for agg in aggs))

@@ -22,7 +22,7 @@ from me2f.errors import EmptyUniverse, MissingBaseChain
 from me2f.ingest import (FGI_TABLE_HEADER, SENTIMENT_HEADER, VOLATILITY_TABLE_HEADER,
                          bars_to_csv, load_universe)
 from me2f.scoring import TokenInputs, build_context, score_universe
-from me2f.sentiment import fgi_indicators, sentiment_maxima
+from me2f.sentiment import SentimentMaxima, fgi_indicators
 from me2f.volatility import VolatilityAggregate, aggregate, normalize_cross_section
 from me2f.whale import concentration
 
@@ -70,7 +70,7 @@ class TestBuildContext:
     def test_maxima_recomputable(self, reference_inputs):
         ctx = build_context(reference_inputs, PARAMS)
         fgis = [m.fgi for m in ctx.members.values() if m.fgi is not None]
-        assert sentiment_maxima(fgis) == ctx.sent_maxima
+        assert SentimentMaxima.over(fgis) == ctx.sent_maxima
 
     def test_single_token_is_its_own_maximum(self):
         inputs = {"X": TokenInputs(ChainRole.standalone(), volatility=_agg("X", 0.1, 0.2, 1.0, 1.0))}

@@ -10,16 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from me2f.domain import SentimentPoint, SentimentSeries
-from me2f.errors import DegenerateMaxima, InsufficientHistory, InvalidSummary, OutOfRange
+from me2f.errors import DegenerateUniverse, InsufficientHistory, InvalidSummary, OutOfRange
 from me2f.ingest import load_fgi_table
 from me2f.sentiment import (
     FgiBand,
     FgiIndicators,
+    SentimentMaxima,
     classify_fgi,
     fgi_indicators,
     instability_index,
     sas,
-    sentiment_maxima,
     shock_index,
 )
 from conftest import REFERENCE_DIR, nudged
@@ -120,12 +120,12 @@ def _indicator(token="X", f_bar=50.0, f_max=80.0, f_min=20.0, q_g=0.1, q_f=0.1,
 class TestInstabilityAndShock:
     def test_self_maximum_scores_one(self):
         ind = _indicator(f_bar=70.0)
-        maxima = sentiment_maxima([ind])
+        maxima = SentimentMaxima.over([ind])
         assert instability_index(ind, maxima) == pytest.approx(1.0)
         assert shock_index(ind, maxima) == pytest.approx(1.0)
 
     def test_reference_trump(self, reference_fgi):
-        maxima = sentiment_maxima(reference_fgi.values())
+        maxima = SentimentMaxima.over(reference_fgi.values())
         u = instability_index(reference_fgi["TRUMP"], maxima)
         k = shock_index(reference_fgi["TRUMP"], maxima)
         assert u == pytest.approx(0.7008, abs=1e-4)
@@ -135,12 +135,12 @@ class TestInstabilityAndShock:
         assert k == pytest.approx((50.5 / 55.5) * (22.40 / 22.40), abs=1e-9)
 
     def test_reference_doge(self, reference_fgi):
-        maxima = sentiment_maxima(reference_fgi.values())
+        maxima = SentimentMaxima.over(reference_fgi.values())
         assert instability_index(reference_fgi["DOGE"], maxima) == pytest.approx(0.6489, abs=1e-4)
         assert shock_index(reference_fgi["DOGE"], maxima) == pytest.approx(0.3408, abs=1e-4)
 
     def test_reference_maxima_holders(self, reference_fgi):
-        maxima = sentiment_maxima(reference_fgi.values())
+        maxima = SentimentMaxima.over(reference_fgi.values())
         assert maxima.r_f == pytest.approx(87.0)        # widest sentiment range: ETH
         assert maxima.extreme_share == pytest.approx(0.0221)  # ETH
         assert maxima.mean_bias == pytest.approx(3.24)  # MELANIA
@@ -150,7 +150,7 @@ class TestInstabilityAndShock:
     def test_degenerate_maxima_component_scores_zero(self):
         ind = _indicator(f_bar=50.0, f_max=50.0, f_min=50.0, q_g=0.0, q_f=0.0,
                          delta_f=0.0, delta_p=0.0)
-        maxima = sentiment_maxima([ind])
+        maxima = SentimentMaxima.over([ind])
         assert instability_index(ind, maxima) == 0.0
         assert shock_index(ind, maxima) == 0.0
         assert set(maxima.degenerate_components()) == {
@@ -193,8 +193,8 @@ class TestInstabilityAndShock:
         assert err.value.field == field
 
     def test_empty_universe(self):
-        with pytest.raises(DegenerateMaxima):
-            sentiment_maxima([])
+        with pytest.raises(DegenerateUniverse):
+            SentimentMaxima.over([])
 
 
 class TestSas:
@@ -245,10 +245,10 @@ class TestProperties:
         assert ind.f_min <= ind.f_bar <= ind.f_max
 
     def test_adding_strictly_dominated_token_changes_nothing(self, reference_fgi):
-        maxima = sentiment_maxima(reference_fgi.values())
+        maxima = SentimentMaxima.over(reference_fgi.values())
         dominated = _indicator(token="TINY", f_bar=50.1, f_max=60.0, f_min=45.0,
                                q_g=0.001, q_f=0.0, delta_f=1.0, delta_p=0.001)
-        extended = sentiment_maxima(list(reference_fgi.values()) + [dominated])
+        extended = SentimentMaxima.over(list(reference_fgi.values()) + [dominated])
         assert extended == maxima
         for ind in reference_fgi.values():
             assert instability_index(ind, extended) == instability_index(ind, maxima)

@@ -124,8 +124,12 @@ class TestNormalizeCrossSection:
         assert nvs["PEPE"].v_m == 1.0
 
     def test_degenerate_universe(self):
-        with pytest.raises(DegenerateUniverse):
-            normalize_cross_section([VolatilityAggregate("X", 0.0, 0.0, 1.0, 1.0)])
+        # a zero universe maximum scores its component 0 for every token
+        nvs = normalize_cross_section([VolatilityAggregate("X", 0.0, 0.0, 1.0, 1.0),
+                                       VolatilityAggregate("Y", 0.0, 0.5, 1.0, 1.0)])
+        assert [(nv.v_a, nv.v_m) for nv in nvs.values()] == [(0.0, 0.0), (0.0, 1.0)]
+        assert normalize_cross_section([VolatilityAggregate("X", 0.0, 0.0, 1.0, 1.0)]) == {
+            "X": NormalizedVolatility("X", 0.0, 0.0)}
 
 
 class TestVolatilityAggregateRules:
@@ -361,14 +365,14 @@ class TestProperties:
             VolatilityAggregate(f"T{i}", min(a, a + m), a + m, 1.0, 1.0)
             for i, (a, m) in enumerate(pairs)
         ]
-        if all(x.avg_vol == 0 for x in aggs) or all(x.max_vol == 0 for x in aggs):
-            with pytest.raises(DegenerateUniverse):
-                normalize_cross_section(aggs)
-            return
         nvs = normalize_cross_section(aggs)
-        assert all(0.0 <= nv.v_a <= 1.0 and 0.0 <= nv.v_m <= 1.0 for nv in nvs.values())
-        assert any(nv.v_a == 1.0 for nv in nvs.values())
-        assert any(nv.v_m == 1.0 for nv in nvs.values())
+        for field, ratio in (("avg_vol", "v_a"), ("max_vol", "v_m")):
+            ratios = [getattr(nv, ratio) for nv in nvs.values()]
+            assert all(0.0 <= r <= 1.0 for r in ratios)
+            if max(getattr(x, field) for x in aggs) > 0:
+                assert 1.0 in ratios  # the maximizer
+            else:
+                assert set(ratios) == {0.0}  # a dead component
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.001, max_value=1e4), st.floats(min_value=0.01, max_value=5.0))
