@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gc
 import sys
-from collections import defaultdict
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -139,28 +139,25 @@ def warn(history_path, report_paths, window_days, threshold, x_days, out_dir):
         if history_path is None and not report_paths:
             raise ConfigError("provide --history and/or --report inputs")
 
-        def repeated(key, day, later, earlier) -> NonMonotonicDates:
-            return NonMonotonicDates(
-                f"{later}: {key[0]} {key[1].value}: duplicate date {day}, also in {earlier}")
-
         series = {}
         if history_path is not None:
             series = {(s.token_id, s.metric): s for s in ingest.load_history_csv(history_path)}
-        added = defaultdict(dict)  # each (token, metric)'s report scores: {day: (score, report)}
+        history = f"--history {history_path}"
+        # each (token, metric) that a report names: {day: (score, input)}, its history's days first,
+        # so a day that two inputs give is found by one check, at the first in input order
+        added = {}
         for rp in report_paths:
             for key, (day, score) in load_report_scores(Path(rp)):
+                if key not in added:
+                    added[key] = ({} if key not in series else
+                                  dict(zip(series[key].dates, zip(series[key].value, repeat(history)))))
                 if day in added[key]:
-                    raise repeated(key, day, rp, added[key][day][1])
+                    raise NonMonotonicDates(f"{rp}: {key[0]} {key[1].value}: duplicate date {day}, "
+                                            f"also in {added[key][day][1]}")
                 added[key][day] = score, rp
         for key, scores in added.items():
-            points = [(day, score) for day, (score, _) in scores.items()]
-            if key in series:
-                points += zip(series[key].dates, series[key].value)
-            try:
-                series[key] = ScoreSeries.from_columns(*key, *zip(*sorted(points)))
-            except NonMonotonicDates:  # a report's day is in the history too
-                day = next(day for day in series[key].dates if day in scores)
-                raise repeated(key, day, scores[day][1], f"--history {history_path}") from None
+            days = sorted(scores)
+            series[key] = ScoreSeries.from_columns(*key, days, [scores[day][0] for day in days])
         flags, events, buckets = flag_stages(series, window_days, threshold, x_days)
         doc = warn_document(window_days, threshold, x_days, flags, events, buckets)
         # as in score, one copy at a time: the stages' objects go once the document

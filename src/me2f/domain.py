@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque, namedtuple
-from dataclasses import _FIELD_INITVAR, MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from datetime import date as Date
 from functools import partial
 from itertools import compress, dropwhile, pairwise, repeat
@@ -162,10 +162,9 @@ def _frozen_init(cls: type) -> Callable:
     A field option that it does not compile is a ``TypeError``.
     """
     fs = fields(cls)
-    for f in cls.__dataclass_fields__.values():  # a ClassVar's kw_only stays MISSING, which is true
-        if (f._field_type is _FIELD_INITVAR or f.default_factory is not MISSING
-                or f.kw_only is True or not f.init):
-            raise TypeError(f"{cls.__name__}.{f.name}: value_type compiles no InitVar, "
+    for f in cls.__dataclass_fields__.values():  # those that fields() omits: InitVar and ClassVar
+        if f not in fs or f.default_factory is not MISSING or f.kw_only is True or not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name}: value_type compiles no InitVar, ClassVar, "
                             "default_factory, kw_only or init=False field")
     defaulted = list(dropwhile(lambda f: f.default is MISSING, fs))
     late = next((f for f in defaulted if f.default is MISSING), None)

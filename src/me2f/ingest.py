@@ -75,8 +75,8 @@ _CHUNK = 1 << 12  # data lines of a CSV split at a time
 
 
 def _read_columns(path: Path, *headers: list[str],
-                  shared: Sequence[str] = ()) -> tuple[Sequence[int], list[list[str]]]:
-    """Physical line numbers of a CSV file's data rows, and its cells by column.
+                  shared: Sequence[str] = ()) -> tuple[list[str], Sequence[int], list[list[str]]]:
+    """A CSV file's header, the physical line numbers of its data rows, and its cells by column.
 
     Blank lines are skipped but counted, so a number is the line an editor
     shows. The first non-blank line must equal one of ``headers`` and
@@ -123,7 +123,7 @@ def _read_columns(path: Path, *headers: list[str],
             part = cells[j::width]
             column += part if memo is None else map(memo.setdefault, part, part)
         del cells, part  # the chunk's repeated cells go before the next split
-    return numbers[1:], columns
+    return header, numbers[1:], columns
 
 
 def iso_days(cells: Sequence[str]) -> list[Date]:
@@ -152,8 +152,11 @@ _ID_FORBIDDEN = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"  # comp
 
 
 def token_id_fault(ids: Sequence[str]) -> str | None:
-    """Why the first of ``ids`` that breaks the token-id rule breaks it; None
-    when none does, found by one search over all of them."""
+    """Why ``ids`` break the token-id rule: an empty id, else the first that
+    holds a forbidden character; None when none does, found by one search
+    over all of them."""
+    if not all(ids):
+        return "empty token id"
     if re.search(_ID_FORBIDDEN, "".join(ids)) is None:
         return None
     tid, char = next((t, m.group()) for t in ids if (m := re.search(_ID_FORBIDDEN, t)))
@@ -307,8 +310,6 @@ def _take(column: Sequence, rows: slice | list[int]) -> Sequence:
 def _tokens(cells: list[str]) -> list[str]:
     """A column's stripped token cells; an empty, bad or repeated one is a row error."""
     tokens = list(map(str.strip, cells))
-    if not all(tokens):
-        raise DataError("empty token id", field="token")
     if fault := token_id_fault(tokens):
         raise DataError(fault, field="token")
     if len(set(tokens)) != len(tokens):
@@ -318,7 +319,7 @@ def _tokens(cells: list[str]) -> list[str]:
 
 def _load_daily_csv(path: str | Path, token_id: str | None, series_type, header: list[str]):
     path = Path(path)
-    numbers, columns = _read_columns(path, header)
+    _, numbers, columns = _read_columns(path, header)
     token_id = _token_id_for(path, token_id)
 
     def parse(columns: list[list[str]]):
@@ -366,20 +367,23 @@ def load_holders_csv(
 ) -> HolderSnapshot:
     """Load a holder-share CSV into a descending snapshot of all its rows.
 
-    The first column is either a numeric rank or an address; an optional
-    ``exclude`` set drops address rows (custodial filtering, off by
-    default) before their shares are parsed. Each share must lie in
-    [0, 1], and the share sum is checked over the whole file.
-    ``whale.concentration`` reads the top n.
+    The first column is either a numeric rank or an address, and each
+    stripped key occurs once; an optional ``exclude`` set drops address rows
+    (custodial filtering, off by default) before their shares are parsed.
+    Each share must lie in [0, 1], and the share sum is checked over the
+    whole file. ``whale.concentration`` reads the top n.
     """
     path = Path(path)
-    numbers, columns = _read_columns(path, ["rank", "share"], ["address", "share"])
+    (key_column, _), numbers, columns = _read_columns(path, ["rank", "share"], ["address", "share"])
     excluded = set(exclude)
 
     def parse(columns: list[list[str]]) -> Sequence[float]:
-        keys, raws = columns
+        keys, raws = list(map(str.strip, columns[0])), columns[1]
+        if len(set(keys)) != len(keys):  # over every row, excluded ones too
+            raise DataError(f"duplicate row for {key_column} {keys[_first_repeat(keys)]!r}",
+                            field=key_column)
         if excluded:
-            raws = list(compress(raws, [key.strip() not in excluded for key in keys]))
+            raws = list(compress(raws, [key not in excluded for key in keys]))
         shares = _floats("share", raws)
         check_rows(HolderSnapshot.share_rules, {"share": shares})
         return shares
@@ -403,7 +407,7 @@ def load_volatility_table(
     to any other). Tokens of one base share one ``ChainRole``.
     """
     path = Path(path)
-    numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
+    _, numbers, columns = _read_columns(path, VOLATILITY_TABLE_HEADER)
 
     def parse(columns: list[list[str]]) -> dict[str, tuple[VolatilityAggregate, ChainRole]]:
         tokens = _tokens(columns[0])
@@ -420,7 +424,7 @@ def load_volatility_table(
 def load_fgi_table(path: str | Path) -> dict[str, FgiIndicators]:
     """Load a pre-aggregated FGI indicator table (percent columns -> fractions)."""
     path = Path(path)
-    numbers, columns = _read_columns(path, FGI_TABLE_HEADER)
+    _, numbers, columns = _read_columns(path, FGI_TABLE_HEADER)
 
     def parse(columns: list[list[str]]) -> dict[str, FgiIndicators]:
         tokens = _tokens(columns[0])
@@ -447,7 +451,7 @@ def load_history_csv(path: str | Path) -> list[ScoreSeries]:
     no row index is built (``_stride``); any other order is grouped by key.
     """
     path = Path(path)
-    numbers, columns = _read_columns(path, HISTORY_HEADER, shared=HISTORY_HEADER[:3])
+    _, numbers, columns = _read_columns(path, HISTORY_HEADER, shared=HISTORY_HEADER[:3])
 
     def parse(columns: list[list[str]]) -> list[ScoreSeries]:
         texts = list(dict.fromkeys(columns[0]))  # in order of first occurrence

@@ -8,6 +8,7 @@ Only ``fetch`` runs this, so the CLI imports it in that command alone.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,8 +17,12 @@ import time
 from collections import deque
 from datetime import date as Date
 from datetime import timedelta, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
+from string import Formatter
 from typing import Callable, Mapping
+
+import requests
 
 from .domain import TokenSeries, Value, value_type
 from .errors import (ConfigError, DataError, HttpError, ParseError, PartialRange,
@@ -32,8 +37,6 @@ _URL_PLACEHOLDERS = ("token", "start", "end", "page", "page_size")
 def _check_template(key: str, template: str) -> list[str]:
     """The placeholder names of a ``path`` or ``query`` value, which fills in
     only bare ``_URL_PLACEHOLDERS`` (a doubled brace is a literal one)."""
-    from string import Formatter  # here: it slows CLI start-up
-
     try:
         fields = [(name, spec, conversion)
                   for _, name, spec, conversion in Formatter().parse(template) if name is not None]
@@ -95,6 +98,8 @@ class ProviderEndpointSpec(Value):
             raise ConfigError(f"rate_limit={self.rate_limit} must be > 0")
         if not self.timeout > 0:  # NaN included
             raise ConfigError(f"timeout={self.timeout} must be > 0")
+        if self.timeout > threading.TIMEOUT_MAX:  # infinity included: the socket's deadline overflows
+            raise ConfigError(f"timeout={self.timeout} must be <= {threading.TIMEOUT_MAX}")
         if self.page_size < 1:  # a page of 0 items never ends the paging
             raise ConfigError(f"page_size={self.page_size} must be >= 1")
         missing = [f for f in BARS_HEADER if f not in self.fields]
@@ -187,18 +192,12 @@ class MarketDataClient:
     ):
         self.provider = provider
         self.cache_dir = Path(cache_dir)
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
+        self.session = requests.Session() if session is None else session
         self._clock = clock
         self._sleep = sleep
         self.limiter = RateLimiter(provider.rate_limit, clock=clock, sleep=sleep)
 
     def _cache_read(self, path: Path) -> list[dict] | None:
-        import hashlib  # here: it slows CLI start-up
-
         sidecar = path.with_suffix(path.suffix + ".sha256")
         if not path.is_file() or not sidecar.is_file():  # a directory is no cache entry
             return None
@@ -208,8 +207,6 @@ class MarketDataClient:
         return json.loads(payload)["records"]
 
     def _cache_write(self, path: Path, records: list[dict]) -> None:
-        import hashlib  # here: it slows CLI start-up
-
         payload = json.dumps({"fetched_at": self._clock(), "records": records}, indent=2)
         sidecar = hashlib.sha256(payload.encode("utf-8")).hexdigest() + "\n"
         write_files(path.parent, {path.name: payload, f"{path.name}.sha256": sidecar}, "cache directory")
@@ -233,8 +230,6 @@ class MarketDataClient:
     def _request(self, url: str, params: dict[str, str], headers: dict[str, str]):
         """One GET, once the rate limiter allows it; no retry when the
         connection fails or times out."""
-        import requests  # here: it slows CLI start-up
-
         self.limiter.acquire()
         try:
             return self.session.get(url, params=params, headers=headers,
@@ -250,7 +245,6 @@ class MarketDataClient:
         try:
             seconds = float(header)
         except ValueError:
-            from email.utils import parsedate_to_datetime  # here: it slows CLI start-up
             try:
                 when = parsedate_to_datetime(header)
             except ValueError:

@@ -219,6 +219,23 @@ class TestScore:
         assert_clean_exit(result, 3)
         assert result.stderr == f"error: {tmp_path / 'h.csv'}: every row is excluded by exclude_addresses\n"
 
+    # each row was one holder, so a repeated key counted its holder twice (shares 0.3, 0.3, 0.2)
+    @pytest.mark.parametrize("rows,exclude,column,key", [
+        ("address,share\n0xa,0.3\n0xb,0.2\n 0xa,0.3\n", [], "address", "0xa"),
+        ("address,share\n0xa,0.3\n0xb,0.2\n0xa,0.3\n", ["0xa"], "address", "0xa"),  # before exclusion
+        ("rank,share\n1,0.3\n2,0.2\n1,0.1\n", [], "rank", "1"),
+    ], ids=["address", "address_excluded", "rank"])
+    def test_repeated_holder_key_exits_3_naming_its_later_line(self, tmp_path, rows, exclude, column, key):
+        holders = tmp_path / "h.csv"
+        holders.write_text(rows)
+        universe = tmp_path / "u.json"
+        universe.write_text(json.dumps({"tokens": [{"id": "A", "role": "standalone", "holders": "h.csv",
+                                                    "exclude_addresses": exclude}]}))
+        result = run("score", "--universe", universe, "--out", tmp_path / "o")
+        assert_clean_exit(result, 3)
+        assert result.stderr == (f"error: {holders}: line 4, column '{column}': "
+                                 f"duplicate row for {column} {key!r}\n")
+
     def test_repeated_bar_date_exits_3_naming_file_and_line(self, tmp_path):
         bars = tmp_path / "x.csv"
         bars.write_text("date,high,low,close,volume_usd,market_cap_usd\n"
@@ -873,6 +890,8 @@ BAD_PROVIDER_CONFIGS = {
         ("name", "../p"),  # its cache would lie outside --cache-dir
         # each passed as rate_limit=30, page_size=2, timeout=1.0 and query={}
         ("rate_limit", 5), ("page_size", 2.9), ("timeout_seconds", True), ("query", []),
+        # each exited 4: the socket's deadline overflowed
+        ("timeout_seconds", 1e30), ("timeout_seconds", float("inf")),
     ]},
 }
 
@@ -1158,6 +1177,18 @@ class TestWarnInputErrors:
         assert result.stderr == (f"error: {second}: PEPE vds: duplicate date 2025-01-03, "
                                  f"also in {first}\n")
 
+    def test_the_first_day_given_twice_in_input_order_is_named(self, tmp_path):
+        # the history, then each --report in turn: the first report's day is already the history's
+        hist, first, second = tmp_path / "h.csv", tmp_path / "r1.json", tmp_path / "r2.json"
+        write_history(hist, [1.0, 2.0, 3.0], token="PEPE")
+        for report in (first, second):
+            report.write_text(json.dumps(GOOD_REPORT))
+        result = run("warn", "--history", hist, "--report", first, "--report", second, "--window", 2,
+                     "--out", tmp_path / "w")
+        self.assert_one_line_error(result, 3)
+        assert result.stderr == (f"error: {first}: PEPE vds: duplicate date 2025-01-03, "
+                                 f"also in --history {hist}\n")
+
 
 def assert_clean_exit(result, code):
     """Exit ``code`` with a one-line diagnostic on stderr and no traceback."""
@@ -1334,6 +1365,8 @@ class TestReportReadingErrors:
                      id="repeated_id"),
         # no "tokens" key at all: warn flagged nothing and plot skipped all three charts, both exiting 0
         pytest.param(None, "'tokens' must be a list", id="no_tokens"),
+        # plot drew a bar with no label, and warn took the scores
+        pytest.param('[{"id": "", "vds": 0.5}]', "empty token id", id="empty_id"),
     ])
     @pytest.mark.parametrize("command", ["plot", "warn"])
     def test_bad_report_tokens_exit_3_naming_file_and_token(self, tmp_path, command, tokens, named):

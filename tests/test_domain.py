@@ -15,6 +15,7 @@ from datetime import date, timedelta
 from functools import cache
 from itertools import islice, pairwise, permutations
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +537,7 @@ class TestValueTypeDeclaration:
         (int, field(kw_only=True)),
         (int, field(init=False, default=0)),
         (InitVar[int], 0),
+        (ClassVar[int], 0),  # was accepted and left out of __init__
     ])
     def test_value_type_refuses_a_field_it_does_not_compile(self, annotation, default):
         cls = type("Refused", (Value,), {"__annotations__": {"x": annotation}, "x": default})

@@ -405,6 +405,9 @@ class TestTokenIdRule:
         assert token_id_fault(["A", f"x{bad}", "B"]) == (
             f"token id {'x' + bad!r} holds {bad!r}, which XML 1.0 cannot hold or UTF-8 cannot encode")
 
+    def test_an_empty_id_is_named_before_a_forbidden_character(self):
+        assert token_id_fault([""]) == token_id_fault(["x\x00", ""]) == "empty token id"
+
 
 class TestLoadUniverse:
     def test_reference_universe(self, reference_universe_path):
@@ -1279,9 +1282,10 @@ class TestHistoryLoaderMemory:
 #
 # Each row in file order: the token (empty, then repeated), every number,
 # the chain role and base, then the summary type's own rule, whose error
-# becomes a MalformedRow. Holder rows named in ``exclude`` are skipped before
-# their share is read; the share sum is checked over the file, then the top
-# n shares, descending, make the snapshot.
+# becomes a MalformedRow. A holder row's key must not repeat an earlier
+# row's, excluded rows included; rows named in ``exclude`` are then skipped
+# before their share is read; the share sum is checked over the file, then
+# the top n shares, descending, make the snapshot.
 
 def oracle_table_token(path, lineno, token, seen):
     if not token:
@@ -1337,8 +1341,13 @@ def oracle_load_fgi_table(path: Path, token_id=None) -> dict:
 
 
 def oracle_load_holders(path: Path, token_id: str, exclude: set[str]) -> HolderSnapshot:
-    shares = []
+    shares, seen = [], set()
+    column = next(line for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+    column = column.split(",")[0].strip()  # the header's key column: rank or address
     for lineno, (key, raw) in oracle_rows(path, ["rank", "share"], ["address", "share"]):
+        if key in seen:
+            raise MalformedRow(path, lineno, column, f"duplicate row for {column} {key!r}")
+        seen.add(key)
         if key in exclude:
             continue
         share = oracle_float(path, lineno, "share", raw)
@@ -1436,17 +1445,19 @@ FGI_TABLE_MUTATIONS = {"order": _fgi_mean_outside, "extremes": _extreme_shares,
 
 @st.composite
 def holders_csv(draw):
-    """A rank or address holder file, up to three mutations, sometimes a row
-    with a cell too many or too few, blank lines; with an ``exclude`` set over
-    its keys."""
+    """A rank or address holder file, up to three mutations (one repeats
+    another row's key), sometimes a row with a cell too many or too few, blank
+    lines; with an ``exclude`` set over its keys."""
     header = draw(st.sampled_from([["rank", "share"], ["address", "share"]]))
     n = draw(st.integers(min_value=1, max_value=8))
     keys = [str(i + 1) if header[0] == "rank" else f"0x{i:02x}" for i in range(n)]
     rows = [[key, repr(draw(st.floats(0.0, 0.125)))] for key in keys]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=n - 1))
-        kind = draw(st.sampled_from(["number", "negative", "large", "pad"]))
-        if kind == "number":
+        kind = draw(st.sampled_from(["number", "negative", "large", "pad", "repeat"]))
+        if kind == "repeat":  # another row's key, sometimes padded
+            rows[i][0] = draw(st.sampled_from([rows[draw(st.integers(0, n - 1))][0].strip(), f" {keys[-1]}"]))
+        elif kind == "number":
             rows[i][1] = draw(st.sampled_from(BAD_NUMBERS))
         elif kind == "negative":
             rows[i][1] = draw(st.sampled_from(["-0.1", "-1e-9", "-5e-324", "-0.0"]))
@@ -1489,6 +1500,7 @@ class TestTableAndHolderLoadersMatchRowOracle:
 
     @given(case=holders_csv())
     @example(case=("rank,share\n1,1.5\n2,-0.1\n3,oops\n", set()))  # line 2, above 1
+    @example(case=("address,share\n0xa,0.3\n0xb,0.2\n0xa ,0.3\n", {"0xa"}))  # line 4, excluded too
     @TABLE_SETTINGS
     def test_holders(self, tmp_path, case):
         text, exclude = case
